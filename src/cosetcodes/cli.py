@@ -83,20 +83,30 @@ def verify_cyclic_identities(n_cap: int = 80, max_union: int = 4) -> SweepReport
         report.records.append(CheckRecord(
             q, m, "nullspace-equivalence", "pass" if ok_null else "fail", detail_null))
 
-        # both dual-containing criteria agree (contains_dual asserts equality)
-        ok_dc = True
+        # both dual-containing criteria agree on every union Z of cosets:
+        # Z meets -Z exactly when some member's complementary coset meets Z.
+        # Bit x of a mask stands for residue x: the coset's elements, their
+        # negations, and its complementary coset.
+        n = q**m - 1
+        masks = [(c.rep,
+                  sum(1 << x for x in c.elements),
+                  sum(1 << (-x % n) for x in c.elements),
+                  sum(1 << x for x in cosets.complementary(c).elements))
+                 for c in partition]
         detail_dc = ""
-        reps = [c.rep for c in partition]
         for r in range(1, max_union + 1):
-            for combo in itertools.combinations(reps, r):
-                try:
-                    cyclic.contains_dual(cyclic.DefiningSet.from_exponents(q, m, combo))
-                except AssertionError as exc:
-                    ok_dc = False
-                    detail_dc = str(exc)
+            for combo in itertools.combinations(masks, r):
+                z = neg = comp = 0
+                for _, elements, negations, complement in combo:
+                    z |= elements
+                    neg |= negations
+                    comp |= complement
+                if (z & neg == 0) != (z & comp == 0):
+                    detail_dc = (f"criteria disagree on the union of cosets "
+                                 f"{[mask[0] for mask in combo]} mod {n}")
         report.records.append(CheckRecord(
             q, m, "dual-containing-criteria-agree",
-            "pass" if ok_dc else "fail", detail_dc))
+            "fail" if detail_dc else "pass", detail_dc))
 
         # designed-distance cap for block defining sets
         if m == 2 and q >= 3:
@@ -330,7 +340,7 @@ def _emit(command: str, rows, discrepancies, fmt: str, out_path: str | None,
 def _config_defaults(path: str | None) -> dict:
     defaults = {"budget": oracle.DEFAULT_MAX_ENUMERATION,
                 "modulus_cap": oracle.DEFAULT_MAX_MODULUS,
-                "seed": 0, "jobs": 1}
+                "seed": 0}
     if not path:
         return defaults
     with open(path, encoding="utf-8") as fh:
@@ -455,14 +465,15 @@ def cmd_table(args, cfg) -> int:
 
 def cmd_verify(args, cfg) -> int:
     bud = _budget_from(args, cfg)
-    jobs = args.jobs if args.jobs is not None else cfg["jobs"]
     report = SweepReport()
     if args.scope in ("cosets", "all"):
         qmax = args.qmax or 9
         mmax = args.mmax or 3
         qs = [q for q in _PRIME_POWERS if 3 <= q <= qmax]
-        sub = oracle.coset_theorem_sweep(qs, range(2, mmax + 1),
-                                         budget=bud, jobs=jobs)
+        if not qs or mmax < 2:
+            raise SystemExit(f"error: verify {args.scope}: empty coset grid "
+                             f"(prime powers 3 <= q <= {qmax}, 2 <= m <= {mmax})")
+        sub = oracle.coset_theorem_sweep(qs, range(2, mmax + 1), budget=bud)
         report.records.extend(sub.records)
     if args.scope in ("cyclic", "all"):
         report.records.extend(verify_cyclic_identities().records)
@@ -489,15 +500,21 @@ def cmd_verify(args, cfg) -> int:
 # argument parsing
 # ----------------------------------------------------------------------
 
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_common(sub):
     sub.add_argument("--format", choices=["text", "json", "csv"], default="text")
     sub.add_argument("--out", metavar="FILE", default=None)
-    sub.add_argument("--budget", type=int, default=None,
+    sub.add_argument("--budget", type=_nonnegative, default=None,
                      help="max oracle enumeration size (0 disables the oracle)")
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--jobs", type=int, default=None)
     sub.add_argument("--config", metavar="FILE", default=None,
-                     help="key=value file: budget, modulus_cap, seed, jobs")
+                     help="key=value file: budget, modulus_cap, seed")
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -1,12 +1,15 @@
 """q-ary cyclotomic cosets modulo n = q^m - 1 and their structure.
 
 Everything here is plain modular arithmetic; no field tables are involved.
-All values are immutable and all functions are pure.
+All values are immutable and all functions are pure.  For n up to
+MAX_MODULUS the partition into cosets is built once per (q, n) and every
+coset question is a lookup into it; larger moduli walk the orbit instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 MAX_MODULUS = 10**6
 
@@ -59,18 +62,49 @@ def _orbit(q: int, n: int, a: int) -> list[int]:
     return out
 
 
+def _coset_by_walk(q: int, n: int, a: int) -> Coset:
+    """The coset of a, by walking its orbit: the slow reference for the
+    partition, and the only path above MAX_MODULUS."""
+    rep = min(_orbit(q, n, a))
+    return Coset(n=n, q=q, rep=rep, elements=tuple(_orbit(q, n, rep)))
+
+
+@dataclass(frozen=True, eq=False)
+class Partition:
+    """All cosets modulo n, sorted by representative, and owner[x], the
+    coset containing residue x.  The complement of a coset c is the single
+    lookup owner[(n - c.rep) % n]."""
+
+    cosets: tuple[Coset, ...]
+    owner: list[Coset]
+
+
+@lru_cache(maxsize=None)
+def _partition(q: int, n: int) -> Partition:
+    owner: list = [None] * n
+    out = []
+    for s in range(n):
+        if owner[s] is None:  # s is the least element of a new orbit
+            c = Coset(n=n, q=q, rep=s, elements=tuple(_orbit(q, n, s)))
+            for x in c.elements:
+                owner[x] = c
+            out.append(c)
+    return Partition(tuple(out), owner)
+
+
+def _lookup(q: int, n: int, a: int) -> Coset:
+    if n > MAX_MODULUS:
+        return _coset_by_walk(q, n, a)
+    return _partition(q, n).owner[a % n]
+
+
 def coset_of(q: int, m: int, a: int) -> Coset:
     """The q-ary coset of a modulo q^m - 1 (a is reduced first)."""
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    n = q**m - 1
-    if n == 1:
-        return Coset(n=1, q=q, rep=0, elements=(0,))
-    orbit = _orbit(q, n, a)
-    rep = min(orbit)
-    return Coset(n=n, q=q, rep=rep, elements=tuple(_orbit(q, n, rep)))
+    return _lookup(q, q**m - 1, a)
 
 
 def all_cosets(q: int, m: int) -> list[Coset]:
@@ -80,17 +114,7 @@ def all_cosets(q: int, m: int) -> list[Coset]:
     n = q**m - 1
     if n > MAX_MODULUS:
         raise ValueError(f"modulus {n} exceeds cap {MAX_MODULUS}")
-    if n == 1:
-        return [Coset(n=1, q=q, rep=0, elements=(0,))]
-    seen = bytearray(n)
-    out = []
-    for s in range(n):
-        if not seen[s]:
-            orbit = _orbit(q, n, s)
-            for x in orbit:
-                seen[x] = 1
-            out.append(Coset(n=n, q=q, rep=s, elements=tuple(orbit)))
-    return out
+    return list(_partition(q, n).cosets)
 
 
 def parity_class(c: Coset) -> str:
@@ -117,19 +141,7 @@ def gap_stat(c: Coset) -> GapStat:
 
 def complementary(c: Coset) -> Coset:
     """The unique coset containing n - rep."""
-    if c.n == 1:
-        return c
-    m = _order_of(c.q, c.n)
-    return coset_of(c.q, m, (c.n - c.rep) % c.n)
-
-
-def _order_of(q: int, n: int) -> int:
-    m = 1
-    v = q % n
-    while v != 1:
-        v = (v * q) % n
-        m += 1
-    return m
+    return _lookup(c.q, c.n, c.n - c.rep)
 
 
 def coset_oplus(c1: Coset, c2bar: Coset) -> Coset:
@@ -139,12 +151,9 @@ def coset_oplus(c1: Coset, c2bar: Coset) -> Coset:
     if c1.n != c2bar.n or c1.q != c2bar.q:
         raise ValueError("cosets live modulo different (n, q)")
     n, s = c1.n, c1.rep
-    if n == 1:
-        return c1
     for w in c2bar.elements:
         if (s + w) % n == 0:
-            m = _order_of(c1.q, n)
-            return coset_of(c1.q, m, s + w)
+            return _lookup(c1.q, n, s + w)
     residues = {w: (s + w) % n for w in c2bar.elements}
     raise ValueError(
         f"no witness: rep {s} plus each of {sorted(c2bar.elements)} gives "

@@ -2,8 +2,9 @@
 
 A nested pair C2 in C1 yields an [[n, k1 - k2, D]] qudit code whose distance
 is at least the smaller of the two run-based bounds, for C1 and for the dual
-of C2.  Four parameter families are provided; each one rebuilds its cosets
-and dimensions from scratch on every call.
+of C2.  Four parameter families are provided; each one looks its cosets up
+in the memoised partition and rebuilds its codes and dimensions on every
+call.
 """
 
 from __future__ import annotations

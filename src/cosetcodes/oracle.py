@@ -4,13 +4,11 @@ of structural coset checks.
 
 Results produced within budget are exact; over-budget requests raise
 BudgetError rather than approximating silently.  Enumeration is blockwise
-and deterministic; sweeps can run per-(q, m) on worker threads with output
-order independent of the worker count.
+and deterministic; sweeps run one (q, m) pair at a time, in sorted order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -387,7 +385,7 @@ def _sweep_pair(q: int, m: int) -> list[CheckRecord]:
 
 
 def coset_theorem_sweep(
-    q_list: Iterable[int], m_list: Iterable[int], budget=None, jobs: int = 1
+    q_list: Iterable[int], m_list: Iterable[int], budget=None
 ) -> SweepReport:
     """Run every structural coset check for each (q, m) pair; failures are
     report records, never exceptions."""
@@ -403,11 +401,6 @@ def coset_theorem_sweep(
             )
         else:
             todo.append((q, m))
-    if jobs > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(lambda p: _sweep_pair(*p), todo))
-    else:
-        chunks = [_sweep_pair(q, m) for q, m in todo]
-    for chunk in chunks:
-        report.records.extend(chunk)
+    for q, m in todo:
+        report.records.extend(_sweep_pair(q, m))
     return report

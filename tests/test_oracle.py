@@ -128,9 +128,3 @@ def test_sweep_respects_modulus_cap():
     assert report.records == [
         oracle.CheckRecord(3, 13, "all", "skipped", "modulus over cap 100000")
     ]
-
-
-def test_sweep_jobs_do_not_change_output():
-    seq = coset_theorem_sweep([3, 5], [2, 3], jobs=1)
-    par = coset_theorem_sweep([3, 5], [2, 3], jobs=4)
-    assert seq.records == par.records

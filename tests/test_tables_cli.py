@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -146,7 +147,7 @@ def test_cli_verify_zero_budget_skips_oracle(capsys):
 
 def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg"
-    cfg.write_text("budget = 0\njobs = 2\n# comment\n")
+    cfg.write_text("budget = 0\n# comment\n")
     assert cli.main(["verify", "css", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     lines = [l for l in out.splitlines() if "distance-oracle" in l]
@@ -182,3 +183,43 @@ def test_cli_css_and_conv_single_instances(capsys):
     assert cli.main(["conv", "--family", "short-parent", "--q", "7",
                      "--i", "4"]) == 0
     assert "(48, 35, 9; 1, dfree >= 14)_7" in capsys.readouterr().out
+
+
+def test_cli_verify_cyclic_catches_a_wrong_complement(monkeypatch, capsys):
+    # a complement lookup that answers with the coset itself breaks the
+    # complement criterion, while the negation criterion still holds on
+    # every union that is disjoint from its negation
+    from cosetcodes import cosets
+
+    monkeypatch.setattr(cosets, "complementary", lambda c: c)
+    assert cli.main(["verify", "cyclic", "--format", "json"]) == 1
+    records = json.loads(capsys.readouterr().out)["discrepancies"]
+    failed = [r for r in records if r["check"] == "dual-containing-criteria-agree"]
+    assert failed and all(r["status"] == "fail" for r in failed)
+    for r in failed:
+        q, m, n = r["q"], r["m"], r["q"] ** r["m"] - 1
+        match = re.fullmatch(
+            r"criteria disagree on the union of cosets \[([\d, ]+)\] mod (\d+)",
+            r["detail"])
+        assert match and int(match.group(2)) == n
+        reps = [int(x) for x in match.group(1).split(", ")]
+        z = {x for c in reps for x in cosets.coset_of(q, m, c).elements}
+        assert z.isdisjoint({-x % n for x in z})
+
+
+def test_cli_verify_empty_grid_is_an_error(capsys):
+    for argv in (["verify", "cosets", "--qmax", "2"],
+                 ["verify", "all", "--mmax", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code != 0
+        message = str(exc.value.code)
+        assert "empty coset grid" in message and "\n" not in message
+    assert "checks" not in capsys.readouterr().out
+
+
+def test_cli_rejects_negative_budget(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "1", "--budget", "-5"])
+    assert exc.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
