@@ -135,14 +135,9 @@ def family_ladder(q: int, m: int, c: int) -> CssParams:
     _require_prime_power(q, 3)
     if not 2 <= c <= q:
         raise ValueError(f"need 2 <= c <= q, got c={c}")
-    bound = q ** ((m + 1) // 2) - 1
-    if not (c - 1) * q + 1 < bound:
-        raise ValueError(
-            f"ladder hypothesis violated: ({c}-1)*{q}+1 = {(c - 1) * q + 1} "
-            f"is not < {bound}"
-        )
     from .cosets import ladder_cosets
 
-    ladder = ladder_cosets(q, m, c - 1)  # validates the ladder structure
+    # checks the ladder hypothesis (c-1)q+1 < q^ceil(m/2) - 1 and structure
+    ladder = ladder_cosets(q, m, c - 1)
     outer, inner = _pair_excluding(q, m, c, [lc.rep for lc in ladder])
     return css_from_pair(outer, inner, designed_distance=c, family="css-ladder")

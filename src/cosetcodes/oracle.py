@@ -3,7 +3,8 @@ enumeration, exact CSS distances over set differences, and the full sweep
 of structural coset checks.
 
 Results produced within budget are exact; over-budget requests raise
-BudgetError rather than approximating silently.  Enumeration is blockwise
+BudgetError (css_distance_at_least answers None) rather than approximating
+silently.  Enumeration is blockwise
 and deterministic; sweeps run one (q, m) pair at a time, in sorted order.
 """
 
@@ -202,6 +203,19 @@ def verify_min_distance_at_least(code: CyclicCode, bound: int, budget=None) -> b
         stop_below=bound,
     )
     return got >= bound
+
+
+def css_distance_at_least(pair, bound: int, budget=None) -> bool | None:
+    """Whether C1 and the dual of C2 both have minimum distance >= bound,
+    so that the CSS pair reaches it; None when either enumeration is over
+    budget (or the budget is 0)."""
+    bud = _resolve(budget)
+    if bud.max_enumeration <= 0:
+        return None
+    codes = (pair.outer, cyclic.dual_code(pair.inner))
+    if any(code.q**code.k > bud.max_enumeration for code in codes):
+        return None
+    return all(verify_min_distance_at_least(code, bound, bud) for code in codes)
 
 
 def css_true_distance(pair, budget=None) -> int | None:

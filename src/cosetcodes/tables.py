@@ -1,55 +1,17 @@
 """Parameter-table regeneration.
 
-The row selections (which q, m, c, i instances are printed) are data; every
-row's parameters are recomputed from the family constructors at call time,
-never read from stored constants.  CSS rows additionally get their distance
-claims brute-force checked when the oracle budget allows.
+The row selections (which q, m, c, i instances are printed) live in the
+family registry; every row's parameters are recomputed from the family
+constructors at call time, never read from stored constants.  CSS rows
+additionally get their distance claims brute-force checked when the
+oracle budget allows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import conv, css, cyclic, oracle
-
-# printed instances, in table order
-TABLE1_INSTANCES = [
-    (5, 3), (5, 5),
-    (7, 3), (7, 4), (7, 5), (7, 6), (7, 7),
-    (8, 3), (8, 4), (8, 5), (8, 6), (8, 7),
-    (9, 8), (9, 9),
-    (11, 3), (11, 5), (11, 7), (11, 9), (11, 11),
-    (13, 3), (13, 5), (13, 7), (13, 9), (13, 11), (13, 13),
-]
-
-TABLE2_BLOCK_EVEN_INSTANCES = [
-    (4, 2, 3), (4, 2, 4),
-    (5, 2, 3), (5, 2, 4), (5, 2, 5),
-    (8, 2, 3), (8, 2, 4), (8, 2, 5), (8, 2, 6), (8, 2, 7), (8, 2, 8),
-    (4, 4, 3), (4, 4, 4),
-    (5, 4, 3), (5, 4, 4), (5, 4, 5),
-]
-
-TABLE2_LADDER_INSTANCES = [
-    (5, 3, 5),
-    (7, 3, 5), (7, 3, 6), (7, 3, 7),
-    (4, 4, 3), (4, 4, 4),
-    (5, 4, 3), (5, 4, 4), (5, 4, 5),
-]
-
-TABLE3_SPLIT_QS = [4, 5, 7, 8, 9, 11, 13, 16]
-TABLE3_WIDE_HEAD_QS = [4, 5, 11, 13, 16]
-TABLE3_WIDER_HEAD_INSTANCES = [
-    (4, 1),
-    (5, 1), (5, 2),
-    (7, 1), (7, 2), (7, 3), (7, 4),
-    (16, 1), (16, 2), (16, 5), (16, 7), (16, 10), (16, 13),
-]
-TABLE3_SHORT_PARENT_INSTANCES = [
-    (4, 1),
-    (5, 1), (5, 2),
-    (7, 1), (7, 2), (7, 3), (7, 4),
-]
+from . import conv, css, families, oracle
 
 
 @dataclass(frozen=True)
@@ -82,29 +44,16 @@ class TableRow:
         return cls(**d)
 
 
-def _css_status(params: css.CssParams, budget) -> str:
-    if budget is None or budget.max_enumeration <= 0:
-        return "oracle-skipped"
-    c = params.printed_distance
-    inner_dual = cyclic.dual_code(params.inner)
-    for code in (params.outer, inner_dual):
-        if code.q**code.k > budget.max_enumeration:
-            return "oracle-skipped"
-    ok = oracle.verify_min_distance_at_least(
-        params.outer, c, budget
-    ) and oracle.verify_min_distance_at_least(inner_dual, c, budget)
-    if not ok:
-        raise AssertionError(f"oracle contradicts distance claim for {params!r}")
-    return "oracle-verified"
-
-
 def _css_row(table: int, params: css.CssParams, budget) -> TableRow:
+    verified = oracle.css_distance_at_least(params, params.printed_distance, budget)
+    if verified is False:
+        raise AssertionError(f"oracle contradicts distance claim for {params!r}")
     return TableRow(
         table=table, kind="css", family=params.family or "css",
         q=params.q, m=params.m, c=params.designed_distance, i=None,
         n=params.n, k=params.k, gamma=None, mu=None,
         dist=params.printed_distance, text=params.bracket(),
-        status=_css_status(params, budget),
+        status="oracle-skipped" if verified is None else "oracle-verified",
     )
 
 
@@ -118,49 +67,17 @@ def _conv_row(code: conv.ConvCode) -> TableRow:
     )
 
 
-def table1(budget=None) -> list[TableRow]:
-    """The length q^2-1 CSS rows (block family; c = q rows use the full
-    block)."""
-    budget = oracle._resolve(budget) if budget is not None else oracle.OracleBudget()
-    rows = []
-    for q, c in TABLE1_INSTANCES:
-        params = css.family_block_full(q) if c == q else css.family_block(q, c)
-        rows.append(_css_row(1, params, budget))
-    return rows
-
-
-def table2(budget=None) -> list[TableRow]:
-    """The even-m block rows followed by the ladder rows."""
-    budget = oracle._resolve(budget) if budget is not None else oracle.OracleBudget()
-    rows = []
-    for q, m, c in TABLE2_BLOCK_EVEN_INSTANCES:
-        rows.append(_css_row(2, css.family_block_even(q, m, c), budget))
-    for q, m, c in TABLE2_LADDER_INSTANCES:
-        rows.append(_css_row(2, css.family_ladder(q, m, c), budget))
-    return rows
-
-
-def table3(budget=None) -> list[TableRow]:
-    """The convolutional rows; dimensions and degrees come from matrix ranks
-    computed over the expanded base field."""
-    rows = [_conv_row(conv.family_split(q)) for q in TABLE3_SPLIT_QS]
-    rows += [_conv_row(conv.family_split_wide_head(q)) for q in TABLE3_WIDE_HEAD_QS]
-    rows += [
-        _conv_row(conv.family_split_wider_head(q, i))
-        for q, i in TABLE3_WIDER_HEAD_INSTANCES
-    ]
-    rows += [
-        _conv_row(conv.family_split_short_parent(q, i))
-        for q, i in TABLE3_SHORT_PARENT_INSTANCES
-    ]
-    return rows
-
-
 def build_table(which: int, budget=None) -> list[TableRow]:
-    if which == 1:
-        return table1(budget)
-    if which == 2:
-        return table2(budget)
-    if which == 3:
-        return table3(budget)
-    raise ValueError(f"no table {which}; choose 1, 2 or 3")
+    """The printed rows of table `which`: the CSS tables 1 and 2 (with the
+    oracle status of each distance claim) and the convolutional table 3
+    (dimensions and degrees from matrix ranks over the expanded field)."""
+    entries = families.rows(which)
+    if not entries:
+        raise ValueError(f"no table {which}; choose 1, 2 or 3")
+    budget = oracle._resolve(budget)
+    out = []
+    for fam, args in entries:
+        built = fam.build(**args)
+        out.append(_css_row(which, built, budget) if fam.kind == "css"
+                   else _conv_row(built))
+    return out

@@ -7,8 +7,9 @@ criterion asserts its own wall-clock budget.
 
 import time
 
-from cosetcodes import cli, conv, css, cyclic, oracle, tables
+from cosetcodes import conv, css, cyclic, families, oracle, verify
 from cosetcodes.oracle import OracleBudget
+from cosetcodes.tables import build_table
 
 from test_tables_cli import TABLE1_ROWS, TABLE2_ROWS, TABLE3_ROWS
 
@@ -19,15 +20,15 @@ def _report(num, detail):
 
 def test_criterion_1_table1_regeneration():
     t0 = time.perf_counter()
-    rows = tables.table1(budget=OracleBudget(max_enumeration=0))
+    rows = build_table(1, budget=OracleBudget(max_enumeration=0))
     texts = [r.text for r in rows]
     elapsed = time.perf_counter() - t0
     assert texts == TABLE1_ROWS
     assert "[[48, 26, d >= 7]]_7" in texts
     assert "[[168, 122, d >= 13]]_13" in texts
     # dimensions recounted from coset cardinalities, not formulas
-    for (q, c), row in zip(tables.TABLE1_INSTANCES, rows):
-        params = css.family_block_full(q) if c == q else css.family_block(q, c)
+    for (fam, args), row in zip(families.rows(1), rows):
+        params = fam.build(**args)
         assert row.k == params.outer.k - params.inner.k
         assert params.outer.k == params.n - params.outer.defining.size
     assert elapsed < 5.0, f"table 1 took {elapsed:.2f}s"
@@ -36,7 +37,7 @@ def test_criterion_1_table1_regeneration():
 
 def test_criterion_2_table2_regeneration():
     t0 = time.perf_counter()
-    rows = tables.table2(budget=OracleBudget(max_enumeration=0))
+    rows = build_table(2, budget=OracleBudget(max_enumeration=0))
     texts = [r.text for r in rows]
     elapsed = time.perf_counter() - t0
     assert texts == TABLE2_ROWS
@@ -45,7 +46,7 @@ def test_criterion_2_table2_regeneration():
     # the half-size coset correction enters the even-m dimensions
     from cosetcodes.cosets import special_coset_cardinality
 
-    for q, m, c in tables.TABLE2_BLOCK_EVEN_INSTANCES:
+    for q, m, c in families.BY_NAME["css-block-even"].instances:
         rep, size = special_coset_cardinality(q, m)
         assert size == m // 2
         params = css.family_block_even(q, m, c)
@@ -56,7 +57,7 @@ def test_criterion_2_table2_regeneration():
 
 def test_criterion_3_table3_regeneration():
     t0 = time.perf_counter()
-    rows = tables.table3()
+    rows = build_table(3)
     texts = [r.text for r in rows]
     elapsed = time.perf_counter() - t0
     assert texts == TABLE3_ROWS
@@ -140,7 +141,8 @@ def test_criterion_6_css_exact_distance_spot_checks():
 def test_criterion_7_convolutional_soundness():
     t0 = time.perf_counter()
     count = 0
-    for code in cli.conv_instances((4, 5, 7, 8)):
+    for fam, args in verify.conv_sweep((4, 5, 7, 8)):
+        code = fam.build(**args)
         rep = conv.check_reduced_basic(code.generator)
         assert rep.passed, (code, rep.summary())
         h1_rank = code.degree
@@ -156,7 +158,7 @@ def test_criterion_7_convolutional_soundness():
 
 
 def test_criterion_8_algebraic_identities():
-    report = cli.verify_cyclic_identities(n_cap=80, max_union=4)
+    report = verify.verify_cyclic_identities(n_cap=80, max_union=4)
     assert report.passed, report.failures
     by_check = {}
     for r in report.records:

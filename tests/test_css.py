@@ -2,7 +2,7 @@ import warnings
 
 import pytest
 
-from cosetcodes import cyclic, tables
+from cosetcodes import cyclic, families
 from cosetcodes.css import (
     css_from_pair,
     family_block,
@@ -117,12 +117,8 @@ def test_family_range_errors():
 # ---------------------------------------------------------------
 
 def _all_table_instances():
-    for q, c in tables.TABLE1_INSTANCES:
-        yield family_block_full(q) if c == q else family_block(q, c)
-    for q, m, c in tables.TABLE2_BLOCK_EVEN_INSTANCES:
-        yield family_block_even(q, m, c)
-    for q, m, c in tables.TABLE2_LADDER_INSTANCES:
-        yield family_ladder(q, m, c)
+    for fam, args in families.rows(1, 2):
+        yield fam.build(**args)
 
 
 def test_every_instance_is_nested_with_recounted_dimension():
@@ -142,12 +138,13 @@ def test_distance_bound_equals_design_on_every_instance():
 
 
 def test_closed_form_dimensions():
-    for q, c in tables.TABLE1_INSTANCES:
-        params = family_block_full(q) if c == q else family_block(q, c)
+    for fam, args in families.rows(1):
+        params = fam.build(**args)
+        q, c = params.q, params.designed_distance
         assert params.k == q * q - 4 * c + 5
-    for q, m, c in tables.TABLE2_BLOCK_EVEN_INSTANCES:
+    for q, m, c in families.BY_NAME["css-block-even"].instances:
         n = q**m - 1
         assert family_block_even(q, m, c).k == n - 2 * m * (c - 2) - m // 2 - 1
-    for q, m, c in tables.TABLE2_LADDER_INSTANCES:
+    for q, m, c in families.BY_NAME["css-ladder"].instances:
         n = q**m - 1
         assert family_ladder(q, m, c).k == n - m * (2 * c - 3) - 1

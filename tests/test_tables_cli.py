@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from cosetcodes import cli, tables
+from cosetcodes import cli
 from cosetcodes.tables import TableRow, build_table
 
 # published parameter rows, frozen as plain text
@@ -58,24 +58,24 @@ TABLE3_ROWS = [
 
 
 def test_table1_rows_exact():
-    rows = tables.table1(budget=None)
+    rows = build_table(1, budget=None)
     assert [r.text for r in rows] == TABLE1_ROWS
 
 
 def test_table2_rows_exact():
-    rows = tables.table2()
+    rows = build_table(2)
     assert [r.text for r in rows] == TABLE2_ROWS
 
 
 def test_table3_rows_exact():
-    rows = tables.table3()
+    rows = build_table(3)
     assert [r.text for r in rows] == TABLE3_ROWS
     assert all(r.mu == 1 for r in rows)
 
 
 def test_table_regeneration_is_deterministic():
-    a = [r.to_dict() for r in tables.table3()]
-    b = [r.to_dict() for r in tables.table3()]
+    a = [r.to_dict() for r in build_table(3)]
+    b = [r.to_dict() for r in build_table(3)]
     assert a == b
 
 
@@ -116,7 +116,7 @@ def test_cli_table_json_roundtrip(tmp_path):
     assert payload["command"] == "table 1"
     assert "tool_version" in payload and payload["discrepancies"] == []
     parsed = [TableRow.from_dict(d) for d in payload["rows"]]
-    assert parsed == tables.table1(budget=cli.OracleBudget(max_enumeration=0))
+    assert parsed == build_table(1, budget=cli.OracleBudget(max_enumeration=0))
 
 
 def test_cli_table_csv(tmp_path):
@@ -128,7 +128,7 @@ def test_cli_table_csv(tmp_path):
         rows = list(csvmod.DictReader(fh))
     assert len(rows) == len(TABLE3_ROWS)
     assert rows[0]["text"] == TABLE3_ROWS[0]
-    assert set(rows[0].keys()) == set(tables.table3()[0].to_dict().keys())
+    assert set(rows[0].keys()) == set(build_table(3)[0].to_dict().keys())
 
 
 def test_cli_verify_cosets_passes(capsys):
@@ -209,7 +209,9 @@ def test_cli_verify_cyclic_catches_a_wrong_complement(monkeypatch, capsys):
 
 def test_cli_verify_empty_grid_is_an_error(capsys):
     for argv in (["verify", "cosets", "--qmax", "2"],
-                 ["verify", "all", "--mmax", "1"]):
+                 ["verify", "all", "--mmax", "1"],
+                 ["verify", "cosets", "--qmax", "0"],
+                 ["verify", "cosets", "--mmax", "0"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code != 0
@@ -223,3 +225,39 @@ def test_cli_rejects_negative_budget(capsys):
         cli.main(["table", "1", "--budget", "-5"])
     assert exc.value.code == 2
     assert "must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "css --family block --q 5",
+    "css --family block-even --q 5",
+    "css --family ladder --q 5 --m 3",
+    "conv --family wider-head --q 5",
+    "conv --family short-parent --q 5",
+    "css --family block-full --q 6",
+    "conv --family split --q 3",
+    "css --family block --q 5 --c 9",
+    "cosets 1 2",
+    "cosets 31 5",
+    "code 6 2 1",
+    "verify css --q 6",
+    "verify conv --q 3",
+    "css --family block-full --q 5 --m 4",
+    "conv --family split --q 5 --i 3",
+])
+def test_cli_bad_input_is_one_line_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.split())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "error: " in err
+    assert "Traceback" not in err
+
+
+def test_cli_verify_css_unprinted_q_checks_block_family(capsys):
+    # no printed CSS row has q = 3: block(3, 2) and block-full(3) are checked
+    assert cli.main(["verify", "css", "--q", "3", "--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["check"] for r in records] == [
+        f"{family}-{check}" for family in ("css-block", "css-block-full")
+        for check in ("dimension", "nested", "distance-bound", "distance-oracle")]
+    assert all(r["status"] == "pass" and r["q"] == 3 for r in records)
