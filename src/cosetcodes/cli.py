@@ -47,31 +47,37 @@ def _emit(command: str, rows, discrepancies, fmt: str, out_path: str | None,
         print(text)
 
 
-def _config_defaults(path: str | None) -> dict:
-    defaults = {"budget": oracle.DEFAULT_MAX_ENUMERATION,
-                "modulus_cap": oracle.DEFAULT_MAX_MODULUS,
-                "seed": 0}
-    if not path:
+def _config_defaults(args) -> dict:
+    """budget and seed from the --config file, or their defaults; a line
+    that does not parse is a usage error."""
+    defaults = {"budget": oracle.DEFAULT_MAX_ENUMERATION, "seed": 0}
+    if not args.config:
         return defaults
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise SystemExit(f"bad config line: {line!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in defaults:
-                raise SystemExit(f"unknown config key: {key}")
-            defaults[key] = int(val)
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        args.parser.error(f"cannot read config file: {exc}")
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            args.parser.error(f"bad config line: {line!r}")
+        key, val = (s.strip() for s in line.split("=", 1))
+        if key not in defaults:
+            args.parser.error(f"unknown config key: {key}")
+        try:
+            defaults[key] = (_nonnegative if key == "budget" else int)(val)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            args.parser.error(f"config key {key}: {exc}")
     return defaults
 
 
 def _budget_from(args, cfg) -> OracleBudget:
     budget = args.budget if args.budget is not None else cfg["budget"]
     seed = args.seed if args.seed is not None else cfg["seed"]
-    return OracleBudget(max_enumeration=budget,
-                        max_modulus=cfg["modulus_cap"], seed=seed)
+    return OracleBudget(max_enumeration=budget, seed=seed)
 
 
 @contextlib.contextmanager
@@ -201,7 +207,7 @@ def cmd_verify(args, cfg) -> int:
             raise SystemExit(f"error: verify {args.scope}: empty coset grid "
                              f"(prime powers 3 <= q <= {args.qmax}, "
                              f"2 <= m <= {args.mmax})")
-        report.records.extend(oracle.coset_theorem_sweep(qs, ms, budget=bud).records)
+        report.records.extend(oracle.coset_theorem_sweep(qs, ms).records)
     if args.scope in ("cyclic", "all"):
         report.records.extend(verify.verify_cyclic_identities().records)
     with _usage_errors(args):
@@ -251,7 +257,7 @@ def _add_common(sub):
                      help="max oracle enumeration size (0 disables the oracle)")
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--config", metavar="FILE", default=None,
-                     help="key=value file: budget, modulus_cap, seed")
+                     help="key=value file: budget, seed")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -311,7 +317,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    cfg = _config_defaults(args.config)
+    cfg = _config_defaults(args)
     return args.func(args, cfg)
 
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import cyclic, gf, oracle
 from .cyclic import CyclicCode
 from .gf import FieldContext
@@ -347,7 +345,7 @@ def free_distance_upper(
     """
     if max_input_degree < 0:
         raise ValueError("max_input_degree must be >= 0")
-    bud = oracle._resolve(budget)
+    bud = oracle.OracleBudget.of(budget)
     ctx = code.generator.field
     G = code.generator
     n = G.n
@@ -382,24 +380,4 @@ def free_distance_upper(
             f"kernel of dimension {len(kernel)} exceeds budget "
             f"{bud.max_enumeration}; pass sample=N for a sampled bound"
         )
-    rng = np.random.default_rng(seed)
-    gens = oracle.gf_p_generators(ctx, kernel)
-    dim = len(gens)
-    B = oracle._digit_matrix(ctx, gens).astype(np.float64)
-    best = None
-    # all single basis words first, then random combinations
-    coef_blocks = [np.eye(dim)]
-    if sample > 0:
-        coef_blocks.append(
-            rng.integers(0, ctx.p, size=(sample, dim)).astype(np.float64)
-        )
-    for coefs in coef_blocks:
-        labels = oracle._combo_labels(ctx, B, coefs)
-        w = np.count_nonzero(labels, axis=1)
-        w = w[w > 0]
-        if w.size:
-            m = int(w.min())
-            best = m if best is None else min(best, m)
-    if best is None:
-        raise AssertionError("sampling found no nonzero codeword")
-    return best
+    return oracle.sampled_min_weight(ctx, kernel, sample, seed)

@@ -223,19 +223,6 @@ class FieldContext:
             raise ZeroDivisionError("0 has no inverse")
         return self.exp[(-self.log[a]) % (self.q - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, k: int) -> int:
-        if a == 0:
-            if k <= 0:
-                raise ZeroDivisionError("0**k undefined for k <= 0")
-            return 0
-        return self.exp[(self.log[a] * k) % (self.q - 1)]
-
-    def elements(self) -> range:
-        return range(self.q)
-
     # -- numpy views -------------------------------------------------------
 
     def np_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -381,10 +368,6 @@ class Poly:
                         )
         return Poly(ctx, out)
 
-    def scale(self, s: int):
-        ctx = self.ctx
-        return Poly(ctx, [ctx.mul(c, s) for c in self.coeffs])
-
     def divmod(self, other) -> tuple["Poly", "Poly"]:
         ctx = self.ctx
         if other.is_zero:
@@ -463,9 +446,6 @@ class SubfieldEmbedding:
             return self._down[y]
         except KeyError:
             raise ValueError(f"{y} is not in the embedded subfield") from None
-
-    def contains(self, y: int) -> bool:
-        return y in self._down
 
 
 @lru_cache(maxsize=None)

@@ -1,11 +1,19 @@
 """Independent brute-force verifiers: exact minimum distances by message
-enumeration, exact CSS distances over set differences, and the full sweep
-of structural coset checks.
+enumeration, exact CSS distances over set differences, a seeded sampled
+upper bound for spans too large to enumerate, and the full sweep of
+structural coset checks.
+
+One enumerator, span_min_weight, walks the GF(p)-combinations of a basis
+blockwise, in index order.  A CSS side (C minus its subcode S) is the
+span of a basis of C whose first rows span S: S's words are exactly the
+lowest indices, so the enumeration starts above them and no word is
+tested for membership.
 
 Results produced within budget are exact; over-budget requests raise
 BudgetError (css_distance_at_least answers None) rather than approximating
-silently.  Enumeration is blockwise
-and deterministic; sweeps run one (q, m) pair at a time, in sorted order.
+silently.  Enumeration is deterministic; sweeps run one (q, m) pair at a
+time, in sorted order, and skip pairs whose modulus is over
+cosets.MAX_MODULUS.
 """
 
 from __future__ import annotations
@@ -21,7 +29,6 @@ from .cyclic import CyclicCode
 from .gf import FieldContext
 
 DEFAULT_MAX_ENUMERATION = 10**7
-DEFAULT_MAX_MODULUS = 10**6
 _BLOCK = 1 << 16
 
 
@@ -32,16 +39,17 @@ class BudgetError(ValueError):
 @dataclass(frozen=True)
 class OracleBudget:
     max_enumeration: int = DEFAULT_MAX_ENUMERATION
-    max_modulus: int = DEFAULT_MAX_MODULUS
     seed: int = 0
 
-
-def _resolve(budget) -> OracleBudget:
-    if budget is None:
-        return OracleBudget()
-    if isinstance(budget, int):
-        return OracleBudget(max_enumeration=budget)
-    return budget
+    @classmethod
+    def of(cls, budget) -> OracleBudget:
+        """The budget that None (the default), an int (the enumeration cap)
+        or an OracleBudget names."""
+        if budget is None:
+            return cls()
+        if isinstance(budget, int):
+            return cls(max_enumeration=budget)
+        return budget
 
 
 # ----------------------------------------------------------------------
@@ -59,64 +67,25 @@ def gf_p_generators(ctx: FieldContext, rows) -> list[list[int]]:
     return out
 
 
-def _digit_matrix(ctx: FieldContext, rows) -> np.ndarray:
-    A = np.asarray(rows, dtype=np.int64)
+def _digit_matrix(ctx: FieldContext, gens) -> np.ndarray:
+    """The GF(p)-digits of gens, one row per generator, as float64 so that
+    BLAS does the combination matmul; every digit sum stays far below 2^53,
+    so the arithmetic is exact."""
+    A = np.asarray(gens, dtype=np.int64)
     powers = np.array(ctx._powers, dtype=np.int64)
     digs = (A[:, :, None] // powers) % ctx.p
-    return digs.reshape(A.shape[0], -1).astype(np.int32)
+    return digs.reshape(A.shape[0], -1).astype(np.float64)
 
 
-def _combo_labels(ctx: FieldContext, B_float: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-    """Symbol-label matrix of the GF(p)-combinations coefs @ B.
-
-    The matmul runs in float64 so BLAS does the work; every digit sum stays
-    far below 2^53, so the arithmetic is exact.
-    """
+def _weights(ctx: FieldContext, B: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """Symbol weights of the GF(p)-combinations coefs @ B."""
     p, e = ctx.p, ctx.e
-    raw = np.rint(coefs @ B_float).astype(np.int32)
+    raw = np.rint(coefs @ B).astype(np.int32)
     digs = (raw & 1) if p == 2 else (raw % p)
-    if e == 1:
-        return digs
-    labels = digs[:, 0::e].copy()
+    nonzero = digs[:, 0::e]
     for t in range(1, e):
-        labels += digs[:, t::e] * (p**t)
-    return labels
-
-
-def _iter_span_blocks(ctx: FieldContext, gens, block=_BLOCK):
-    """Yield (start, labels) for consecutive GF(p)-combinations of gens,
-    labels being the (block, n) matrix of GF(q) symbol labels; combination
-    0 is the zero word."""
-    p = ctx.p
-    d = len(gens)
-    B = _digit_matrix(ctx, gens).astype(np.float64)
-    total = p**d
-    radix = np.array([p**t for t in range(d)], dtype=np.int64)
-    for start in range(0, total, block):
-        stop = min(start + block, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        coefs = ((idx[:, None] // radix) % p).astype(np.float64)
-        yield start, _combo_labels(ctx, B, coefs)
-
-
-def _labels_bytes(label_row: np.ndarray) -> bytes:
-    return label_row.astype(np.uint16).tobytes()
-
-
-def span_size(ctx: FieldContext, gens) -> int:
-    return ctx.p ** len(gens)
-
-
-def span_labels(ctx: FieldContext, rows, limit: int) -> set[bytes]:
-    """All words of the GF(q)-span of rows (including zero), as byte keys."""
-    gens = gf_p_generators(ctx, rows)
-    if span_size(ctx, gens) > limit:
-        raise BudgetError(f"span of size {span_size(ctx, gens)} exceeds {limit}")
-    out = set()
-    for _start, labels in _iter_span_blocks(ctx, gens):
-        for i in range(labels.shape[0]):
-            out.add(_labels_bytes(labels[i]))
-    return out
+        nonzero = nonzero | digs[:, t::e]
+    return np.count_nonzero(nonzero, axis=1)
 
 
 def span_min_weight(
@@ -124,47 +93,55 @@ def span_min_weight(
     rows,
     limit: int,
     *,
-    exclude: set[bytes] | None = None,
+    subcode_rows: int = 0,
     stop_below: int | None = None,
 ) -> int:
-    """Exact minimum symbol weight over the nonzero words of the GF(q)-span
-    of rows; words whose byte key is in `exclude` are skipped.
+    """Exact minimum symbol weight over the words of the GF(q)-span of rows
+    that are not in the span of its first `subcode_rows` rows (with the
+    default 0, over the nonzero words).
 
-    With stop_below set, returns as soon as any weight below it is seen
-    (fail-fast for 'verify >= bound'); the full sweep still runs otherwise.
+    Combination i takes GF(p)-digit t of i as the coefficient of generator
+    t, so the indices below p^(e * subcode_rows) are exactly the subcode's
+    words and the enumeration starts above them.  With stop_below set,
+    returns as soon as any weight below it is seen (fail-fast for
+    'verify >= bound'); the full sweep still runs otherwise.
     """
     gens = gf_p_generators(ctx, rows)
-    n_gens = len(gens)
-    if n_gens == 0:
-        raise ValueError("span has no nonzero words")
-    if span_size(ctx, gens) > limit:
-        raise BudgetError(f"span of size {span_size(ctx, gens)} exceeds {limit}")
-    n_sym = len(rows[0])
-    best = n_sym + 1
-    for start, labels in _iter_span_blocks(ctx, gens):
-        w = np.count_nonzero(labels, axis=1)
-        if start == 0:
-            w[0] = n_sym + 1  # the zero word does not count
-        if exclude is None:
-            blockmin = int(w.min())
-            if blockmin == 0:
-                raise AssertionError("generators are linearly dependent")
-            if blockmin < best:
-                best = blockmin
-        else:
-            order = np.argsort(w, kind="stable")
-            for i in order:
-                wi = int(w[i])
-                if wi >= best:
-                    break
-                if _labels_bytes(labels[i]) not in exclude:
-                    best = wi
-                    break
+    total = ctx.p ** len(gens)
+    if total > limit:
+        raise BudgetError(f"span of size {total} exceeds {limit}")
+    first = ctx.p ** (ctx.e * subcode_rows)
+    if first >= total:
+        raise ValueError("span has no words outside the subcode")
+    B = _digit_matrix(ctx, gens)
+    radix = np.array([ctx.p**t for t in range(len(gens))], dtype=np.int64)
+    best = len(rows[0]) + 1
+    for start in range(first, total, _BLOCK):
+        idx = np.arange(start, min(start + _BLOCK, total), dtype=np.int64)
+        coefs = ((idx[:, None] // radix) % ctx.p).astype(np.float64)
+        blockmin = int(_weights(ctx, B, coefs).min())
+        if blockmin == 0:
+            raise AssertionError("generators are linearly dependent")
+        best = min(best, blockmin)
         if stop_below is not None and best < stop_below:
-            return best
-    if best > n_sym:
-        raise ValueError("span difference is empty")
+            break
     return best
+
+
+def sampled_min_weight(ctx: FieldContext, rows, sample: int, seed: int) -> int:
+    """Least weight among the GF(p)-generators of the span of rows and
+    `sample` seeded random GF(p)-combinations of them: an upper bound on
+    the minimum nonzero weight."""
+    gens = gf_p_generators(ctx, rows)
+    dim = len(gens)
+    B = _digit_matrix(ctx, gens)
+    # all single generators first, then random combinations
+    coefs = np.eye(dim)
+    if sample > 0:
+        rng = np.random.default_rng(seed)
+        coefs = np.vstack([coefs, rng.integers(0, ctx.p, size=(sample, dim))])
+    w = _weights(ctx, B, coefs)
+    return int(w[w > 0].min())
 
 
 # ----------------------------------------------------------------------
@@ -182,7 +159,7 @@ def _check_enum_budget(code: CyclicCode, bud: OracleBudget):
 def min_distance_bruteforce(code: CyclicCode, budget=None) -> int:
     """Exact minimum Hamming distance by enumerating all q^k codewords
     generated by g(x)."""
-    bud = _resolve(budget)
+    bud = OracleBudget.of(budget)
     if code.k == 0:
         raise ValueError("the zero code has no nonzero codewords")
     _check_enum_budget(code, bud)
@@ -194,7 +171,7 @@ def min_distance_bruteforce(code: CyclicCode, budget=None) -> int:
 def verify_min_distance_at_least(code: CyclicCode, bound: int, budget=None) -> bool:
     """True iff every nonzero codeword has weight >= bound; stops at the
     first counterexample."""
-    bud = _resolve(budget)
+    bud = OracleBudget.of(budget)
     if code.k == 0:
         return True
     _check_enum_budget(code, bud)
@@ -209,7 +186,7 @@ def css_distance_at_least(pair, bound: int, budget=None) -> bool | None:
     """Whether C1 and the dual of C2 both have minimum distance >= bound,
     so that the CSS pair reaches it; None when either enumeration is over
     budget (or the budget is 0)."""
-    bud = _resolve(budget)
+    bud = OracleBudget.of(budget)
     if bud.max_enumeration <= 0:
         return None
     codes = (pair.outer, cyclic.dual_code(pair.inner))
@@ -221,25 +198,29 @@ def css_distance_at_least(pair, bound: int, budget=None) -> bool | None:
 def css_true_distance(pair, budget=None) -> int | None:
     """Exact CSS distance: the minimum weight over (C1 minus C2) union
     (C2-dual minus C1-dual).  Returns None for a degenerate pair (C1 = C2,
-    both differences empty)."""
-    bud = _resolve(budget)
-    outer, inner = pair.outer, pair.inner
+    both differences empty).
+
+    Each side enumerates a basis of the larger code whose first rows span
+    the subcode: the shifts of the subcode's generator, then the first
+    k - k_sub shifts of the code's own (their leading degrees are all
+    distinct), so the subcode's words are skipped by index."""
+    bud = OracleBudget.of(budget)
     if pair.k == 0:
         return None
-    inner_dual = cyclic.dual_code(inner)
-    outer_dual = cyclic.dual_code(outer)
-    for c in (outer, inner, inner_dual, outer_dual):
+    inner_dual = cyclic.dual_code(pair.inner)
+    # C2 and C1-dual are subcodes of these two, so they are no larger
+    for c in (pair.outer, inner_dual):
         _check_enum_budget(c, bud)
-    base = outer.base
-    in_c2 = span_labels(base, cyclic.codeword_basis(inner), bud.max_enumeration)
-    side_a = span_min_weight(
-        base, cyclic.codeword_basis(outer), bud.max_enumeration, exclude=in_c2
+    sides = ((pair.outer, pair.inner), (inner_dual, cyclic.dual_code(pair.outer)))
+    return min(
+        span_min_weight(
+            code.base,
+            cyclic.codeword_basis(sub) + cyclic.codeword_basis(code)[:code.k - sub.k],
+            bud.max_enumeration,
+            subcode_rows=sub.k,
+        )
+        for code, sub in sides
     )
-    in_c1d = span_labels(base, cyclic.codeword_basis(outer_dual), bud.max_enumeration)
-    side_b = span_min_weight(
-        base, cyclic.codeword_basis(inner_dual), bud.max_enumeration, exclude=in_c1d
-    )
-    return min(side_a, side_b)
 
 
 # ----------------------------------------------------------------------
@@ -398,23 +379,17 @@ def _sweep_pair(q: int, m: int) -> list[CheckRecord]:
     return recs
 
 
-def coset_theorem_sweep(
-    q_list: Iterable[int], m_list: Iterable[int], budget=None
-) -> SweepReport:
+def coset_theorem_sweep(q_list: Iterable[int], m_list: Iterable[int]) -> SweepReport:
     """Run every structural coset check for each (q, m) pair; failures are
-    report records, never exceptions."""
-    bud = _resolve(budget)
+    report records, never exceptions.  Pairs whose modulus q^m - 1 is over
+    cosets.MAX_MODULUS get one skipped record each, ahead of the rest."""
     pairs = sorted((q, m) for q in set(q_list) for m in set(m_list))
-    report = SweepReport()
-    todo = []
+    over = [(q, m) for q, m in pairs if q**m - 1 > cs.MAX_MODULUS]
+    report = SweepReport([
+        CheckRecord(q, m, "all", "skipped", f"modulus over cap {cs.MAX_MODULUS}")
+        for q, m in over
+    ])
     for q, m in pairs:
-        if q**m - 1 > bud.max_modulus:
-            report.records.append(
-                CheckRecord(q, m, "all", "skipped",
-                            f"modulus over cap {bud.max_modulus}")
-            )
-        else:
-            todo.append((q, m))
-    for q, m in todo:
-        report.records.extend(_sweep_pair(q, m))
+        if (q, m) not in over:
+            report.records.extend(_sweep_pair(q, m))
     return report

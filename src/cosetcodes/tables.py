@@ -74,7 +74,7 @@ def build_table(which: int, budget=None) -> list[TableRow]:
     entries = families.rows(which)
     if not entries:
         raise ValueError(f"no table {which}; choose 1, 2 or 3")
-    budget = oracle._resolve(budget)
+    budget = oracle.OracleBudget.of(budget)
     out = []
     for fam, args in entries:
         built = fam.build(**args)

@@ -192,7 +192,7 @@ def verify_conv_families(budget=None, only_q: int | None = None) -> SweepReport:
     reduced/basic check and the bound sandwich for q in 4, 5, 7, 8 (or
     only_q), and a sampled dual-codeword consistency check at q = 4, seeded
     by the budget's seed."""
-    bud = oracle._resolve(budget)
+    bud = oracle.OracleBudget.of(budget)
     qs = (4, 5, 7, 8) if only_q is None else (only_q,)
     report = SweepReport()
     for fam, args in conv_sweep(qs):

@@ -1,13 +1,16 @@
-import pytest
+from itertools import product
 
-from cosetcodes import css, cyclic, oracle
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cosetcodes import cosets, css, cyclic, oracle
 from cosetcodes.oracle import (
     BudgetError,
     OracleBudget,
     coset_theorem_sweep,
     css_true_distance,
     min_distance_bruteforce,
-    span_labels,
     span_min_weight,
     verify_min_distance_at_least,
 )
@@ -70,16 +73,6 @@ def test_span_min_weight_rejects_overbudget():
         span_min_weight(code.base, rows, limit=10)
 
 
-def test_span_labels_contains_zero_and_generators():
-    code = cyclic.code_from_cosets(3, 2, [1, 2, 4])
-    labels = span_labels(code.base, cyclic.codeword_basis(code), 10**6)
-    assert len(labels) == 3**code.k
-    import numpy as np
-
-    zero = np.zeros(code.n, dtype=np.int32)
-    assert oracle._labels_bytes(zero) in labels
-
-
 # ---------------------------------------------------------------
 # CSS distances
 # ---------------------------------------------------------------
@@ -98,6 +91,62 @@ def test_css_true_distance_respects_budget():
     params = css.family_block(4, 3)
     with pytest.raises(BudgetError):
         css_true_distance(params, OracleBudget(max_enumeration=10**6))
+
+
+def _nested_pairs(q, m, cap):
+    """Every (outer, inner) pair of defining sets, as coset representatives,
+    with outer a union of cosets, inner a superset of it, and at most cap
+    words in C1 and in the dual of C2."""
+    n = q**m - 1
+    partition = cosets.all_cosets(q, m)
+    out = []
+    # per coset: 0 in neither set, 1 in inner only, 2 in both
+    for where in product((0, 1, 2), repeat=len(partition)):
+        z1 = [c for c, w in zip(partition, where) if w == 2]
+        z2 = [c for c, w in zip(partition, where) if w >= 1]
+        k1 = n - sum(c.cardinality for c in z1)
+        k2 = n - sum(c.cardinality for c in z2)
+        if q**k1 <= cap and q ** (n - k2) <= cap:
+            out.append((q, m, [c.rep for c in z1], [c.rep for c in z2]))
+    return out
+
+
+def _reference_span(code):
+    """Every GF(q)-combination of the codeword basis, in plain Python."""
+    ctx = code.base
+    add = [[ctx.add(a, b) for b in range(ctx.q)] for a in range(ctx.q)]
+    words = {(0,) * code.n}
+    for row in cyclic.codeword_basis(code):
+        multiples = [[ctx.mul(c, b) for b in row] for c in range(ctx.q)]
+        words = {tuple(add[a][b] for a, b in zip(w, mult))
+                 for w in words for mult in multiples}
+    return words
+
+
+def _reference_css_distance(outer, inner):
+    c1, c2 = _reference_span(outer), _reference_span(inner)
+    c1d = _reference_span(cyclic.dual_code(outer))
+    c2d = _reference_span(cyclic.dual_code(inner))
+    return min((sum(1 for x in w if x) for w in (c1 - c2) | (c2d - c1d)),
+               default=None)
+
+
+# 4^6 words admit no nested pair at (4, 2): k1 <= 6 and n - k2 <= 6 would
+# need k2 > k1, so that alphabet takes the least cap that admits one
+NESTED_PAIRS = _nested_pairs(3, 2, 4**6) + _nested_pairs(4, 2, 4**8)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(NESTED_PAIRS))
+# degenerate: C1 and the dual of C2 have weight-3 words, all inside the
+# subcodes, so a side that enumerates any subcode word reads 3, not 6
+@example((4, 2, [2, 5, 7, 11], [2, 5, 7, 10, 11]))
+def test_css_true_distance_matches_reference(instance):
+    q, m, z1, z2 = instance
+    outer = cyclic.code_from_cosets(q, m, z1)
+    inner = cyclic.code_from_cosets(q, m, z2)
+    assert css_true_distance(css.css_from_pair(outer, inner)) == \
+        _reference_css_distance(outer, inner)
 
 
 # ---------------------------------------------------------------
@@ -124,7 +173,8 @@ def test_sweep_even_q_skips_parity():
 
 
 def test_sweep_respects_modulus_cap():
-    report = coset_theorem_sweep([3], [13], OracleBudget(max_modulus=10**5))
+    # 3^13 - 1 is over cosets.MAX_MODULUS = 10^6
+    report = coset_theorem_sweep([3], [13])
     assert report.records == [
-        oracle.CheckRecord(3, 13, "all", "skipped", "modulus over cap 100000")
+        oracle.CheckRecord(3, 13, "all", "skipped", "modulus over cap 1000000")
     ]

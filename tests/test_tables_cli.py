@@ -157,11 +157,25 @@ def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
                      "--qmax", "3", "--mmax", "2"]) == 0
 
 
-def test_cli_rejects_bad_config(tmp_path):
+@pytest.mark.parametrize("text", [
+    "nonsense = 1\n",
+    "budget 5\n",
+    "budget = abc\n",
+    "budget = -5\n",  # as --budget -5 is
+    "modulus_cap = 100000000\n",  # the cap is cosets.MAX_MODULUS, not a key
+    None,  # no such file
+], ids=["unknown-key", "no-equals", "not-an-integer", "negative-budget",
+        "modulus-cap", "missing-file"])
+def test_cli_rejects_bad_config(tmp_path, capsys, text):
     cfg = tmp_path / "cfg"
-    cfg.write_text("nonsense = 1\n")
-    with pytest.raises(SystemExit):
-        cli.main(["verify", "css", "--config", str(cfg)])
+    if text is not None:
+        cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "3", "--config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "error: " in err
+    assert "Traceback" not in err
 
 
 def test_cli_verify_css_single_q_oracle_confirms(capsys):
