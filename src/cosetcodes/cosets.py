@@ -193,9 +193,14 @@ def special_coset_cardinality(q: int, m: int) -> tuple[int, int]:
 def ladder_cosets(q: int, m: int, c: int) -> list[Coset]:
     """The cosets of q+1, 2q+1, ..., cq+1: pairwise disjoint, each of
     cardinality m, disjoint from the cosets of 1..c, with final orbit
-    elements forming c consecutive integers."""
-    if c < 1:
-        raise ValueError("need c >= 1")
+    elements forming c consecutive integers.
+
+    Hypothesis: 1 <= c <= q and cq + 1 < q^ceil(m/2) - 1.  The bound c <= q
+    is needed: for c >= q + 1 the first ladder coset, of q + 1, is itself
+    one of the cosets of 1..c.
+    """
+    if not 1 <= c <= q:
+        raise ValueError(f"hypothesis violated: need 1 <= c <= {q}, got c={c}")
     bound = q ** ((m + 1) // 2) - 1
     if not c * q + 1 < bound:
         raise ValueError(

@@ -5,7 +5,15 @@ Elements of GF(p^e) are labelled by the integers 0..p^e-1: the base-p digits
 of a label are the coefficients of the element written in the polynomial
 basis 1, x, x^2, ... of GF(p)[x]/(f), where f is the field's defining
 polynomial.  Multiplication goes through log/antilog tables indexed by the
-chosen primitive element; addition is digit-wise mod p.
+chosen primitive element; addition is digit-wise mod p.  For q <= 512 the
+context also holds full q x q addition and multiplication tables.
+
+Array arithmetic goes through one elementwise kernel, _add and _mul on
+broadcasting label arrays (table lookups for q <= 512; above that XOR for
+p = 2 or digit-wise addition, and log/exp multiplication), on top of one
+digit codec, _digits and _labels.  The linear algebra has one elimination,
+rref, which clears a whole pivot column per step; rank, independent_rows,
+nullspace and the coordinate change of expand_matrix all read its result.
 
 Field contexts are immutable after construction and safe to share between
 threads; every function in this module is a pure function of its inputs.
@@ -154,10 +162,11 @@ class FieldContext:
         self.log = log
         self.alpha = alpha
         self._add_table = None
+        self._mul_table = None
         self._np_exp = None
         self._np_log = None
         if self.q <= 512:
-            self._build_add_table()
+            self._build_tables()
 
     # -- construction internals ----------------------------------------
 
@@ -178,12 +187,13 @@ class FieldContext:
                 digs[j] = (digs[j] - c * self.defining[j]) % self.p
         return self.from_digits(digs)
 
-    def _build_add_table(self):
-        p, e, q = self.p, self.e, self.q
-        idx = np.arange(q, dtype=np.int64)
-        digs = (idx[:, None] // np.array(self._powers, dtype=np.int64)) % p
-        table = ((digs[:, None, :] + digs[None, :, :]) % p * np.array(self._powers)).sum(axis=2)
-        self._add_table = table.astype(np.int32)
+    def _build_tables(self):
+        idx = np.arange(self.q)
+        digs = _digits(self, idx)
+        add = _labels(self, (digs[:, None, :] + digs[None, :, :]) % self.p)
+        mul = _mul(self, idx[:, None], idx[None, :])
+        self._add_table = add.astype(np.int32)
+        self._mul_table = mul
 
     # -- representation helpers -----------------------------------------
 
@@ -205,10 +215,8 @@ class FieldContext:
         return sum(((a // pw + b // pw) % p) * pw for pw in self._powers)
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        p = self.p
-        return sum(((-(a // pw)) % p) * pw for pw in self._powers)
+        # the label p - 1 is -1 in every GF(p^e)
+        return self.mul(a, self.p - 1)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -343,16 +351,6 @@ class Poly:
             out[i] = ctx.add(out[i], c)
         return Poly(ctx, out)
 
-    def __sub__(self, other):
-        ctx = self.ctx
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else 0
-            b = other.coeffs[i] if i < len(other.coeffs) else 0
-            out.append(ctx.sub(a, b))
-        return Poly(ctx, out)
-
     def __mul__(self, other):
         ctx = self.ctx
         if self.is_zero or other.is_zero:
@@ -419,14 +417,12 @@ class SubfieldEmbedding:
         self.base = base
         self.m = ext.e // base.e
         stride = (ext.q - 1) // (base.q - 1)
-        defining = base.defining
+        # the defining coefficients are GF(p) digits: the same labels in ext
+        defining = Poly(ext, base.defining)
         gamma_log = None
         for t in range(base.q - 1):
             cand = ext.exp[(t * stride) % (ext.q - 1)]
-            acc = 0
-            for c in reversed(defining):
-                acc = ext.add(ext.mul(acc, cand), c % ext.p)
-            if acc == 0:
+            if defining.evaluate(cand) == 0:
                 gamma_log = (t * stride) % (ext.q - 1)
                 break
         if gamma_log is None:
@@ -482,77 +478,68 @@ def minimal_polynomial(ctx_ext: FieldContext, base_q: int, i: int) -> Poly:
     return Poly(base, [emb.lower(c) for c in coeffs])
 
 
-def expand_matrix(ctx_ext: FieldContext, base: FieldContext, rows, basis=None):
+def expand_matrix(ctx_ext: FieldContext, base: FieldContext, rows):
     """Expand a matrix over GF(q^m) into one over GF(q).
 
     Each extension-field row becomes m rows of base-field coordinates with
-    respect to `basis` (default: the polynomial basis 1, alpha, ...,
-    alpha^(m-1)).  A base-field vector is orthogonal to an extension row iff
-    it is orthogonal to all m expanded rows.
+    respect to the polynomial basis 1, alpha, ..., alpha^(m-1).  A
+    base-field vector is orthogonal to an extension row iff it is
+    orthogonal to all m expanded rows.
     """
     emb = subfield_embedding(ctx_ext, base)
-    m = emb.m
-    if basis is None:
-        basis = [ctx_ext.exp[j] for j in range(m)] if ctx_ext.q > 2 else [1]
-    if len(basis) != m:
-        raise ValueError(f"basis must have {m} elements, got {len(basis)}")
+    m, eb, em = emb.m, base.e, ctx_ext.e
     p = ctx_ext.p
-    eb = base.e
-    em = ctx_ext.e
-    # coordinate-change matrix over GF(p): column (j, t) holds the digits of
-    # lift(x^t) * basis[j]
-    cols = []
-    for j in range(m):
-        for t in range(eb):
-            prod = ctx_ext.mul(emb.lift(p**t), basis[j])
-            cols.append(ctx_ext.digits(prod))
-    B = [[cols[c][r] for c in range(em)] for r in range(em)]
-    Binv = _invert_mod_p(B, p)
-    if Binv is None:
-        raise ValueError("basis is not linearly independent over the base field")
-
     A = np.asarray(rows, dtype=np.int64)
     if A.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     if A.size and (A.min() < 0 or A.max() >= ctx_ext.q):
         raise ValueError("matrix entries out of field range")
+    # coordinate-change matrix over GF(p): column (j, t) holds the digits of
+    # lift(x^t) * alpha^j; its inverse is the right half of rref([B | I])
+    B = _digits(ctx_ext, [ctx_ext.mul(emb.lift(p**t), ctx_ext.exp[j])
+                          for j in range(m) for t in range(eb)]).T
+    R, pivots = rref(make_field(p, 1), np.hstack([B, np.eye(em, dtype=np.int64)]))
+    if pivots != list(range(em)):
+        raise AssertionError("polynomial basis is dependent over the base field")
     r, n = A.shape
-    powers = np.array([p**t for t in range(em)], dtype=np.int64)
-    digs = (A[:, :, None] // powers) % p                     # (r, n, em)
-    Binv_np = np.array(Binv, dtype=np.int64)
-    coords = (digs.reshape(-1, em) @ Binv_np.T) % p          # (r*n, em)
-    coords = coords.reshape(r, n, m, eb)
-    base_pows = np.array([p**t for t in range(eb)], dtype=np.int64)
-    labels = (coords * base_pows).sum(axis=3)                # (r, n, m)
-    out = []
-    for ri in range(r):
-        for j in range(m):
-            out.append([int(v) for v in labels[ri, :, j]])
+    coords = (_digits(ctx_ext, A).reshape(-1, em) @ R[:, em:].T) % p
+    labels = _labels(base, coords.reshape(r, n, m, eb))      # (r, n, m)
+    return labels.transpose(0, 2, 1).reshape(r * m, n).tolist()
+
+
+# ----------------------------------------------------------------------
+# elementwise kernel on label arrays
+# ----------------------------------------------------------------------
+
+def _digits(ctx: FieldContext, A) -> np.ndarray:
+    """The base-p digits of the labels A, lowest first, on a new last axis."""
+    return (np.asarray(A, dtype=np.int64)[..., None] // np.array(ctx._powers)) % ctx.p
+
+
+def _labels(ctx: FieldContext, D) -> np.ndarray:
+    """The labels whose base-p digits lie on the last axis of D."""
+    return D @ np.array(ctx._powers)
+
+
+def _add(ctx: FieldContext, A, B) -> np.ndarray:
+    """A + B elementwise over GF(q), broadcasting."""
+    if ctx._add_table is not None:
+        return ctx._add_table[A, B]
+    if ctx.p == 2:
+        return np.bitwise_xor(A, B)
+    return _labels(ctx, (_digits(ctx, A) + _digits(ctx, B)) % ctx.p)
+
+
+def _mul(ctx: FieldContext, A, B) -> np.ndarray:
+    """A * B elementwise over GF(q), broadcasting."""
+    if ctx._mul_table is not None:
+        return ctx._mul_table[A, B]
+    exp, log = ctx.np_tables()
+    A, B = np.broadcast_arrays(A, B)
+    out = np.zeros(A.shape, dtype=np.int32)
+    nz = (A != 0) & (B != 0)
+    out[nz] = exp[(log[A[nz]] + log[B[nz]]) % (ctx.q - 1)]
     return out
-
-
-def _invert_mod_p(M, p):
-    n = len(M)
-    A = [list(map(lambda v: v % p, row)) + [1 if i == j else 0 for j in range(n)]
-         for i, row in enumerate(M)]
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, n):
-            if A[r][col] % p:
-                piv = r
-                break
-        if piv is None:
-            return None
-        A[row], A[piv] = A[piv], A[row]
-        inv = pow(A[row][col], -1, p)
-        A[row] = [(v * inv) % p for v in A[row]]
-        for r in range(n):
-            if r != row and A[r][col]:
-                f = A[r][col]
-                A[r] = [(a - f * b) % p for a, b in zip(A[r], A[row])]
-        row += 1
-    return [r[n:] for r in A]
 
 
 # ----------------------------------------------------------------------
@@ -566,87 +553,39 @@ def _np_rows(ctx, rows) -> np.ndarray:
     return A
 
 
-def _row_scale(ctx, row, s):
-    if s == 1:
-        return row.copy()
-    exp, log = ctx.np_tables()
-    out = np.zeros_like(row)
-    nz = row != 0
-    out[nz] = exp[(log[row[nz]] + ctx.log[s]) % (ctx.q - 1)]
-    return out
-
-
-def _row_sub(ctx, a, b):
-    p = ctx.p
-    if p == 2:
-        return a ^ b
-    if ctx.e == 1:
-        return (a - b) % p
-    powers = np.array(ctx._powers, dtype=np.int32)
-    da = (a[:, None] // powers) % p
-    db = (b[:, None] // powers) % p
-    return (((da - db) % p) * powers).sum(axis=1).astype(np.int32)
-
-
-def _row_submul(ctx, a, b, f):
-    """a - f*b for a scalar f."""
-    if f == 0:
-        return a
-    return _row_sub(ctx, a, _row_scale(ctx, b, f))
-
-
-def independent_rows(ctx: FieldContext, rows) -> list[int]:
-    """Indices of the first maximal linearly independent subset, in order."""
-    A = _np_rows(ctx, rows)
-    basis: list[tuple[int, np.ndarray]] = []
-    keep = []
-    for idx in range(A.shape[0]):
-        r = A[idx].copy()
-        for pc, br in basis:
-            f = int(r[pc])
-            if f:
-                r = _row_submul(ctx, r, br, f)
-        nz = np.nonzero(r)[0]
-        if nz.size:
-            pc = int(nz[0])
-            r = _row_scale(ctx, r, ctx.inv(int(r[pc])))
-            basis.append((pc, r))
-            keep.append(idx)
-    return keep
-
-
-def rank(ctx: FieldContext, rows) -> int:
-    """Row rank over GF(q) by Gaussian elimination."""
-    A = _np_rows(ctx, rows)
-    if A.size == 0:
-        return 0
-    return len(independent_rows(ctx, A))
-
-
 def rref(ctx: FieldContext, rows) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot column list."""
     A = _np_rows(ctx, rows).copy()
     nrows, ncols = A.shape
     pivots = []
-    r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if A[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[[r, piv]] = A[[piv, r]]
-        A[r] = _row_scale(ctx, A[r], ctx.inv(int(A[r, c])))
-        for i in range(nrows):
-            if i != r and A[i, c]:
-                A[i] = _row_submul(ctx, A[i], A[r], int(A[i, c]))
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == nrows:
             break
+        below = np.flatnonzero(A[r:, c])
+        if not below.size:
+            continue
+        piv = r + int(below[0])
+        A[[r, piv]] = A[[piv, r]]
+        A[r] = _mul(ctx, A[r], ctx.inv(int(A[r, c])))
+        # clear column c in every other row at once: row += (-row[c]) * A[r]
+        hit = np.flatnonzero(A[:, c])
+        hit = hit[hit != r]
+        minus_r = _mul(ctx, A[r], ctx.p - 1)
+        A[hit] = _add(ctx, A[hit], _mul(ctx, A[hit, c][:, None], minus_r))
+        pivots.append(c)
     return A, pivots
+
+
+def independent_rows(ctx: FieldContext, rows) -> list[int]:
+    """Indices of the first maximal linearly independent subset, in order:
+    the pivot columns of the transpose's RREF."""
+    return rref(ctx, _np_rows(ctx, rows).T)[1]
+
+
+def rank(ctx: FieldContext, rows) -> int:
+    """Row rank over GF(q)."""
+    return len(independent_rows(ctx, rows))
 
 
 def nullspace(ctx: FieldContext, rows) -> list[list[int]]:
@@ -665,33 +604,14 @@ def nullspace(ctx: FieldContext, rows) -> list[list[int]]:
     return basis
 
 
-def _elementwise_mul(ctx, A, B):
-    exp, log = ctx.np_tables()
-    out = np.zeros(np.broadcast_shapes(A.shape, B.shape), dtype=np.int32)
-    Ab = np.broadcast_to(A, out.shape)
-    Bb = np.broadcast_to(B, out.shape)
-    nz = (Ab != 0) & (Bb != 0)
-    out[nz] = exp[(log[Ab[nz]] + log[Bb[nz]]) % (ctx.q - 1)]
-    return out
-
-
-def _gf_sum(ctx, A, axis):
-    p = ctx.p
-    if p == 2:
-        return np.bitwise_xor.reduce(A, axis=axis)
-    if ctx.e == 1:
-        return A.sum(axis=axis) % p
-    powers = np.array(ctx._powers, dtype=np.int64)
-    digs = (A[..., None] // powers) % p
-    return ((digs.sum(axis=axis) % p) * powers).sum(axis=-1).astype(np.int32)
-
-
 def mat_vec(ctx: FieldContext, rows, v) -> list[int]:
     """M v^T over GF(q)."""
-    A = _np_rows(ctx, rows)
-    vv = np.asarray(v, dtype=np.int32)
-    prods = _elementwise_mul(ctx, A, vv[None, :])
-    return [int(x) for x in _gf_sum(ctx, prods, axis=1)]
+    prods = _mul(ctx, _np_rows(ctx, rows), np.asarray(v, dtype=np.int32)[None, :])
+    if ctx.p == 2:
+        sums = np.bitwise_xor.reduce(prods, axis=1)
+    else:
+        sums = _labels(ctx, _digits(ctx, prods).sum(axis=1) % ctx.p)
+    return [int(x) for x in sums]
 
 
 def dot(ctx: FieldContext, u, v) -> int:

@@ -26,7 +26,7 @@ import numpy as np
 from . import cosets as cs
 from . import cyclic
 from .cyclic import CyclicCode
-from .gf import FieldContext
+from .gf import FieldContext, _digits
 
 DEFAULT_MAX_ENUMERATION = 10**7
 _BLOCK = 1 << 16
@@ -71,10 +71,8 @@ def _digit_matrix(ctx: FieldContext, gens) -> np.ndarray:
     """The GF(p)-digits of gens, one row per generator, as float64 so that
     BLAS does the combination matmul; every digit sum stays far below 2^53,
     so the arithmetic is exact."""
-    A = np.asarray(gens, dtype=np.int64)
-    powers = np.array(ctx._powers, dtype=np.int64)
-    digs = (A[:, :, None] // powers) % ctx.p
-    return digs.reshape(A.shape[0], -1).astype(np.float64)
+    digs = _digits(ctx, gens)
+    return digs.reshape(digs.shape[0], -1).astype(np.float64)
 
 
 def _weights(ctx: FieldContext, B: np.ndarray, coefs: np.ndarray) -> np.ndarray:
@@ -363,9 +361,9 @@ def _sweep_pair(q: int, m: int) -> list[CheckRecord]:
     add("cardinality-range", bad_card is None,
         f"coset of {bad_card} is small" if bad_card is not None else "")
 
-    # ladder cosets for every admissible c
+    # ladder cosets for every admissible c (at most q)
     cmax = 0
-    while (cmax + 1) * q + 1 < q ** ((m + 1) // 2) - 1:
+    while cmax < q and (cmax + 1) * q + 1 < q ** ((m + 1) // 2) - 1:
         cmax += 1
     if cmax == 0:
         skip("ladder", "no admissible c")

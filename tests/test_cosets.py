@@ -214,6 +214,8 @@ def test_ladder_cosets_examples():
 def test_ladder_hypothesis_violation():
     with pytest.raises(ValueError):
         ladder_cosets(3, 2, 1)  # cq+1 = 4 not < q - 1 = 2
+    with pytest.raises(ValueError):
+        ladder_cosets(3, 5, 4)  # cq+1 = 13 < 26, but c > q
 
 
 @pytest.mark.parametrize("q,m", [(3, 3), (5, 3), (3, 4), (5, 4), (7, 3)])

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosetcodes import gf
 from cosetcodes.gf import Poly, make_field, subfield_embedding
@@ -264,15 +266,11 @@ def test_expand_raw_rows_and_rank_q4():
     assert gf.rank(f4, raw) == 7
 
 
-def test_expand_respects_custom_basis_and_rejects_dependent():
+def test_expand_uses_polynomial_basis():
+    # at m = 2 the basis is [1, alpha], so alpha has coordinates (0, 1)
     f9, f3 = make_field(3, 2), make_field(3, 1)
-    alpha = f9.alpha
-    out = gf.expand_matrix(f9, f3, [[alpha]], basis=[1, alpha])
+    out = gf.expand_matrix(f9, f3, [[f9.alpha]])
     assert out == [[0], [1]]
-    with pytest.raises(ValueError):
-        gf.expand_matrix(f9, f3, [[1]], basis=[1, 1])
-    with pytest.raises(ValueError):
-        gf.expand_matrix(f9, f3, [[1]], basis=[1])
 
 
 # ---------------------------------------------------------------
@@ -307,6 +305,106 @@ def test_nullspace_annihilates_and_has_right_dimension():
     assert len(ns) == 4 - gf.rank(f7, rows)
     for v in ns:
         assert gf.mat_vec(f7, rows, v) == [0, 0]
+
+
+# ---------------------------------------------------------------
+# the vectorised kernel and elimination against scalar references
+# ---------------------------------------------------------------
+
+def _ref_rref(ctx, rows):
+    """Scalar Gauss-Jordan with FieldContext arithmetic: (rows, pivots)."""
+    A = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(A[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        s = ctx.inv(A[r][c])
+        A[r] = [ctx.mul(s, x) for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c]:
+                f = ctx.neg(A[i][c])
+                A[i] = [ctx.add(x, ctx.mul(f, y)) for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+    return A, pivots
+
+
+def _ref_independent_rows(ctx, rows):
+    """Greedy: keep a row iff it raises the rank of the rows kept so far."""
+    keep = []
+    for i, row in enumerate(rows):
+        if len(_ref_rref(ctx, [rows[j] for j in keep] + [row])[1]) > len(keep):
+            keep.append(i)
+    return keep
+
+
+def _ref_nullspace(ctx, rows):
+    R, pivots = _ref_rref(ctx, rows)
+    ncols = len(rows[0])
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = ctx.neg(R[i][f])
+        basis.append(v)
+    return basis
+
+
+# tables (q <= 512), the XOR path (GF(2^10)) and the digit path (GF(3^7))
+REFERENCE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4),
+                    (2, 10), (3, 7)]
+
+
+@st.composite
+def field_matrices(draw):
+    ctx = make_field(*draw(st.sampled_from(REFERENCE_FIELDS)))
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    entry = st.one_of(st.sampled_from([0, 1]), st.integers(0, ctx.q - 1))
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    # some rows become combinations of earlier ones, so the rank falls short
+    for i in range(1, nrows):
+        if draw(st.booleans()):
+            j = draw(st.integers(0, i - 1))
+            a, b = draw(st.integers(0, ctx.q - 1)), draw(st.integers(0, ctx.q - 1))
+            rows[i] = [ctx.add(ctx.mul(a, x), ctx.mul(b, y))
+                       for x, y in zip(rows[j], rows[i - 1])]
+    v = [draw(entry) for _ in range(ncols)]
+    return ctx, rows, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_matrices())
+def test_linear_algebra_matches_scalar_gauss_jordan(case):
+    ctx, rows, v = case
+    R, pivots = gf.rref(ctx, rows)
+    ref_R, ref_pivots = _ref_rref(ctx, rows)
+    assert (R.tolist(), pivots) == (ref_R, ref_pivots)
+    assert gf.rank(ctx, rows) == len(ref_pivots)
+    assert gf.independent_rows(ctx, rows) == _ref_independent_rows(ctx, rows)
+    assert gf.nullspace(ctx, rows) == _ref_nullspace(ctx, rows)
+    ref_mv = []
+    for row in rows:
+        acc = 0
+        for x, y in zip(row, v):
+            acc = ctx.add(acc, ctx.mul(x, y))
+        ref_mv.append(acc)
+    assert gf.mat_vec(ctx, rows, v) == ref_mv
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 65) if len(gf.prime_factors(q)) == 1])
+def test_tables_match_scalar_arithmetic(q):
+    f = gf.field_for(q)
+    p = f.p
+    for a in range(q):
+        for b in range(q):
+            assert f._mul_table[a, b] == f.mul(a, b)
+            digitwise = sum(((a // p**t + b // p**t) % p) * p**t for t in range(f.e))
+            assert f._add_table[a, b] == digitwise
 
 
 # ---------------------------------------------------------------

@@ -165,6 +165,13 @@ def test_sweep_small_grid_all_pass():
             "ladder", "partition"} <= checks
 
 
+def test_sweep_ladder_stops_at_q():
+    report = coset_theorem_sweep([3, 4, 5], [5])
+    assert report.passed
+    ladder = [(r.q, r.detail) for r in report.records if r.check == "ladder"]
+    assert ladder == [(3, "c up to 3"), (4, "c up to 4"), (5, "c up to 5")]
+
+
 def test_sweep_even_q_skips_parity():
     report = coset_theorem_sweep([2], [2])
     rec = next(r for r in report.records if r.check == "parity-uniform")

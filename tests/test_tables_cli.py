@@ -137,6 +137,12 @@ def test_cli_verify_cosets_passes(capsys):
     assert "0 failures" in out
 
 
+def test_cli_verify_cosets_ladder_at_m5(capsys):
+    # m = 5 admits c >= q + 1 by the size bound alone; the ladder stops at q
+    assert cli.main(["verify", "cosets", "--qmax", "9", "--mmax", "5"]) == 0
+    assert "0 failures" in capsys.readouterr().out
+
+
 def test_cli_verify_zero_budget_skips_oracle(capsys):
     assert cli.main(["verify", "css", "--budget", "0"]) == 0
     out = capsys.readouterr().out
