@@ -361,10 +361,6 @@ def free_distance_upper(
                 rows.append(row)
         keep = gf.independent_rows(ctx, rows)
         rows = [rows[i] for i in keep]
-        if ctx.q ** len(rows) > bud.max_enumeration:
-            raise oracle.BudgetError(
-                f"{ctx.q}^{len(rows)} inputs exceed budget {bud.max_enumeration}"
-            )
         return oracle.span_min_weight(ctx, rows, bud.max_enumeration)
     if side != "dual":
         raise ValueError("side must be 'primal' or 'dual'")

@@ -39,9 +39,6 @@ class DefiningSet:
     def size(self) -> int:
         return len(self.exponents)
 
-    def __contains__(self, x: int) -> bool:
-        return x % self.n in set(self.exponents)
-
 
 @dataclass(frozen=True)
 class CyclicCode:

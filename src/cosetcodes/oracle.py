@@ -4,9 +4,13 @@ upper bound for spans too large to enumerate, and the full sweep of
 structural coset checks.
 
 One enumerator, span_min_weight, walks the GF(p)-combinations of a basis
-blockwise, in index order.  A CSS side (C minus its subcode S) is the
-span of a basis of C whose first rows span S: S's words are exactly the
-lowest indices, so the enumeration starts above them and no word is
+in index order: digit t of index i is the coefficient of generator t.
+Words are columns of GF(p)-digits.  The low generators span one table of
+at most _BLOCK words; each block of the walk is that table plus one
+offset word, the combination of the high digits, so no index is decoded
+and nothing is multiplied per word.  A CSS side (C minus its subcode S)
+is the span of a basis of C whose first rows span S: S's words are
+exactly the lowest indices, so the walk starts above them and no word is
 tested for membership.
 
 Results produced within budget are exact; over-budget requests raise
@@ -26,7 +30,7 @@ import numpy as np
 from . import cosets as cs
 from . import cyclic
 from .cyclic import CyclicCode
-from .gf import FieldContext, _digits
+from .gf import FieldContext, _digits, _mul
 
 DEFAULT_MAX_ENUMERATION = 10**7
 _BLOCK = 1 << 16
@@ -56,34 +60,30 @@ class OracleBudget:
 # span enumeration over GF(p)
 # ----------------------------------------------------------------------
 
-def gf_p_generators(ctx: FieldContext, rows) -> list[list[int]]:
-    """Expand GF(q)-generators into a GF(p)-generating list by multiplying
-    each row with 1, x, ..., x^(e-1); the GF(p)-span equals the GF(q)-span."""
-    out = []
-    for row in rows:
-        for t in range(ctx.e):
-            s = ctx.p**t
-            out.append([ctx.mul(v, s) for v in row])
-    return out
+def _digit_matrix(ctx: FieldContext, rows) -> np.ndarray:
+    """The GF(p)-generators of the span of rows (each row times 1, x, ...,
+    x^(e-1)) as columns of GF(p)-digits, e per symbol, in the least unsigned
+    dtype that holds two digits' sum: the word of coefficients c is D @ c % p."""
+    gens = _mul(ctx, np.asarray(rows)[:, None, :], ctx.p ** np.arange(ctx.e)[:, None])
+    digs = _digits(ctx, gens).reshape(len(rows) * ctx.e, -1).T
+    return np.ascontiguousarray(digs, dtype=np.min_scalar_type(2 * (ctx.p - 1)))
 
 
-def _digit_matrix(ctx: FieldContext, gens) -> np.ndarray:
-    """The GF(p)-digits of gens, one row per generator, as float64 so that
-    BLAS does the combination matmul; every digit sum stays far below 2^53,
-    so the arithmetic is exact."""
-    digs = _digits(ctx, gens)
-    return digs.reshape(digs.shape[0], -1).astype(np.float64)
+def _add_mod(p: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(A + B) mod p on unsigned digit arrays, broadcasting.  Odd p: a sum
+    S below p wraps S - p around to more than S, so the minimum is S mod p."""
+    if p == 2:
+        return A ^ B
+    S = A + B
+    return np.minimum(S, S - p)
 
 
-def _weights(ctx: FieldContext, B: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-    """Symbol weights of the GF(p)-combinations coefs @ B."""
-    p, e = ctx.p, ctx.e
-    raw = np.rint(coefs @ B).astype(np.int32)
-    digs = (raw & 1) if p == 2 else (raw % p)
-    nonzero = digs[:, 0::e]
-    for t in range(1, e):
-        nonzero = nonzero | digs[:, t::e]
-    return np.count_nonzero(nonzero, axis=1)
+def _weights(ctx: FieldContext, words: np.ndarray) -> np.ndarray:
+    """Symbol weights of the columns of a digit array."""
+    nonzero = words[0::ctx.e]
+    for t in range(1, ctx.e):
+        nonzero = nonzero | words[t::ctx.e]
+    return (nonzero != 0).sum(axis=0)
 
 
 def span_min_weight(
@@ -98,26 +98,35 @@ def span_min_weight(
     that are not in the span of its first `subcode_rows` rows (with the
     default 0, over the nonzero words).
 
-    Combination i takes GF(p)-digit t of i as the coefficient of generator
-    t, so the indices below p^(e * subcode_rows) are exactly the subcode's
-    words and the enumeration starts above them.  With stop_below set,
-    returns as soon as any weight below it is seen (fail-fast for
-    'verify >= bound'); the full sweep still runs otherwise.
+    The indices below p^(e * subcode_rows) are exactly the subcode's words,
+    so the walk starts above them.  The low a generators, p^a <= _BLOCK,
+    span a table L of p^a words in index order, built once by digit
+    doubling; block h is L plus the word of the high digits of h.  With
+    stop_below set, returns as soon as any weight below it is seen
+    (fail-fast for 'verify >= bound'); the full sweep still runs otherwise.
     """
-    gens = gf_p_generators(ctx, rows)
-    total = ctx.p ** len(gens)
+    total = ctx.q ** len(rows)
     if total > limit:
         raise BudgetError(f"span of size {total} exceeds {limit}")
-    first = ctx.p ** (ctx.e * subcode_rows)
+    first = ctx.q**subcode_rows
     if first >= total:
         raise ValueError("span has no words outside the subcode")
-    B = _digit_matrix(ctx, gens)
-    radix = np.array([ctx.p**t for t in range(len(gens))], dtype=np.int64)
+    D = _digit_matrix(ctx, rows)
+    p, dim = ctx.p, D.shape[1]
+    a = max(t for t in range(dim + 1) if p**t <= _BLOCK)
+    L = np.zeros((D.shape[0], 1), D.dtype)
+    for t in range(a):
+        parts = [L]
+        for _ in range(p - 1):
+            parts.append(_add_mod(p, parts[-1], D[:, t:t + 1]))
+        L = np.concatenate(parts, axis=1)
+    size = p**a
     best = len(rows[0]) + 1
-    for start in range(first, total, _BLOCK):
-        idx = np.arange(start, min(start + _BLOCK, total), dtype=np.int64)
-        coefs = ((idx[:, None] // radix) % ctx.p).astype(np.float64)
-        blockmin = int(_weights(ctx, B, coefs).min())
+    for h in range(first // size, total // size):
+        high = np.array([h // p**s % p for s in range(dim - a)], dtype=np.int64)
+        offset = ((D[:, a:] @ high) % p).astype(D.dtype)
+        block = _add_mod(p, L[:, max(first - h * size, 0):], offset[:, None])
+        blockmin = int(_weights(ctx, block).min())
         if blockmin == 0:
             raise AssertionError("generators are linearly dependent")
         best = min(best, blockmin)
@@ -130,15 +139,13 @@ def sampled_min_weight(ctx: FieldContext, rows, sample: int, seed: int) -> int:
     """Least weight among the GF(p)-generators of the span of rows and
     `sample` seeded random GF(p)-combinations of them: an upper bound on
     the minimum nonzero weight."""
-    gens = gf_p_generators(ctx, rows)
-    dim = len(gens)
-    B = _digit_matrix(ctx, gens)
+    D = _digit_matrix(ctx, rows)
     # all single generators first, then random combinations
-    coefs = np.eye(dim)
+    coefs = np.eye(D.shape[1], dtype=np.int64)
     if sample > 0:
         rng = np.random.default_rng(seed)
-        coefs = np.vstack([coefs, rng.integers(0, ctx.p, size=(sample, dim))])
-    w = _weights(ctx, B, coefs)
+        coefs = np.vstack([coefs, rng.integers(0, ctx.p, size=(sample, D.shape[1]))])
+    w = _weights(ctx, (D @ coefs.T) % ctx.p)
     return int(w[w > 0].min())
 
 

@@ -175,6 +175,8 @@ def test_primal_search_bounded_by_single_row_weight():
     ]
     found = free_distance_upper(code, 0, side="primal")
     assert found <= min(row_weights)
+    with pytest.raises(oracle.BudgetError):
+        free_distance_upper(code, 0, side="primal", budget=10)
 
 
 def test_dual_search_consistent_with_claim_q4():
@@ -197,6 +199,12 @@ def test_dual_search_budget_and_sampling():
     a = free_distance_upper(code, 2, sample=500, seed=9)
     b = free_distance_upper(code, 2, sample=500, seed=9)
     assert a == b  # deterministic under a fixed seed
+
+
+@pytest.mark.parametrize("sample,seed", [(2000, 0), (1500, 3), (500, 9)])
+def test_sampled_dual_search_values_q4(sample, seed):
+    # frozen: the seeded draws fix the bound, whatever kernel weighs them
+    assert free_distance_upper(family_split(4), 2, sample=sample, seed=seed) == 11
 
 
 def test_block_code_embedding_matches_oracle():

@@ -1,16 +1,19 @@
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cosetcodes import cosets, css, cyclic, oracle
+from cosetcodes import cosets, css, cyclic, gf, oracle
+from cosetcodes.gf import make_field
 from cosetcodes.oracle import (
     BudgetError,
     OracleBudget,
     coset_theorem_sweep,
     css_true_distance,
     min_distance_bruteforce,
+    sampled_min_weight,
     span_min_weight,
     verify_min_distance_at_least,
 )
@@ -71,6 +74,119 @@ def test_span_min_weight_rejects_overbudget():
     rows = cyclic.codeword_basis(code)
     with pytest.raises(BudgetError):
         span_min_weight(code.base, rows, limit=10)
+
+
+# ---------------------------------------------------------------
+# the span enumerator against a scalar reference
+# ---------------------------------------------------------------
+
+def _reference_generators(ctx, rows):
+    """row * x^s for every row and s < e, the GF(p)-generators in index
+    order, in plain Python."""
+    return [[ctx.mul(ctx.p**s, v) for v in row] for row in rows for s in range(ctx.e)]
+
+
+def _reference_weight(ctx, gens, coefs):
+    """Symbol weight of the GF(p)-combination sum_t coefs[t] * gens[t]."""
+    word = [0] * len(gens[0])
+    for c, g in zip(coefs, gens):
+        word = [ctx.add(w, ctx.mul(int(c), x)) for w, x in zip(word, g)]
+    return sum(1 for w in word if w)
+
+
+def _reference_min_weight(ctx, rows, subcode_rows):
+    """Least weight over the combinations whose index is at least
+    p^(e * subcode_rows), digit t of the index being generator t's
+    coefficient."""
+    gens = _reference_generators(ctx, rows)
+    p = ctx.p
+    return min(
+        _reference_weight(ctx, gens, [i // p**t % p for t in range(len(gens))])
+        for i in range(p ** (ctx.e * subcode_rows), p ** len(gens))
+    )
+
+
+# GF(2), GF(3), GF(4), GF(5), GF(8), GF(9), each with at most 729 words
+ENUM_FIELDS = {(2, 1): 9, (3, 1): 6, (2, 2): 4, (5, 1): 4, (2, 3): 3, (3, 2): 3}
+
+
+@st.composite
+def span_cases(draw):
+    (p, e), kmax = draw(st.sampled_from(sorted(ENUM_FIELDS.items())))
+    k, n = draw(st.integers(1, kmax)), draw(st.integers(1, 6))
+    rows = [[draw(st.integers(0, p**e - 1)) for _ in range(n)] for _ in range(k)]
+    subcode_rows = draw(st.integers(0, k - 1))
+    # tiny blocks make the walk cross many of them, with the subcode
+    # boundary inside the first block, on a block edge or beyond it
+    block = draw(st.sampled_from([1, 4, oracle._BLOCK]))
+    stop = draw(st.none() | st.integers(1, n + 1))
+    return (p, e), rows, subcode_rows, block, stop
+
+
+I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+I4 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(span_cases())
+@example(((2, 1), I3, 1, 4, None))        # first index 2, inside block 0
+@example(((2, 1), I3, 2, 4, None))        # first index 4, on a block edge
+@example(((2, 1), I4, 3, 4, None))        # first index 8, past block 0
+@example(((3, 2), [[1, 5, 0], [0, 1, 7]], 1, 4, None))  # GF(9): 9 past 3
+@example(((2, 3), [[1, 3], [6, 1]], 1, 4, 2))           # GF(8): 8 on an edge
+@example(((3, 1), [[1, 2, 0], [2, 1, 0]], 0, 4, None))  # dependent rows
+@example(((2, 2), [[1, 0], [0, 1], [1, 1]], 1, 4, None))
+@example(((2, 1), [[1, 0, 0], [1, 0, 0], [0, 1, 0]], 2, 4, None))  # dependent subcode
+def test_span_min_weight_matches_reference(case):
+    (p, e), rows, subcode_rows, block, stop = case
+    ctx = make_field(p, e)
+    k = len(rows)
+    # some word outside the subcode's indices is zero iff the rows past the
+    # subcode are dependent modulo its span
+    dependent = gf.rank(ctx, rows) < gf.rank(ctx, rows[:subcode_rows]) + k - subcode_rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_BLOCK", block)
+        if dependent:
+            with pytest.raises(AssertionError, match="linearly dependent"):
+                span_min_weight(ctx, rows, ctx.q**k, subcode_rows=subcode_rows)
+            return
+        got = span_min_weight(ctx, rows, ctx.q**k, subcode_rows=subcode_rows,
+                              stop_below=stop)
+    want = _reference_min_weight(ctx, rows, subcode_rows)
+    if stop is None or want >= stop:
+        assert got == want
+    else:
+        assert want <= got and got < stop
+
+
+def test_span_min_weight_rejects_a_span_inside_its_subcode():
+    ctx = make_field(2, 2)
+    with pytest.raises(ValueError):
+        span_min_weight(ctx, [[1, 2], [0, 1]], 16, subcode_rows=2)
+
+
+def _reference_sampled(ctx, rows, sample, seed):
+    gens = _reference_generators(ctx, rows)
+    dim = len(gens)
+    coefs = [[int(i == t) for t in range(dim)] for i in range(dim)]
+    if sample > 0:
+        rng = np.random.default_rng(seed)
+        coefs += rng.integers(0, ctx.p, size=(sample, dim)).tolist()
+    return min(w for w in (_reference_weight(ctx, gens, c) for c in coefs) if w)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([(2, 2), (5, 1)]),
+    st.lists(st.lists(st.integers(0, 3), min_size=5, max_size=5), min_size=1, max_size=3),
+    st.integers(0, 40),
+    st.integers(0, 2**32 - 1),
+)
+def test_sampled_min_weight_matches_reference(field, rows, sample, seed):
+    ctx = make_field(*field)
+    rows[0][0] = 1  # a nonzero generator, so some weight is positive
+    assert sampled_min_weight(ctx, rows, sample, seed) == \
+        _reference_sampled(ctx, rows, sample, seed)
 
 
 # ---------------------------------------------------------------
