@@ -55,7 +55,7 @@ from .gf import (  # noqa: F401
     expand_matrix,
     field_for,
     make_field,
-    minimal_polynomial,
+    poly_with_roots,
     rank,
 )
 from .oracle import (  # noqa: F401

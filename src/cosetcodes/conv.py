@@ -329,41 +329,21 @@ def _sliding_check_stack(G: PolyMatrix, max_degree: int) -> list[list[int]]:
 def free_distance_upper(
     code: ConvCode,
     max_input_degree: int,
-    side: str = "dual",
     budget=None,
     sample: int | None = None,
     seed: int = 0,
 ) -> int:
-    """Weight of the best (lowest-weight) nonzero codeword found among
-    bounded-degree codewords: an upper bound on the free distance.
-
-    side="primal" enumerates inputs u(D) of degree <= max_input_degree into
-    the generated code V; side="dual" (the reported code) enumerates the
-    kernel of the sliding check stack.  Enumeration beyond the budget raises
-    BudgetError unless `sample` asks for that many seeded random kernel
-    combinations instead.
+    """Weight of the best (lowest-weight) nonzero codeword found among the
+    reported code's codewords of degree <= max_input_degree (the kernel of
+    the sliding check stack): an upper bound on the free distance.
+    Enumeration beyond the budget raises BudgetError unless `sample` asks
+    for that many seeded random kernel combinations instead.
     """
     if max_input_degree < 0:
         raise ValueError("max_input_degree must be >= 0")
     bud = oracle.OracleBudget.of(budget)
-    ctx = code.generator.field
     G = code.generator
-    n = G.n
-    if side == "primal":
-        T = max_input_degree
-        width = n * (T + len(G.coeffs))
-        rows = []
-        for j in range(T + 1):
-            for r in range(G.kappa):
-                row = [0] * width
-                for d, mat in enumerate(G.coeffs):
-                    row[(j + d) * n:(j + d + 1) * n] = mat[r]
-                rows.append(row)
-        keep = gf.independent_rows(ctx, rows)
-        rows = [rows[i] for i in keep]
-        return oracle.span_min_weight(ctx, rows, bud.max_enumeration)
-    if side != "dual":
-        raise ValueError("side must be 'primal' or 'dual'")
+    ctx = G.field
     stack = _sliding_check_stack(G, max_input_degree)
     kernel = gf.nullspace(ctx, stack)
     if not kernel:

@@ -64,7 +64,7 @@ def css_from_pair(
     """CSS parameters from a nested pair (inner must be a subcode of outer)."""
     if not cyclic.nested(outer, inner):
         raise ValueError("inner is not a subcode of outer")
-    d_lb = min(cyclic.bch_bound(outer), cyclic.bch_bound(cyclic.dual_code(inner)))
+    d_lb = min(cyclic.bch_bound(outer), cyclic.bch_bound(cyclic.dual_defining_set(inner)))
     return CssParams(
         n=outer.n, q=outer.q, m=outer.m, k=outer.k - inner.k,
         distance_lb=d_lb, designed_distance=designed_distance,

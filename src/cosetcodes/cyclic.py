@@ -68,19 +68,15 @@ def contexts_for(q: int, m: int) -> tuple[FieldContext, FieldContext]:
 
 
 def code_from_cosets(q: int, m: int, exponents) -> CyclicCode:
-    """Cyclic code whose defining set is the union of the cosets of the
-    given exponents; g is the product of the distinct minimal polynomials."""
+    """Cyclic code whose defining set Z is the union of the cosets of the
+    given exponents; g is the product of (x - alpha^z) over z in Z."""
     base, ext = contexts_for(q, m)
     n = q**m - 1
     defining = DefiningSet.from_exponents(q, m, exponents)
-    g = Poly.one(base)
-    for c in defining.cosets:
-        g = g * gf.minimal_polynomial(ext, q, c.rep)
-    if g.degree != defining.size:
-        raise AssertionError("generator degree does not match defining set size")
     return CyclicCode(
-        base=base, ext=ext, q=q, m=m, n=n,
-        defining=defining, generator=g, k=n - defining.size,
+        base=base, ext=ext, q=q, m=m, n=n, defining=defining,
+        generator=gf.poly_with_roots(ext, q, defining.exponents),
+        k=n - defining.size,
     )
 
 

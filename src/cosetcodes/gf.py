@@ -14,6 +14,10 @@ p = 2 or digit-wise addition, and log/exp multiplication), on top of one
 digit codec, _digits and _labels.  The linear algebra has one elimination,
 rref, which clears a whole pivot column per step; rank, independent_rows,
 nullspace and the coordinate change of expand_matrix all read its result.
+Generator polynomials come from one root product, poly_with_roots: the
+product of (x - alpha^j) over a whole defining set, taken in the extension
+with the same kernel and lowered to the base field through the subfield
+embedding.
 
 Field contexts are immutable after construction and safe to share between
 threads; every function in this module is a pure function of its inputs.
@@ -31,21 +35,6 @@ MAX_FIELD_SIZE = 1 << 20
 # ----------------------------------------------------------------------
 # integer helpers
 # ----------------------------------------------------------------------
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
 
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n, ascending."""
@@ -254,7 +243,7 @@ def make_field(p: int, e: int) -> FieldContext:
     The choice fixes a canonical primitive element, so generator
     polynomials and log tables are reproducible across runs.
     """
-    if not is_prime(p):
+    if prime_factors(p) != [p]:
         raise ValueError(f"p={p} is not prime")
     if e < 1:
         raise ValueError(f"e={e} must be >= 1")
@@ -449,33 +438,31 @@ def subfield_embedding(ext: FieldContext, base: FieldContext) -> SubfieldEmbeddi
     return SubfieldEmbedding(ext, base)
 
 
-def minimal_polynomial(ctx_ext: FieldContext, base_q: int, i: int) -> Poly:
-    """Monic polynomial over GF(base_q) whose roots are alpha^j for j in the
-    base_q-coset of i modulo ctx_ext.q - 1."""
+def poly_with_roots(ctx_ext: FieldContext, base_q: int, exponents) -> Poly:
+    """Monic polynomial over GF(base_q) whose roots are alpha^j, one linear
+    factor for each exponent j (0 <= j < ctx_ext.q - 1).
+
+    The product is taken in the extension and then lowered to GF(base_q),
+    which succeeds iff the exponents are a union of base_q-cyclotomic cosets
+    (closed under j -> base_q * j); otherwise the lowering's ValueError
+    says which coefficient is not in the subfield."""
     n = ctx_ext.q - 1
-    if not 0 <= i < n:
-        raise ValueError(f"exponent {i} out of range [0, {n})")
     p, eb = factor_prime_power(base_q)
     if ctx_ext.p != p or ctx_ext.e % eb != 0:
         raise ValueError(f"GF({base_q}) is not a subfield of {ctx_ext!r}")
-    base = make_field(p, eb)
-    emb = subfield_embedding(ctx_ext, base)
-    orbit = [i]
-    j = (i * base_q) % n
-    while j != i:
-        orbit.append(j)
-        j = (j * base_q) % n
-    # product of (x - alpha^j), computed in the extension
-    coeffs = [1]
-    for j in orbit:
-        root = ctx_ext.exp[j % n] if n > 0 else 1
-        c = ctx_ext.neg(root)
-        nxt = [0] * (len(coeffs) + 1)
-        for t, a in enumerate(coeffs):
-            nxt[t + 1] = ctx_ext.add(nxt[t + 1], a)
-            nxt[t] = ctx_ext.add(nxt[t], ctx_ext.mul(a, c))
-        coeffs = nxt
-    return Poly(base, [emb.lower(c) for c in coeffs])
+    js = list(exponents)
+    for j in js:
+        if not 0 <= j < n:
+            raise ValueError(f"exponent {j} out of range [0, {n})")
+    roots = np.array([ctx_ext.exp[j] for j in js], dtype=np.int64)
+    g = np.zeros(len(js) + 1, dtype=np.int64)
+    g[0] = 1
+    for d, c in enumerate(_mul(ctx_ext, roots, p - 1)):
+        # g <- g * (x + c), c = -root: g[t] <- g[t - 1] + c * g[t]
+        shifted = np.concatenate(([0], g[:d + 1]))
+        g[:d + 2] = _add(ctx_ext, shifted, _mul(ctx_ext, g[:d + 2], c))
+    emb = subfield_embedding(ctx_ext, make_field(p, eb))
+    return Poly(emb.base, [emb.lower(int(c)) for c in g])
 
 
 def expand_matrix(ctx_ext: FieldContext, base: FieldContext, rows):

@@ -153,21 +153,12 @@ def sampled_min_weight(ctx: FieldContext, rows, sample: int, seed: int) -> int:
 # code distances
 # ----------------------------------------------------------------------
 
-def _check_enum_budget(code: CyclicCode, bud: OracleBudget):
-    size = code.q**code.k
-    if size > bud.max_enumeration:
-        raise BudgetError(
-            f"{code!r} has {size} codewords, over budget {bud.max_enumeration}"
-        )
-
-
 def min_distance_bruteforce(code: CyclicCode, budget=None) -> int:
     """Exact minimum Hamming distance by enumerating all q^k codewords
     generated by g(x)."""
     bud = OracleBudget.of(budget)
     if code.k == 0:
         raise ValueError("the zero code has no nonzero codewords")
-    _check_enum_budget(code, bud)
     return span_min_weight(
         code.base, cyclic.codeword_basis(code), bud.max_enumeration
     )
@@ -179,7 +170,6 @@ def verify_min_distance_at_least(code: CyclicCode, bound: int, budget=None) -> b
     bud = OracleBudget.of(budget)
     if code.k == 0:
         return True
-    _check_enum_budget(code, bud)
     got = span_min_weight(
         code.base, cyclic.codeword_basis(code), bud.max_enumeration,
         stop_below=bound,
@@ -190,10 +180,8 @@ def verify_min_distance_at_least(code: CyclicCode, bound: int, budget=None) -> b
 def css_distance_at_least(pair, bound: int, budget=None) -> bool | None:
     """Whether C1 and the dual of C2 both have minimum distance >= bound,
     so that the CSS pair reaches it; None when either enumeration is over
-    budget (or the budget is 0)."""
+    budget (always at budget 0)."""
     bud = OracleBudget.of(budget)
-    if bud.max_enumeration <= 0:
-        return None
     codes = (pair.outer, cyclic.dual_code(pair.inner))
     if any(code.q**code.k > bud.max_enumeration for code in codes):
         return None
@@ -215,7 +203,9 @@ def css_true_distance(pair, budget=None) -> int | None:
     inner_dual = cyclic.dual_code(pair.inner)
     # C2 and C1-dual are subcodes of these two, so they are no larger
     for c in (pair.outer, inner_dual):
-        _check_enum_budget(c, bud)
+        if c.q**c.k > bud.max_enumeration:
+            raise BudgetError(
+                f"{c!r} has {c.q**c.k} codewords, over budget {bud.max_enumeration}")
     sides = ((pair.outer, pair.inner), (inner_dual, cyclic.dual_code(pair.outer)))
     return min(
         span_min_weight(

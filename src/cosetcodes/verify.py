@@ -218,7 +218,7 @@ def verify_conv_families(budget=None, only_q: int | None = None) -> SweepReport:
     if 4 in qs:
         code = conv.family_split(4)
         if bud.max_enumeration > 0:
-            found = conv.free_distance_upper(code, 2, side="dual", budget=bud,
+            found = conv.free_distance_upper(code, 2, budget=bud,
                                              sample=2000, seed=bud.seed)
             report.records.append(CheckRecord(
                 4, 2, "conv-split-dual-search", _status(found >= code.dfree_lb),

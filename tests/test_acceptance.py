@@ -149,7 +149,7 @@ def test_criterion_7_convolutional_soundness():
         assert code.kappa >= h1_rank, code
         count += 1
     found = conv.free_distance_upper(conv.family_split(4), 2,
-                                     side="dual", sample=2000, seed=0)
+                                     sample=2000, seed=0)
     assert found >= 9
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0, f"soundness checks took {elapsed:.2f}s"

@@ -166,19 +166,6 @@ def test_duplicated_row_fails_rank_check():
 # bounded free-distance search
 # ---------------------------------------------------------------
 
-def test_primal_search_bounded_by_single_row_weight():
-    code = family_split(4)
-    G = code.generator
-    row_weights = [
-        sum(1 for v in G.coeffs[0][i] if v) + sum(1 for v in G.coeffs[1][i] if v)
-        for i in range(G.kappa)
-    ]
-    found = free_distance_upper(code, 0, side="primal")
-    assert found <= min(row_weights)
-    with pytest.raises(oracle.BudgetError):
-        free_distance_upper(code, 0, side="primal", budget=10)
-
-
 def test_dual_search_consistent_with_claim_q4():
     code = family_split(4)
     exact0 = free_distance_upper(code, 0)  # kernel small enough to enumerate

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosetcodes import cyclic, gf
 from cosetcodes.cyclic import (
@@ -55,6 +57,45 @@ def test_defining_set_closed_under_multiplier():
     ds = DefiningSet.from_exponents(5, 2, [1, 7])
     zs = set(ds.exponents)
     assert {(z * 5) % 24 for z in zs} == zs
+
+
+# every (q, m) with q in {2, 3, 4, 5, 7, 8, 9} and n = q^m - 1 <= 80
+_SMALL_LENGTHS = [(q, m) for q in (2, 3, 4, 5, 7, 8, 9) for m in range(1, 7)
+                  if q**m - 1 <= 80]
+
+
+def _reference_generator(q, m, exponents):
+    """The generator the slow way: for each q-cyclotomic coset met by the
+    exponents, the scalar product of (x - alpha^j) over its elements in
+    GF(q^m), lowered to GF(q); the cosets' polynomials multiplied by
+    Poly.__mul__."""
+    base, ext = cyclic.contexts_for(q, m)
+    emb = subfield_embedding(ext, base)
+    n = q**m - 1
+    orbits = {frozenset((i * q**t) % n for t in range(m)) for i in exponents}
+    g = Poly.one(base)
+    for orbit in orbits:
+        coeffs = [1]
+        for j in orbit:
+            c = ext.neg(ext.exp[j])
+            nxt = [0] * (len(coeffs) + 1)
+            for t, a in enumerate(coeffs):
+                nxt[t + 1] = ext.add(nxt[t + 1], a)
+                nxt[t] = ext.add(nxt[t], ext.mul(a, c))
+            coeffs = nxt
+        g = g * Poly(base, [emb.lower(a) for a in coeffs])
+    return g
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_SMALL_LENGTHS), st.data())
+def test_generator_matches_per_coset_reference(qm, data):
+    q, m = qm
+    n = q**m - 1
+    exponents = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+    code = code_from_cosets(q, m, exponents)
+    assert code.generator == _reference_generator(q, m, exponents)
+    assert Poly.x_pow_minus_one(code.base, n).divmod(code.generator)[1].is_zero
 
 
 # ---------------------------------------------------------------

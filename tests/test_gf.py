@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosetcodes import gf
+from cosetcodes.cosets import coset_of
 from cosetcodes.gf import Poly, make_field, subfield_embedding
 
 
@@ -99,18 +100,23 @@ def test_log_antilog_roundtrip():
 
 
 # ---------------------------------------------------------------
-# minimal polynomials
+# minimal polynomials: poly_with_roots over one coset
 # ---------------------------------------------------------------
+
+def _minimal_polynomial(ext, q, i):
+    m = ext.e // gf.factor_prime_power(q)[1]
+    return gf.poly_with_roots(ext, q, coset_of(q, m, i).elements)
+
 
 def test_minimal_polynomial_of_one_is_x_minus_one():
     f9 = make_field(3, 2)
-    assert gf.minimal_polynomial(f9, 3, 0) == Poly(make_field(3, 1), [2, 1])
+    assert _minimal_polynomial(f9, 3, 0) == Poly(make_field(3, 1), [2, 1])
 
 
 def test_minimal_polynomial_singleton_coset_is_linear():
     f25 = make_field(5, 2)
     base = make_field(5, 1)
-    mp = gf.minimal_polynomial(f25, 5, 6)
+    mp = _minimal_polynomial(f25, 5, 6)
     assert mp.degree == 1 and mp.is_monic
     # its root, lifted back into the extension, is alpha^6
     emb = subfield_embedding(f25, base)
@@ -120,7 +126,7 @@ def test_minimal_polynomial_singleton_coset_is_linear():
 
 def test_minimal_polynomial_of_alpha_has_degree_two_over_gf3():
     f9 = make_field(3, 2)
-    mp = gf.minimal_polynomial(f9, 3, 1)
+    mp = _minimal_polynomial(f9, 3, 1)
     assert mp.degree == 2
     assert all(0 <= c < 3 for c in mp.coeffs)
     # alpha's minimal polynomial is the defining polynomial itself
@@ -142,27 +148,33 @@ def test_minimal_polynomials_multiply_to_xn_minus_one(q, m):
         if orbit in seen:
             continue
         seen.add(orbit)
-        product = product * gf.minimal_polynomial(ext, q, i)
+        product = product * _minimal_polynomial(ext, q, i)
     assert product == Poly.x_pow_minus_one(base, n)
 
 
 @pytest.mark.parametrize("q,m", [(3, 2), (5, 2), (3, 3)])
 def test_minimal_polynomial_degree_equals_coset_size(q, m):
-    from cosetcodes.cosets import coset_of
-
     p, e = gf.factor_prime_power(q)
     ext = make_field(p, e * m)
     for i in range(q**m - 1):
-        mp = gf.minimal_polynomial(ext, q, i)
+        mp = _minimal_polynomial(ext, q, i)
         assert mp.degree == coset_of(q, m, i).cardinality
 
 
 def test_minimal_polynomial_range_errors():
     f9 = make_field(3, 2)
     with pytest.raises(ValueError):
-        gf.minimal_polynomial(f9, 3, 8)
+        gf.poly_with_roots(f9, 3, [8])
     with pytest.raises(ValueError):
-        gf.minimal_polynomial(f9, 2, 1)  # GF(2) not a subfield of GF(9)
+        gf.poly_with_roots(f9, 2, [1])  # GF(2) not a subfield of GF(9)
+
+
+def test_poly_with_roots_rejects_a_set_not_closed_under_q():
+    f9 = make_field(3, 2)
+    # alpha alone: x - alpha has a coefficient outside GF(3)
+    with pytest.raises(ValueError):
+        gf.poly_with_roots(f9, 3, [1])
+    assert gf.poly_with_roots(f9, 3, []) == Poly.one(make_field(3, 1))
 
 
 # ---------------------------------------------------------------
