@@ -8,6 +8,7 @@ coset question is a lookup into it; larger moduli walk the orbit instead.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -130,13 +131,8 @@ def parity_class(c: Coset) -> str:
 def gap_stat(c: Coset) -> GapStat:
     if c.cardinality == 1:
         return GapStat(c, None)
-    els = c.elements
-    best = min(
-        abs(els[j] - els[l])
-        for j in range(len(els))
-        for l in range(j + 1, len(els))
-    )
-    return GapStat(c, best)
+    els = sorted(c.elements)
+    return GapStat(c, min(map(operator.sub, els[1:], els)))
 
 
 def complementary(c: Coset) -> Coset:

@@ -8,6 +8,13 @@ polynomial.  Multiplication goes through log/antilog tables indexed by the
 chosen primitive element; addition is digit-wise mod p.  For q <= 512 the
 context also holds full q x q addition and multiplication tables.
 
+make_field searches the monic polynomials in lexicographic order for the
+first primitive one, skipping every constant term that no primitive
+polynomial has, so the search at the 2^20 cap tests a handful of
+candidates.  The log/antilog tables are built in doubling blocks of digit
+rows, one small matrix product per block, and the construction checks that
+the powers of alpha hit every nonzero label exactly once.
+
 Array arithmetic goes through one elementwise kernel, _add and _mul on
 broadcasting label arrays (table lookups for q <= 512; above that XOR for
 p = 2 or digit-wise addition, and log/exp multiplication), on top of one
@@ -25,6 +32,7 @@ threads; every function in this module is a pure function of its inputs.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -119,6 +127,31 @@ def _is_primitive(f, p, e):
     return _gfp_poly_pow_x(order, f, p) == [1]
 
 
+def _power_digits(p, f, count):
+    """Digit rows of x^0, ..., x^(count-1) modulo the monic f over GF(p).
+
+    Built in doubling blocks: with row t of W holding the digits of
+    x^(L+t) mod f, the rows L..2L-1 are the rows 0..L-1 times W, and the
+    next block's W is W times W.  The first W is the companion matrix."""
+    e = len(f) - 1
+    # the narrowest dtype that holds a sum of e digit products, so no product
+    # overflows and no operand is cast: at 2^20 the rows take 20 MB
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if np.iinfo(t).max >= e * (p - 1) ** 2)
+    W = np.zeros((e, e), dtype=dtype)
+    W[:-1, 1:] = np.eye(e - 1, dtype=dtype)
+    W[-1] = [-c % p for c in f[:e]]
+    D = np.zeros((count, e), dtype=dtype)
+    D[0, 0] = 1
+    L = 1
+    while L < count:
+        b = min(L, count - L)
+        D[L:L + b] = (D[:b] @ W) % p
+        W = (W @ W) % p
+        L *= 2
+    return D
+
+
 # ----------------------------------------------------------------------
 # field context
 # ----------------------------------------------------------------------
@@ -135,46 +168,31 @@ class FieldContext:
         self.q = p**e
         self.defining = defining
         self._powers = tuple(p**t for t in range(e))
-        exp = [0] * (self.q - 1)
-        log: list[int | None] = [None] * self.q
-        alpha = self._alpha_from_defining()
-        val = 1
-        for i in range(self.q - 1):
-            exp[i] = val
-            if log[val] is not None:
-                raise AssertionError("defining polynomial is not primitive")
-            log[val] = i
-            val = self._mul_by_alpha(val, alpha)
-        if val != 1:
+        # the labels of alpha^0..alpha^(q-1); einsum, unlike _labels, does
+        # not cast all the digit rows to int64 at once (168 MB at 2^20)
+        labels = np.einsum("it,t->i", _power_digits(p, defining, self.q),
+                           np.array(self._powers, dtype=np.int64))
+        exp = labels[:-1]
+        log = np.zeros(self.q, dtype=np.int64)
+        log[exp] = np.arange(self.q - 1)
+        # q - 1 powers hit every nonzero label iff none repeats and none is 0
+        if not np.array_equal(exp[log[1:]], np.arange(1, self.q)):
+            raise AssertionError("defining polynomial is not primitive")
+        if labels[-1] != 1:
             raise AssertionError("alpha does not have order q-1")
-        self.exp = exp
-        self.log = log
-        self.alpha = alpha
+        self.exp = exp.tolist()
+        self.log: list[int | None] = log.tolist()
+        self.log[0] = None
+        self.alpha = int(labels[1])
+        # int32 copies for the array kernel; _np_log[0] is 0
+        self._np_exp = exp.astype(np.int32)
+        self._np_log = log.astype(np.int32)
         self._add_table = None
         self._mul_table = None
-        self._np_exp = None
-        self._np_log = None
         if self.q <= 512:
             self._build_tables()
 
     # -- construction internals ----------------------------------------
-
-    def _alpha_from_defining(self) -> int:
-        if self.e == 1:
-            return (-self.defining[0]) % self.p
-        return self.p  # the element x
-
-    def _mul_by_alpha(self, a: int, alpha: int) -> int:
-        if self.e == 1:
-            return (a * alpha) % self.p
-        # multiply by x: shift digits once, reduce by the defining polynomial
-        digs = list(self.digits(a))
-        digs = [0] + digs
-        c = digs.pop()
-        if c:
-            for j in range(self.e):
-                digs[j] = (digs[j] - c * self.defining[j]) % self.p
-        return self.from_digits(digs)
 
     def _build_tables(self):
         idx = np.arange(self.q)
@@ -183,15 +201,6 @@ class FieldContext:
         mul = _mul(self, idx[:, None], idx[None, :])
         self._add_table = add.astype(np.int32)
         self._mul_table = mul
-
-    # -- representation helpers -----------------------------------------
-
-    def digits(self, a: int) -> tuple[int, ...]:
-        p = self.p
-        return tuple((a // pw) % p for pw in self._powers)
-
-    def from_digits(self, digs) -> int:
-        return sum(d * pw for d, pw in zip(digs, self._powers))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -220,17 +229,6 @@ class FieldContext:
             raise ZeroDivisionError("0 has no inverse")
         return self.exp[(-self.log[a]) % (self.q - 1)]
 
-    # -- numpy views -------------------------------------------------------
-
-    def np_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._np_exp is None:
-            self._np_exp = np.array(self.exp, dtype=np.int32)
-            log = [0] * self.q
-            for v in range(1, self.q):
-                log[v] = self.log[v]
-            self._np_log = np.array(log, dtype=np.int32)
-        return self._np_exp, self._np_log
-
     def __repr__(self):
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
 
@@ -256,17 +254,22 @@ def make_field(p: int, e: int) -> FieldContext:
 
 
 def _candidate_polys(p, e):
-    # monic degree-e candidates in lexicographic order of (c0, ..., c_{e-1})
-    coeffs = [0] * e
-    while True:
-        yield coeffs + [1]
-        i = e - 1
-        while i >= 0 and coeffs[i] == p - 1:
-            coeffs[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        coeffs[i] += 1
+    """Monic degree-e candidates in lexicographic order of (c0, ..., c_{e-1}),
+    skipping every c0 that no primitive polynomial has.
+
+    A primitive f has (-1)^e * c0 equal to the norm of its root, which is a
+    primitive root mod p (Lidl & Niederreiter, Finite Fields, Thm 3.18); so
+    the skipped candidates cannot be primitive and the first primitive
+    candidate is the same with or without the skip."""
+    for c0 in range(p):
+        if _is_primitive_root((-1) ** e * c0 % p, p):
+            for rest in itertools.product(range(p), repeat=e - 1):
+                yield [c0, *rest, 1]
+
+
+def _is_primitive_root(g, p):
+    """True iff g generates the multiplicative group mod the prime p."""
+    return g != 0 and all(pow(g, (p - 1) // r, p) != 1 for r in prime_factors(p - 1))
 
 
 @lru_cache(maxsize=None)
@@ -521,7 +524,7 @@ def _mul(ctx: FieldContext, A, B) -> np.ndarray:
     """A * B elementwise over GF(q), broadcasting."""
     if ctx._mul_table is not None:
         return ctx._mul_table[A, B]
-    exp, log = ctx.np_tables()
+    exp, log = ctx._np_exp, ctx._np_log
     A, B = np.broadcast_arrays(A, B)
     out = np.zeros(A.shape, dtype=np.int32)
     nz = (A != 0) & (B != 0)

@@ -182,10 +182,12 @@ def css_distance_at_least(pair, bound: int, budget=None) -> bool | None:
     so that the CSS pair reaches it; None when either enumeration is over
     budget (always at budget 0)."""
     bud = OracleBudget.of(budget)
-    codes = (pair.outer, cyclic.dual_code(pair.inner))
-    if any(code.q**code.k > bud.max_enumeration for code in codes):
+    outer, inner = pair.outer, pair.inner
+    # the dual of C2 has dimension n - k2, so it is only built when it fits
+    if max(outer.q**outer.k, inner.q**(inner.n - inner.k)) > bud.max_enumeration:
         return None
-    return all(verify_min_distance_at_least(code, bound, bud) for code in codes)
+    return all(verify_min_distance_at_least(code, bound, bud)
+               for code in (outer, cyclic.dual_code(inner)))
 
 
 def css_true_distance(pair, budget=None) -> int | None:

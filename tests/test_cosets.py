@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosetcodes.cosets import (
     all_cosets,
@@ -109,6 +111,29 @@ def test_gap_lower_bound_and_equality_at_one(q, m):
         if g.value is not None:
             assert g.value >= q - 1
     assert gap_stat(coset_of(q, m, 1)).value == q - 1
+
+
+def _gap_reference(c):
+    """The minimum |x - y| over every pair of distinct elements: the slow
+    reference for gap_stat."""
+    els = c.elements
+    if len(els) == 1:
+        return None
+    return min(
+        abs(els[j] - els[l]) for j in range(len(els)) for l in range(j + 1, len(els))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([(q, m) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+                     for m in range(1, 17) if q**m - 1 <= 70000]),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_gap_matches_pairwise_reference(qm, a):
+    q, m = qm
+    c = coset_of(q, m, a)
+    assert gap_stat(c).value == _gap_reference(c)
 
 
 # ---------------------------------------------------------------

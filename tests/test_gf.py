@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -51,6 +52,16 @@ def test_make_field_gf9_defining_poly_is_lex_smallest_primitive():
     assert gf._is_primitive(list(found), 3, 2)
 
 
+@pytest.mark.parametrize("p,e,f,message", [
+    (2, 4, (1, 1, 1, 1, 1), "not primitive"),  # x has order 5: labels repeat
+    (2, 2, (0, 0, 1), "not primitive"),        # x^2 = 0: label 3 is missed
+    (2, 1, (0, 1), "order q-1"),               # the one power is 1, but x = 0
+])
+def test_field_context_rejects_a_non_primitive_defining_polynomial(p, e, f, message):
+    with pytest.raises(AssertionError, match=message):
+        gf.FieldContext(p, e, f)
+
+
 def test_make_field_rejects_bad_input():
     with pytest.raises(ValueError):
         make_field(4, 1)  # not prime
@@ -97,6 +108,99 @@ def test_log_antilog_roundtrip():
     for i in range(15):
         assert f.log[f.exp[i]] == i
     assert f.log[0] is None
+
+
+# ---------------------------------------------------------------
+# field construction against the unpruned scalar reference
+# ---------------------------------------------------------------
+
+def _reference_candidates(p, e):
+    """Every monic degree-e candidate in lexicographic order of
+    (c0, ..., c_{e-1}): the search before the constant term was pruned."""
+    coeffs = [0] * e
+    while True:
+        yield coeffs + [1]
+        i = e - 1
+        while i >= 0 and coeffs[i] == p - 1:
+            coeffs[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        coeffs[i] += 1
+
+
+def _reference_tables(p, e, f):
+    """alpha, exp and log by the scalar walk: multiply by x one power at a
+    time, shifting the digits and reducing by the monic f."""
+    q = p**e
+
+    def times_x(a):
+        digs = [0] + [(a // p**t) % p for t in range(e)]
+        c = digs.pop()
+        digs = [(d - c * f[j]) % p for j, d in enumerate(digs)]
+        return sum(d * p**t for t, d in enumerate(digs))
+
+    exp, log = [0] * (q - 1), [None] * q
+    val = 1
+    for i in range(q - 1):
+        assert log[val] is None
+        exp[i], log[val] = val, i
+        val = times_x(val)
+    assert val == 1
+    return times_x(1), exp, log
+
+
+PRIME_POWERS_TO_1024 = [
+    (p, e) for p in range(2, 1025) if gf.prime_factors(p) == [p]
+    for e in range(1, 11) if p**e <= 1024
+]
+
+
+@pytest.mark.parametrize("p,e", PRIME_POWERS_TO_1024)
+def test_make_field_matches_unpruned_scalar_reference(p, e):
+    f = next(f for f in _reference_candidates(p, e) if gf._is_primitive(f, p, e))
+    ctx = make_field(p, e)
+    assert ctx.defining == tuple(f)
+    assert (ctx.alpha, ctx.exp, ctx.log) == _reference_tables(p, e, f)
+
+
+@pytest.mark.parametrize("p,e,defining", [
+    (2, 12, (1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 1)),
+    (3, 8, (2, 0, 0, 0, 0, 1, 0, 0, 1)),
+    (5, 6, (2, 0, 0, 0, 0, 1, 1)),
+])
+def test_make_field_pinned_at_scale(p, e, defining):
+    # pinned from the unpruned search, which takes seconds at these sizes
+    ctx = make_field(p, e)
+    assert ctx.defining == defining
+    assert (ctx.alpha, ctx.exp, ctx.log) == _reference_tables(p, e, defining)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PRIME_POWERS_TO_1024))
+def test_pruned_candidates_are_not_primitive(pe):
+    p, e = pe
+    kept = list(gf._candidate_polys(p, e))
+    every = list(_reference_candidates(p, e))
+    assert kept == [f for f in every if f in kept]
+    pruned = [f for f in every if f not in kept]
+    assert pruned and not any(gf._is_primitive(f, p, e) for f in pruned)
+
+
+def test_make_field_at_the_cap():
+    for p, e in [(2, 20), (3, 12)]:
+        t0 = time.perf_counter()
+        # uncached, so the tables are freed when the test ends
+        ctx = make_field.__wrapped__(p, e)
+        elapsed = time.perf_counter() - t0
+        q = p**e
+        assert elapsed < 5.0, f"GF({p}^{e}) took {elapsed:.2f}s"
+        assert sorted(ctx.exp) == list(range(1, q))
+        assert all(ctx.log[v] == i for i, v in enumerate(ctx.exp))
+        assert ctx.log[0] is None
+        assert ctx.mul(ctx.exp[q - 2], ctx.alpha) == 1
+    with pytest.raises(ValueError):
+        make_field(2, 21)
 
 
 # ---------------------------------------------------------------

@@ -11,6 +11,7 @@ from cosetcodes.oracle import (
     BudgetError,
     OracleBudget,
     coset_theorem_sweep,
+    css_distance_at_least,
     css_true_distance,
     min_distance_bruteforce,
     sampled_min_weight,
@@ -207,6 +208,22 @@ def test_css_true_distance_respects_budget():
     params = css.family_block(4, 3)
     with pytest.raises(BudgetError):
         css_true_distance(params, OracleBudget(max_enumeration=10**6))
+
+
+def test_css_distance_at_least_checks_both_sides():
+    params = css.family_block_full(3)
+    assert css_distance_at_least(params, 3) is True
+    assert css_distance_at_least(params, 4) is False
+    assert css_distance_at_least(params, 3, OracleBudget(max_enumeration=242)) is None
+
+
+def test_css_distance_at_least_over_budget_builds_no_dual(monkeypatch):
+    def refuse(code):
+        raise AssertionError("dual_code called on an over-budget row")
+
+    monkeypatch.setattr(cyclic, "dual_code", refuse)
+    # [[15, 9]]_4: C1 and the dual of C2 both have 4^12 words, over 10^7
+    assert css_distance_at_least(css.family_block(4, 3), 3) is None
 
 
 def _nested_pairs(q, m, cap):
