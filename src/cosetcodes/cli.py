@@ -115,23 +115,28 @@ def cmd_cosets(args, cfg) -> int:
     q, m = args.q, args.m
     with _usage_errors(args):
         partition = cosets.all_cosets(q, m)
+    # each format builds only what it prints: at 31^4 the JSON/CSV rows and
+    # the text lines each hold every coset
     rows = []
     lines = [f"q={q}, m={m}, n={q**m - 1}: {len(partition)} cosets"]
     for c in partition:
-        row = {"rep": c.rep, "cardinality": c.cardinality,
-               "elements": list(c.elements)}
-        line = f"C_{c.rep} = {{{', '.join(map(str, c.elements))}}}"
+        props = {}
         if args.properties:
-            g = cosets.gap_stat(c)
-            comp = cosets.complementary(c)
-            row["gap"] = g.value
-            row["complement"] = comp.rep
-            line += f"  gap={g.value if g.value is not None else '-'}"
-            line += f"  complement=C_{comp.rep}"
+            props = {"gap": cosets.gap_stat(c).value,
+                     "complement": cosets.complementary(c).rep}
             if q % 2 == 1:
-                row["parity"] = cosets.parity_class(c)
-                line += f"  parity={row['parity']}"
-        rows.append(row)
+                props["parity"] = cosets.parity_class(c)
+        if args.format != "text":
+            rows.append({"rep": c.rep, "cardinality": c.cardinality,
+                         "elements": list(c.elements), **props})
+            continue
+        line = f"C_{c.rep} = {{{', '.join(map(str, c.elements))}}}"
+        if props:
+            gap = props["gap"]
+            line += f"  gap={gap if gap is not None else '-'}"
+            line += f"  complement=C_{props['complement']}"
+            if "parity" in props:
+                line += f"  parity={props['parity']}"
         lines.append(line)
     _emit(f"cosets {q} {m}", rows, [], args.format, args.out, lines)
     return 0

@@ -11,9 +11,12 @@ context also holds full q x q addition and multiplication tables.
 make_field searches the monic polynomials in lexicographic order for the
 first primitive one, skipping every constant term that no primitive
 polynomial has, so the search at the 2^20 cap tests a handful of
-candidates.  The log/antilog tables are built in doubling blocks of digit
-rows, one small matrix product per block, and the construction checks that
-the powers of alpha hit every nonzero label exactly once.
+candidates.  One companion matrix W of the defining polynomial serves both
+the search and the tables: x^k mod f is the unit digit row times W^k, which
+the primitivity test takes by square-and-multiply and the log/antilog
+tables build in doubling blocks of digit rows, one small matrix product per
+block.  The construction checks that the powers of alpha hit every nonzero
+label exactly once.
 
 Array arithmetic goes through one elementwise kernel, _add and _mul on
 broadcasting label arrays (table lookups for q <= 512; above that XOR for
@@ -75,56 +78,46 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 
 
 # ----------------------------------------------------------------------
-# polynomial arithmetic over GF(p) on digit lists (construction only)
+# x^k modulo the defining polynomial, on the companion matrix
 # ----------------------------------------------------------------------
 
-def _gfp_poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
+def _companion(f, p):
+    """The companion matrix W of the monic f over GF(p): row t holds the
+    digits of x^(t+1) mod f, so a digit row v times W is v times x.
 
-
-def _gfp_poly_mod(a, f, p):
-    # f monic
-    a = list(a)
-    df = len(f) - 1
-    for i in range(len(a) - 1, df - 1, -1):
-        c = a[i]
-        if c:
-            a[i] = 0
-            for j in range(df):
-                a[i - df + j] = (a[i - df + j] - c * f[j]) % p
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _gfp_poly_pow_x(k, f, p):
-    """x^k reduced modulo the monic polynomial f, as a digit list."""
-    result = [1]
-    base = _gfp_poly_mod([0, 1], f, p)
-    while k:
-        if k & 1:
-            result = _gfp_poly_mod(_gfp_poly_mul(result, base, p), f, p)
-        base = _gfp_poly_mod(_gfp_poly_mul(base, base, p), f, p)
-        k >>= 1
-    return result
+    Its dtype is the narrowest that holds a sum of e digit products, so no
+    product of two such matrices overflows and no operand is cast."""
+    e = len(f) - 1
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if np.iinfo(t).max >= e * (p - 1) ** 2)
+    W = np.zeros((e, e), dtype=dtype)
+    W[:-1, 1:] = np.eye(e - 1, dtype=dtype)
+    W[-1] = [-c % p for c in f[:e]]
+    return W
 
 
 def _is_primitive(f, p, e):
     """True iff x generates the full multiplicative group mod the monic f.
 
     An element of order p^e - 1 can only exist when the quotient ring is the
-    field GF(p^e), so this test subsumes irreducibility.
-    """
+    field GF(p^e), so this test subsumes irreducibility.  x^k is the unit
+    row times W^k, by square-and-multiply on the squares W^(2^i)."""
     order = p**e - 1
-    for r in prime_factors(order):
-        if _gfp_poly_pow_x(order // r, f, p) == [1]:
-            return False
-    return _gfp_poly_pow_x(order, f, p) == [1]
+    squares = [_companion(f, p)]
+    for _ in range(order.bit_length() - 1):
+        squares.append((squares[-1] @ squares[-1]) % p)
+    one = np.zeros(e, dtype=squares[0].dtype)
+    one[0] = 1
+
+    def x_pow_is_one(k):
+        row = one
+        for i, S in enumerate(squares):
+            if k >> i & 1:
+                row = (row @ S) % p
+        return np.array_equal(row, one)
+
+    return x_pow_is_one(order) and not any(
+        x_pow_is_one(order // r) for r in prime_factors(order))
 
 
 def _power_digits(p, f, count):
@@ -132,16 +125,10 @@ def _power_digits(p, f, count):
 
     Built in doubling blocks: with row t of W holding the digits of
     x^(L+t) mod f, the rows L..2L-1 are the rows 0..L-1 times W, and the
-    next block's W is W times W.  The first W is the companion matrix."""
-    e = len(f) - 1
-    # the narrowest dtype that holds a sum of e digit products, so no product
-    # overflows and no operand is cast: at 2^20 the rows take 20 MB
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
-                 if np.iinfo(t).max >= e * (p - 1) ** 2)
-    W = np.zeros((e, e), dtype=dtype)
-    W[:-1, 1:] = np.eye(e - 1, dtype=dtype)
-    W[-1] = [-c % p for c in f[:e]]
-    D = np.zeros((count, e), dtype=dtype)
+    next block's W is W times W.  The first W is the companion matrix; at
+    2^20 its int8 rows take 20 MB."""
+    W = _companion(f, p)
+    D = np.zeros((count, len(f) - 1), dtype=W.dtype)
     D[0, 0] = 1
     L = 1
     while L < count:
@@ -195,9 +182,9 @@ class FieldContext:
     # -- construction internals ----------------------------------------
 
     def _build_tables(self):
+        # the kernel's table-free paths, run before either table exists
         idx = np.arange(self.q)
-        digs = _digits(self, idx)
-        add = _labels(self, (digs[:, None, :] + digs[None, :, :]) % self.p)
+        add = _add(self, idx[:, None], idx[None, :])
         mul = _mul(self, idx[:, None], idx[None, :])
         self._add_table = add.astype(np.int32)
         self._mul_table = mul
@@ -207,10 +194,7 @@ class FieldContext:
     def add(self, a: int, b: int) -> int:
         if self._add_table is not None:
             return int(self._add_table[a, b])
-        if self.p == 2:
-            return a ^ b
-        p = self.p
-        return sum(((a // pw + b // pw) % p) * pw for pw in self._powers)
+        return int(_add(self, a, b))
 
     def neg(self, a: int) -> int:
         # the label p - 1 is -1 in every GF(p^e)
@@ -449,10 +433,8 @@ def poly_with_roots(ctx_ext: FieldContext, base_q: int, exponents) -> Poly:
     which succeeds iff the exponents are a union of base_q-cyclotomic cosets
     (closed under j -> base_q * j); otherwise the lowering's ValueError
     says which coefficient is not in the subfield."""
+    emb = subfield_embedding(ctx_ext, field_for(base_q))
     n = ctx_ext.q - 1
-    p, eb = factor_prime_power(base_q)
-    if ctx_ext.p != p or ctx_ext.e % eb != 0:
-        raise ValueError(f"GF({base_q}) is not a subfield of {ctx_ext!r}")
     js = list(exponents)
     for j in js:
         if not 0 <= j < n:
@@ -460,11 +442,10 @@ def poly_with_roots(ctx_ext: FieldContext, base_q: int, exponents) -> Poly:
     roots = np.array([ctx_ext.exp[j] for j in js], dtype=np.int64)
     g = np.zeros(len(js) + 1, dtype=np.int64)
     g[0] = 1
-    for d, c in enumerate(_mul(ctx_ext, roots, p - 1)):
+    for d, c in enumerate(_mul(ctx_ext, roots, ctx_ext.p - 1)):
         # g <- g * (x + c), c = -root: g[t] <- g[t - 1] + c * g[t]
         shifted = np.concatenate(([0], g[:d + 1]))
         g[:d + 2] = _add(ctx_ext, shifted, _mul(ctx_ext, g[:d + 2], c))
-    emb = subfield_embedding(ctx_ext, make_field(p, eb))
     return Poly(emb.base, [emb.lower(int(c)) for c in g])
 
 

@@ -22,7 +22,7 @@ cosets.MAX_MODULUS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -233,8 +233,7 @@ class CheckRecord:
     detail: str = ""
 
     def to_dict(self):
-        return {"q": self.q, "m": self.m, "check": self.check,
-                "status": self.status, "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass
@@ -249,39 +248,33 @@ class SweepReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def to_dict(self):
-        return {"records": [r.to_dict() for r in self.records],
-                "failures": len(self.failures)}
+    def add(self, q: int, m: int, check: str, ok: bool | None, detail: str = ""):
+        """Record one check: ok None is skipped, true passes, false fails."""
+        status = "skipped" if ok is None else "pass" if ok else "fail"
+        self.records.append(CheckRecord(q, m, check, status, detail))
 
 
-def _sweep_pair(q: int, m: int) -> list[CheckRecord]:
-    recs: list[CheckRecord] = []
+def _sweep_pair(report: SweepReport, q: int, m: int) -> None:
     n = q**m - 1
-
-    def add(check, ok, detail=""):
-        recs.append(CheckRecord(q, m, check, "pass" if ok else "fail", detail))
-
-    def skip(check, why):
-        recs.append(CheckRecord(q, m, check, "skipped", why))
-
     partition = cs.all_cosets(q, m)
-    add("partition",
-        sum(c.cardinality for c in partition) == n
-        and len({x for c in partition for x in c.elements}) == n)
+    report.add(q, m, "partition",
+               sum(c.cardinality for c in partition) == n
+               and len({x for c in partition for x in c.elements}) == n)
 
     # parity structure (odd q only)
     if q % 2 == 1:
         bad = [c for c in partition if len({x % 2 for x in c.elements}) != 1]
-        add("parity-uniform", not bad, f"mixed-parity cosets: {bad[:3]}" if bad else "")
+        report.add(q, m, "parity-uniform", not bad,
+                   f"mixed-parity cosets: {bad[:3]}" if bad else "")
         consec = [
             c for c in partition
             if any((x + 1) % n in c.elements for x in c.elements) and c.cardinality > 1
         ]
-        add("no-consecutive", not consec,
-            f"cosets with consecutive elements: {consec[:3]}" if consec else "")
+        report.add(q, m, "no-consecutive", not consec,
+                   f"cosets with consecutive elements: {consec[:3]}" if consec else "")
     else:
-        skip("parity-uniform", "hypothesis: q odd")
-        skip("no-consecutive", "hypothesis: q odd")
+        report.add(q, m, "parity-uniform", None, "hypothesis: q odd")
+        report.add(q, m, "no-consecutive", None, "hypothesis: q odd")
 
     # gap statistic
     if q >= 3:
@@ -290,43 +283,38 @@ def _sweep_pair(q: int, m: int) -> list[CheckRecord]:
             g = cs.gap_stat(c)
             if g.value is not None and g.value < q - 1:
                 low.append((c.rep, g.value))
-        add("gap-lower-bound", not low, f"L below q-1 at: {low[:5]}" if low else "")
+        report.add(q, m, "gap-lower-bound", not low,
+                   f"L below q-1 at: {low[:5]}" if low else "")
         if m >= 2:
             g1 = cs.gap_stat(cs.coset_of(q, m, 1))
-            add("gap-equality-at-one", g1.value == q - 1,
-                f"L of the coset of 1 is {g1.value}, expected {q - 1}")
+            report.add(q, m, "gap-equality-at-one", g1.value == q - 1,
+                       f"L of the coset of 1 is {g1.value}, expected {q - 1}")
         else:
-            skip("gap-equality-at-one", "coset of 1 is a singleton for m = 1")
+            report.add(q, m, "gap-equality-at-one", None,
+                       "coset of 1 is a singleton for m = 1")
     else:
-        skip("gap-lower-bound", "hypothesis: q >= 3")
-        skip("gap-equality-at-one", "hypothesis: q >= 3")
+        report.add(q, m, "gap-lower-bound", None, "hypothesis: q >= 3")
+        report.add(q, m, "gap-equality-at-one", None, "hypothesis: q >= 3")
 
-    # complementary-coset properties
-    ok_unique = ok_card = ok_oplus = ok_gap = ok_invol = True
-    detail_unique = detail_card = detail_oplus = detail_gap = detail_invol = ""
+    # complementary-coset properties; a failing check keeps the detail of its
+    # last failing coset
+    failed: dict[str, str] = {}
     for c in partition:
         comps = {cs.coset_of(q, m, (n - x) % n).rep for x in c.elements}
         comp = cs.complementary(c)
         if comps != {comp.rep}:
-            ok_unique = False
-            detail_unique = f"coset {c.rep}: complements {sorted(comps)}"
+            failed["complement-unique"] = f"coset {c.rep}: complements {sorted(comps)}"
         if comp.cardinality != c.cardinality:
-            ok_card = False
-            detail_card = f"coset {c.rep}"
+            failed["complement-cardinality"] = f"coset {c.rep}"
         if cs.coset_oplus(c, comp).elements != (0,):
-            ok_oplus = False
-            detail_oplus = f"coset {c.rep}"
+            failed["complement-oplus-zero"] = f"coset {c.rep}"
         if cs.gap_stat(c).value != cs.gap_stat(comp).value:
-            ok_gap = False
-            detail_gap = f"coset {c.rep}"
+            failed["complement-gap-equal"] = f"coset {c.rep}"
         if cs.complementary(comp).rep != c.rep:
-            ok_invol = False
-            detail_invol = f"coset {c.rep}"
-    add("complement-unique", ok_unique, detail_unique)
-    add("complement-cardinality", ok_card, detail_card)
-    add("complement-oplus-zero", ok_oplus, detail_oplus)
-    add("complement-gap-equal", ok_gap, detail_gap)
-    add("complement-involution", ok_invol, detail_invol)
+            failed["complement-involution"] = f"coset {c.rep}"
+    for check in ("complement-unique", "complement-cardinality", "complement-oplus-zero",
+                  "complement-gap-equal", "complement-involution"):
+        report.add(q, m, check, check not in failed, failed.get(check, ""))
 
     # disjointness range, plus the minimum-representative fact for even m
     T = cs.disjointness_range(q, m)
@@ -343,13 +331,13 @@ def _sweep_pair(q: int, m: int) -> list[CheckRecord]:
             if el in owner and owner[el] != x:
                 clash = (owner[el], x)
             owner.setdefault(el, x)
-    add("disjoint-range", clash is None,
-        f"cosets of {clash} meet" if clash else f"range [1, {T}]")
+    report.add(q, m, "disjoint-range", clash is None,
+               f"cosets of {clash} meet" if clash else f"range [1, {T}]")
     if m % 2 == 0:
-        add("min-representative", minrep_bad is None,
-            f"{minrep_bad} is not minimal in its coset" if minrep_bad else "")
+        report.add(q, m, "min-representative", minrep_bad is None,
+                   f"{minrep_bad} is not minimal in its coset" if minrep_bad else "")
     else:
-        skip("min-representative", "stated for even m")
+        report.add(q, m, "min-representative", None, "stated for even m")
 
     # full-cardinality range
     bad_card = None
@@ -357,23 +345,22 @@ def _sweep_pair(q: int, m: int) -> list[CheckRecord]:
         if cs.coset_of(q, m, x).cardinality != m:
             bad_card = x
             break
-    add("cardinality-range", bad_card is None,
-        f"coset of {bad_card} is small" if bad_card is not None else "")
+    report.add(q, m, "cardinality-range", bad_card is None,
+               f"coset of {bad_card} is small" if bad_card is not None else "")
 
     # ladder cosets for every admissible c (at most q)
     cmax = 0
     while cmax < q and (cmax + 1) * q + 1 < q ** ((m + 1) // 2) - 1:
         cmax += 1
     if cmax == 0:
-        skip("ladder", "no admissible c")
+        report.add(q, m, "ladder", None, "no admissible c")
     else:
         try:
             for c in range(1, cmax + 1):
                 cs.ladder_cosets(q, m, c)
-            add("ladder", True, f"c up to {cmax}")
+            report.add(q, m, "ladder", True, f"c up to {cmax}")
         except AssertionError as exc:
-            add("ladder", False, str(exc))
-    return recs
+            report.add(q, m, "ladder", False, str(exc))
 
 
 def coset_theorem_sweep(q_list: Iterable[int], m_list: Iterable[int]) -> SweepReport:
@@ -382,11 +369,10 @@ def coset_theorem_sweep(q_list: Iterable[int], m_list: Iterable[int]) -> SweepRe
     cosets.MAX_MODULUS get one skipped record each, ahead of the rest."""
     pairs = sorted((q, m) for q in set(q_list) for m in set(m_list))
     over = [(q, m) for q, m in pairs if q**m - 1 > cs.MAX_MODULUS]
-    report = SweepReport([
-        CheckRecord(q, m, "all", "skipped", f"modulus over cap {cs.MAX_MODULUS}")
-        for q, m in over
-    ])
+    report = SweepReport()
+    for q, m in over:
+        report.add(q, m, "all", None, f"modulus over cap {cs.MAX_MODULUS}")
     for q, m in pairs:
         if (q, m) not in over:
-            report.records.extend(_sweep_pair(q, m))
+            _sweep_pair(report, q, m)
     return report

@@ -9,7 +9,7 @@ oracle budget allows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import conv, css, families, oracle
 
@@ -32,12 +32,7 @@ class TableRow:
     status: str        # "formula-match" | "oracle-verified" | "oracle-skipped"
 
     def to_dict(self):
-        return {
-            "table": self.table, "kind": self.kind, "family": self.family,
-            "q": self.q, "m": self.m, "c": self.c, "i": self.i,
-            "n": self.n, "k": self.k, "gamma": self.gamma, "mu": self.mu,
-            "dist": self.dist, "text": self.text, "status": self.status,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from . import conv, cosets, cyclic, families, gf, oracle
-from .oracle import CheckRecord, SweepReport
+from .oracle import SweepReport
 
 _PRIME_POWERS = [3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27]
 
@@ -68,10 +68,8 @@ def verify_cyclic_identities(n_cap: int = 80, max_union: int = 4) -> SweepReport
             if note:
                 ok_null = False
                 detail_null = f"coset {c.rep}: {note}"
-        report.records.append(CheckRecord(
-            q, m, "generator-times-check", "pass" if ok_gh else "fail", detail_gh))
-        report.records.append(CheckRecord(
-            q, m, "nullspace-equivalence", "pass" if ok_null else "fail", detail_null))
+        report.add(q, m, "generator-times-check", ok_gh, detail_gh)
+        report.add(q, m, "nullspace-equivalence", ok_null, detail_null)
 
         # both dual-containing criteria agree on every union Z of cosets:
         # Z meets -Z exactly when some member's complementary coset meets Z.
@@ -94,9 +92,7 @@ def verify_cyclic_identities(n_cap: int = 80, max_union: int = 4) -> SweepReport
                 if (z & neg == 0) != (z & comp == 0):
                     detail_dc = (f"criteria disagree on the union of cosets "
                                  f"{[mask[0] for mask in combo]} mod {n}")
-        report.records.append(CheckRecord(
-            q, m, "dual-containing-criteria-agree",
-            "fail" if detail_dc else "pass", detail_dc))
+        report.add(q, m, "dual-containing-criteria-agree", not detail_dc, detail_dc)
 
         # designed-distance cap for block defining sets
         if m == 2 and q >= 3:
@@ -113,9 +109,7 @@ def verify_cyclic_identities(n_cap: int = 80, max_union: int = 4) -> SweepReport
                     if c_count == 1 and delta != 2:
                         ok_cap = False
                         detail_cap = f"single coset s+1={s + 1}: delta={delta}"
-            report.records.append(CheckRecord(
-                q, m, "designed-distance-cap",
-                "pass" if ok_cap else "fail", detail_cap))
+            report.add(q, m, "designed-distance-cap", ok_cap, detail_cap)
 
     # identity checks on both codes of every printed CSS instance at this scale
     for fam, args in families.rows(1, 2):
@@ -124,13 +118,11 @@ def verify_cyclic_identities(n_cap: int = 80, max_union: int = 4) -> SweepReport
         params = fam.build(**args)
         for side, code in (("outer", params.outer), ("inner", params.inner)):
             gh_ok, note = _code_identities(code)
-            if gh_ok and not note:
-                status, detail = "pass", f"c={params.designed_distance}"
-            else:
-                status = "fail"
-                detail = f"c={params.designed_distance}: {note or 'g*h mismatch'}"
-            report.records.append(CheckRecord(
-                params.q, params.m, f"family-identities-{side}", status, detail))
+            ok = gh_ok and not note
+            detail = f"c={params.designed_distance}"
+            if not ok:
+                detail += f": {note or 'g*h mismatch'}"
+            report.add(params.q, params.m, f"family-identities-{side}", ok, detail)
     return report
 
 
@@ -150,26 +142,18 @@ def verify_css_families(budget=None, only_q: int | None = None) -> SweepReport:
             instances.append((families.BY_NAME["css-block-full"], {"q": only_q}))
     for fam, args in instances:
         params = fam.build(**args)
-        q, m, c = params.q, params.m, params.designed_distance
-
-        def add(check, ok, detail):
-            report.records.append(
-                CheckRecord(q, m, f"{fam.name}-{check}", _status(ok), detail))
-
+        q, m, c, name = params.q, params.m, params.designed_distance, fam.name
         expected_k = fam.closed_form(n=families.length(args), **args)
-        add("dimension", params.k == expected_k,
-            f"c={c}: k={params.k}, formula {expected_k}")
-        add("nested", cyclic.nested(params.outer, params.inner), f"c={c}")
-        add("distance-bound", params.distance_lb >= c,
-            f"c={c}: bound {params.distance_lb}")
+        report.add(q, m, f"{name}-dimension", params.k == expected_k,
+                   f"c={c}: k={params.k}, formula {expected_k}")
+        report.add(q, m, f"{name}-nested", cyclic.nested(params.outer, params.inner),
+                   f"c={c}")
+        report.add(q, m, f"{name}-distance-bound", params.distance_lb >= c,
+                   f"c={c}: bound {params.distance_lb}")
         verified = oracle.css_distance_at_least(params, c, budget)
-        add("distance-oracle", verified,
-            f"c={c}" if verified is not None else f"c={c}: enumeration over budget")
+        report.add(q, m, f"{name}-distance-oracle", verified,
+                   f"c={c}" if verified is not None else f"c={c}: enumeration over budget")
     return report
-
-
-def _status(ok: bool | None) -> str:
-    return "skipped" if ok is None else "pass" if ok else "fail"
 
 
 def conv_sweep(qs):
@@ -197,33 +181,28 @@ def verify_conv_families(budget=None, only_q: int | None = None) -> SweepReport:
     report = SweepReport()
     for fam, args in conv_sweep(qs):
         code = fam.build(**args)
-
-        def add(check, ok, detail):
-            report.records.append(
-                CheckRecord(code.q, 2, f"{fam.name}-{check}", _status(ok), detail))
-
+        q, name = code.q, fam.name
         claimed = fam.closed_form(n=families.length(args), **args) + (1,)
-        add("parameters", (code.k, code.degree, code.dfree_lb, code.memory) == claimed,
-            f"i={code.index}: got ({code.k}, {code.degree}, {code.dfree_lb})")
+        report.add(q, 2, f"{name}-parameters",
+                   (code.k, code.degree, code.dfree_lb, code.memory) == claimed,
+                   f"i={code.index}: got ({code.k}, {code.degree}, {code.dfree_lb})")
         h1_rows = sum(1 for row in code.generator.coeffs[1] if any(row)) \
             if code.memory else 0
-        add("rank-hypothesis", code.kappa >= h1_rows,
-            f"kappa={code.kappa}, rank H1={h1_rows}")
+        report.add(q, 2, f"{name}-rank-hypothesis", code.kappa >= h1_rows,
+                   f"kappa={code.kappa}, rank H1={h1_rows}")
         rep = conv.check_reduced_basic(code.generator)
-        add("reduced-basic", rep.passed, rep.summary())
-        add("bound-sandwich",
-            code.dfree_lb <= code.dfree_lb_derived <= code.d_parent_lb,
-            f"claimed {code.dfree_lb}, derived {code.dfree_lb_derived}, "
-            f"parent {code.d_parent_lb}")
+        report.add(q, 2, f"{name}-reduced-basic", rep.passed, rep.summary())
+        report.add(q, 2, f"{name}-bound-sandwich",
+                   code.dfree_lb <= code.dfree_lb_derived <= code.d_parent_lb,
+                   f"claimed {code.dfree_lb}, derived {code.dfree_lb_derived}, "
+                   f"parent {code.d_parent_lb}")
     if 4 in qs:
         code = conv.family_split(4)
         if bud.max_enumeration > 0:
             found = conv.free_distance_upper(code, 2, budget=bud,
                                              sample=2000, seed=bud.seed)
-            report.records.append(CheckRecord(
-                4, 2, "conv-split-dual-search", _status(found >= code.dfree_lb),
-                f"best sampled weight {found} vs claimed {code.dfree_lb}"))
+            report.add(4, 2, "conv-split-dual-search", found >= code.dfree_lb,
+                       f"best sampled weight {found} vs claimed {code.dfree_lb}")
         else:
-            report.records.append(CheckRecord(
-                4, 2, "conv-split-dual-search", "skipped", "budget 0"))
+            report.add(4, 2, "conv-split-dual-search", None, "budget 0")
     return report

@@ -48,8 +48,8 @@ def test_make_field_gf9_defining_poly_is_lex_smallest_primitive():
         cand = (c0, c1, 1)
         if cand >= found:
             break
-        assert not gf._is_primitive(list(cand), 3, 2)
-    assert gf._is_primitive(list(found), 3, 2)
+        assert not _reference_is_primitive(list(cand), 3, 2)
+    assert _reference_is_primitive(list(found), 3, 2)
 
 
 @pytest.mark.parametrize("p,e,f,message", [
@@ -150,15 +150,48 @@ def _reference_tables(p, e, f):
     return times_x(1), exp, log
 
 
-PRIME_POWERS_TO_1024 = [
-    (p, e) for p in range(2, 1025) if gf.prime_factors(p) == [p]
-    for e in range(1, 11) if p**e <= 1024
-]
+def _reference_is_primitive(f, p, e):
+    """x has order p^e - 1 modulo the monic f, with x^k mod f taken by
+    square-and-multiply on digit-list polynomials over GF(p)."""
+    def mul_mod(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+        for i in range(len(out) - 1, e - 1, -1):
+            c = out[i]
+            out[i] = 0
+            for j in range(e):
+                out[i - e + j] = (out[i - e + j] - c * f[j]) % p
+        while len(out) > 1 and out[-1] == 0:
+            out.pop()
+        return out
+
+    def x_pow(k):
+        result, base = [1], mul_mod([0, 1], [1])
+        while k:
+            if k & 1:
+                result = mul_mod(result, base)
+            base = mul_mod(base, base)
+            k >>= 1
+        return result
+
+    order = p**e - 1
+    return (all(x_pow(order // r) != [1] for r in gf.prime_factors(order))
+            and x_pow(order) == [1])
+
+
+def _prime_powers_to(q_max):
+    return [(p, e) for p in range(2, q_max + 1) if gf.prime_factors(p) == [p]
+            for e in range(1, q_max.bit_length()) if p**e <= q_max]
+
+
+PRIME_POWERS_TO_1024 = _prime_powers_to(1024)
 
 
 @pytest.mark.parametrize("p,e", PRIME_POWERS_TO_1024)
 def test_make_field_matches_unpruned_scalar_reference(p, e):
-    f = next(f for f in _reference_candidates(p, e) if gf._is_primitive(f, p, e))
+    f = next(f for f in _reference_candidates(p, e) if _reference_is_primitive(f, p, e))
     ctx = make_field(p, e)
     assert ctx.defining == tuple(f)
     assert (ctx.alpha, ctx.exp, ctx.log) == _reference_tables(p, e, f)
@@ -184,7 +217,21 @@ def test_pruned_candidates_are_not_primitive(pe):
     every = list(_reference_candidates(p, e))
     assert kept == [f for f in every if f in kept]
     pruned = [f for f in every if f not in kept]
-    assert pruned and not any(gf._is_primitive(f, p, e) for f in pruned)
+    assert pruned and not any(_reference_is_primitive(f, p, e) for f in pruned)
+
+
+# every prime power up to 4096, and e = 1 with the primes just below 2^20,
+# each side drawn about half the time
+PRIMITIVITY_FIELDS = st.sampled_from(_prime_powers_to(4096)) | st.sampled_from(
+    [(p, 1) for p in range(2**20 - 100, 2**20) if gf.prime_factors(p) == [p]])
+
+
+@settings(max_examples=400, deadline=None)
+@given(PRIMITIVITY_FIELDS, st.data())
+def test_is_primitive_matches_list_reference(pe, data):
+    p, e = pe
+    f = data.draw(st.lists(st.integers(0, p - 1), min_size=e, max_size=e)) + [1]
+    assert gf._is_primitive(f, p, e) == _reference_is_primitive(f, p, e)
 
 
 def test_make_field_at_the_cap():
@@ -521,6 +568,18 @@ def test_tables_match_scalar_arithmetic(q):
             assert f._mul_table[a, b] == f.mul(a, b)
             digitwise = sum(((a // p**t + b // p**t) % p) * p**t for t in range(f.e))
             assert f._add_table[a, b] == digitwise
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(2, 10), (5, 4), (3, 7)]), st.data())
+def test_scalar_add_matches_digitwise_reference(pe, data):
+    # above q = 512 there is no table: add goes through the _add kernel
+    p, e = pe
+    f = make_field(p, e)
+    a, b = (data.draw(st.integers(0, f.q - 1)) for _ in range(2))
+    total = f.add(a, b)
+    assert type(total) is int
+    assert total == sum(((a // p**t + b // p**t) % p) * p**t for t in range(e))
 
 
 # ---------------------------------------------------------------

@@ -318,3 +318,23 @@ def test_sweep_respects_modulus_cap():
     assert report.records == [
         oracle.CheckRecord(3, 13, "all", "skipped", "modulus over cap 1000000")
     ]
+
+
+def test_sweep_report_status_rule():
+    report = oracle.SweepReport()
+    for ok in (None, True, False):
+        report.add(3, 2, "check", ok, "why")
+    assert [r.status for r in report.records] == ["skipped", "pass", "fail"]
+    assert report.failures == [oracle.CheckRecord(3, 2, "check", "fail", "why")]
+
+
+def test_sweep_complement_failure_names_the_last_failing_coset(monkeypatch):
+    # every coset's oplus with its complement is made nonzero
+    monkeypatch.setattr(cosets, "coset_oplus", lambda a, b: cosets.coset_of(3, 2, 1))
+    report = coset_theorem_sweep([3], [2])
+    status = {r.check: (r.status, r.detail) for r in report.records}
+    last = cosets.all_cosets(3, 2)[-1].rep
+    assert status["complement-oplus-zero"] == ("fail", f"coset {last}")
+    assert all(status[check] == ("pass", "") for check in (
+        "complement-unique", "complement-cardinality",
+        "complement-gap-equal", "complement-involution"))
