@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import sys
 
@@ -23,6 +24,10 @@ from .oracle import OracleBudget, SweepReport
 
 def _emit(command: str, rows, discrepancies, fmt: str, out_path: str | None,
           text_lines) -> None:
+    r"""Write the output to out_path, or to stdout.  Text lines (any
+    iterable) go out 4096 per write, so the whole text is never one string.
+    Every output ends in one newline, except that CSV on stdout keeps a
+    newline after the writer's final \r\n."""
     if fmt == "json":
         payload = {
             "tool_version": __version__,
@@ -38,13 +43,16 @@ def _emit(command: str, rows, discrepancies, fmt: str, out_path: str | None,
             writer.writeheader()
             writer.writerows(rows)
         text = buf.getvalue()
-    else:
-        text = "\n".join(text_lines)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + ("\n" if not text.endswith("\n") else ""))
-    else:
-        print(text)
+    with (open(out_path, "w", encoding="utf-8") if out_path
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        if fmt == "text":
+            lines = iter(text_lines)
+            while chunk := list(itertools.islice(lines, 4096)):
+                fh.write("\n".join(chunk) + "\n")
+        else:
+            fh.write(text)
+            if not (out_path and text.endswith("\n")):
+                fh.write("\n")
 
 
 def _config_defaults(args) -> dict:
@@ -115,30 +123,34 @@ def cmd_cosets(args, cfg) -> int:
     q, m = args.q, args.m
     with _usage_errors(args):
         partition = cosets.all_cosets(q, m)
-    # each format builds only what it prints: at 31^4 the JSON/CSV rows and
-    # the text lines each hold every coset
-    rows = []
-    lines = [f"q={q}, m={m}, n={q**m - 1}: {len(partition)} cosets"]
-    for c in partition:
-        props = {}
-        if args.properties:
-            props = {"gap": cosets.gap_stat(c).value,
-                     "complement": cosets.complementary(c).rep}
-            if q % 2 == 1:
-                props["parity"] = cosets.parity_class(c)
-        if args.format != "text":
-            rows.append({"rep": c.rep, "cardinality": c.cardinality,
-                         "elements": list(c.elements), **props})
-            continue
-        line = f"C_{c.rep} = {{{', '.join(map(str, c.elements))}}}"
-        if props:
-            gap = props["gap"]
-            line += f"  gap={gap if gap is not None else '-'}"
-            line += f"  complement=C_{props['complement']}"
-            if "parity" in props:
-                line += f"  parity={props['parity']}"
-        lines.append(line)
-    _emit(f"cosets {q} {m}", rows, [], args.format, args.out, lines)
+
+    # rows and lines are built one coset at a time: at 31^4 a list of
+    # either holds every coset, so only JSON and CSV build the row list
+    def rows():
+        for c in partition:
+            row = {"rep": c.rep, "cardinality": c.cardinality,
+                   "elements": list(c.elements)}
+            if args.properties:
+                row["gap"] = cosets.gap_stat(c).value
+                row["complement"] = cosets.complementary(c).rep
+                if q % 2 == 1:
+                    row["parity"] = cosets.parity_class(c)
+            yield row
+
+    def lines():
+        yield f"q={q}, m={m}, n={q**m - 1}: {len(partition)} cosets"
+        for row in rows():
+            line = f"C_{row['rep']} = {{{', '.join(map(str, row['elements']))}}}"
+            if args.properties:
+                gap = row["gap"]
+                line += f"  gap={gap if gap is not None else '-'}"
+                line += f"  complement=C_{row['complement']}"
+                if "parity" in row:
+                    line += f"  parity={row['parity']}"
+            yield line
+
+    _emit(f"cosets {q} {m}", [] if args.format == "text" else list(rows()), [],
+          args.format, args.out, lines())
     return 0
 
 

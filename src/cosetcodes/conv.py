@@ -9,15 +9,24 @@ interesting parameters (n, n - rank H0, rank H1; 1) belong to the dual.
 Free distance is handled by bounds only: a lower bound combining the
 run-based bounds of the split pieces, and an independent bounded search
 for low-degree dual codewords that upper-bounds the free distance.
+
+PolyMatrix holds its coefficient matrices as one (memory + 1, kappa, n)
+label array.  Row degrees, memory and degree come from one nonzero test on
+it and the leading matrix is one index into it; G(s) is Horner's rule on
+gf's elementwise kernel, so the basicness check evaluates all q points in
+one pass.  The sliding check stack places whole coefficient blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from . import cyclic, gf, oracle
 from .cyclic import CyclicCode
-from .gf import FieldContext
+from .gf import FieldContext, _add, _mul
 
 
 @dataclass(frozen=True)
@@ -27,6 +36,12 @@ class PolyMatrix:
 
     field: FieldContext
     coeffs: tuple[tuple[tuple[int, ...], ...], ...]
+
+    @cached_property
+    def _blocks(self) -> np.ndarray:
+        """The coefficient matrices as one (blocks, kappa, n) label array."""
+        return np.array(self.coeffs, dtype=np.int64).reshape(
+            len(self.coeffs), self.kappa, self.n)
 
     @property
     def kappa(self) -> int:
@@ -38,44 +53,37 @@ class PolyMatrix:
 
     @property
     def memory(self) -> int:
-        mu = 0
-        for d, mat in enumerate(self.coeffs):
-            if any(any(row) for row in mat):
-                mu = d
-        return mu
+        return max(self.row_degrees, default=0)
 
     @property
     def row_degrees(self) -> tuple[int, ...]:
-        out = []
-        for i in range(self.kappa):
-            deg = 0
-            for d, mat in enumerate(self.coeffs):
-                if any(mat[i]):
-                    deg = d
-            out.append(deg)
-        return tuple(out)
+        nonzero = self._blocks.any(axis=2)  # (blocks, kappa)
+        last = len(nonzero) - 1 - nonzero[::-1].argmax(axis=0)
+        return tuple(np.where(nonzero.any(axis=0), last, 0).tolist())
 
     @property
     def degree(self) -> int:
         """Overall constraint length: the sum of the row degrees."""
         return sum(self.row_degrees)
 
+    def _evaluate_at(self, points) -> np.ndarray:
+        """G(s) for every s in points, as a (points, kappa, n) array, by
+        Horner's rule from the highest block down."""
+        ctx = self.field
+        s = np.asarray(points, dtype=np.int64)[:, None, None]
+        out = np.zeros_like(s)
+        for mat in self._blocks[::-1]:
+            out = _add(ctx, _mul(ctx, out, s), mat)
+        return out
+
     def evaluate(self, s: int) -> list[list[int]]:
         """The scalar matrix G(s) over the ground field."""
-        ctx = self.field
-        out = [list(row) for row in self.coeffs[0]]
-        power = 1
-        for mat in self.coeffs[1:]:
-            power = ctx.mul(power, s) if power else 0
-            sp = power
-            for i, row in enumerate(mat):
-                out[i] = [ctx.add(a, ctx.mul(b, sp)) for a, b in zip(out[i], row)]
-        return out
+        return self._evaluate_at([s])[0].tolist()
 
     def leading_matrix(self) -> list[list[int]]:
         """Row i of the coefficient matrix of its own highest degree."""
-        degs = self.row_degrees
-        return [list(self.coeffs[degs[i]][i]) for i in range(self.kappa)]
+        degs = np.array(self.row_degrees, dtype=np.int64)
+        return self._blocks[degs, np.arange(self.kappa)].tolist()
 
 
 @dataclass(frozen=True)
@@ -186,16 +194,10 @@ def build_conv(
 # the five construction families (q >= 4 a prime power, n = q^2 - 1)
 # ----------------------------------------------------------------------
 
-def _require_q(q: int):
-    gf.factor_prime_power(q)
-    if q < 4:
-        raise ValueError(f"need q >= 4, got {q}")
-
-
 def family_split(q: int) -> ConvCode:
     """(n, n-2q+1, 2q-3; 1, dfree >= 2q+1): head = cosets of 0..q-1,
     tail = cosets of q+1..2q-1."""
-    _require_q(q)
+    gf.require_prime_power(q, 4)
     head = cyclic.code_from_cosets(q, 2, range(q))
     tail = cyclic.code_from_cosets(q, 2, range(q + 1, 2 * q))
     return build_conv(head, tail, claimed_dfree=2 * q + 1, family="conv-split")
@@ -204,7 +206,7 @@ def family_split(q: int) -> ConvCode:
 def family_split_wide_head(q: int) -> ConvCode:
     """(n, n-2q, 2q-4; 1, dfree >= 2q+1): the singleton coset of q+1 moves
     into the head."""
-    _require_q(q)
+    gf.require_prime_power(q, 4)
     head = cyclic.code_from_cosets(q, 2, list(range(q)) + [q + 1])
     tail = cyclic.code_from_cosets(q, 2, range(q + 2, 2 * q))
     return build_conv(head, tail, claimed_dfree=2 * q + 1, family="conv-wide-head")
@@ -213,7 +215,7 @@ def family_split_wide_head(q: int) -> ConvCode:
 def family_split_wider_head(q: int, i: int) -> ConvCode:
     """(n, n-2(q+i), 2(q-2-i); 1, dfree >= 2q+1) for 1 <= i <= q-3: the
     first 1+i tail cosets move into the head."""
-    _require_q(q)
+    gf.require_prime_power(q, 4)
     if not 1 <= i <= q - 3:
         raise ValueError(f"need 1 <= i <= q-3, got i={i}")
     head = cyclic.code_from_cosets(q, 2, list(range(q)) + list(range(q + 1, q + 2 + i)))
@@ -225,7 +227,7 @@ def family_split_wider_head(q: int, i: int) -> ConvCode:
 def family_split_short_parent(q: int, i: int) -> ConvCode:
     """(n, n-2q+1, 2i+1; 1, dfree >= q+i+3) for 1 <= i <= q-3: the parent
     keeps only the first 1+i cosets after the gap, all of them as tail."""
-    _require_q(q)
+    gf.require_prime_power(q, 4)
     if not 1 <= i <= q - 3:
         raise ValueError(f"need 1 <= i <= q-3, got i={i}")
     head = cyclic.code_from_cosets(q, 2, range(q))
@@ -237,7 +239,7 @@ def family_split_short_parent(q: int, i: int) -> ConvCode:
 def family_split_singleton_tail(q: int) -> ConvCode:
     """(n, n-2q+1, 1; 1, dfree >= q+2): the tail is just the singleton coset
     of q+1."""
-    _require_q(q)
+    gf.require_prime_power(q, 4)
     head = cyclic.code_from_cosets(q, 2, range(q))
     tail = cyclic.code_from_cosets(q, 2, [q + 1])
     return build_conv(head, tail, claimed_dfree=q + 2, family="conv-singleton-tail")
@@ -281,49 +283,38 @@ class BasicnessReport:
 
 
 def check_reduced_basic(G: PolyMatrix) -> BasicnessReport:
-    """Verify the rank hypothesis (full-rank constant block, no coefficient
-    block exceeding it) and the evaluation-rank basicness criterion."""
+    """Verify the rank hypothesis (a full-rank constant block; no other
+    block can exceed it, as every block has kappa rows) and the
+    evaluation-rank basicness criterion."""
     ctx = G.field
     kappa = G.kappa
-    rank_h0 = gf.rank(ctx, [list(r) for r in G.coeffs[0]])
-    cond = rank_h0 == kappa and all(
-        gf.rank(ctx, [list(r) for r in mat]) <= kappa for mat in G.coeffs[1:]
-    )
-    failed = []
-    for s in range(ctx.q):
-        if gf.rank(ctx, G.evaluate(s)) != kappa:
-            failed.append(s)
+    rank_h0 = gf.rank(ctx, G._blocks[0])
+    values = G._evaluate_at(range(ctx.q))
+    failed = [s for s in range(ctx.q) if gf.rank(ctx, values[s]) != kappa]
     lead_rank = gf.rank(ctx, G.leading_matrix())
     return BasicnessReport(
         kappa=kappa,
         rank_h0=rank_h0,
-        rank_condition_ok=cond,
+        rank_condition_ok=rank_h0 == kappa,
         failed_evaluations=tuple(failed),
         leading_rank=lead_rank,
         leading_ok=lead_rank == kappa,
     )
 
 
-def _sliding_check_stack(G: PolyMatrix, max_degree: int) -> list[list[int]]:
+def _sliding_check_stack(G: PolyMatrix, max_degree: int) -> np.ndarray:
     """Constraint matrix whose kernel is the set of dual codewords of degree
     at most max_degree, laid out as concatenated time blocks."""
-    n, kappa = G.n, G.kappa
-    blocks = len(G.coeffs)  # memory + 1
-    width = n * (max_degree + 1)
-    rows = []
-    # shift j runs over all alignments of the generator against the support
-    for j in range(-(blocks - 1), max_degree + 1):
-        for r in range(kappa):
-            row = [0] * width
-            nonzero = False
-            for d, mat in enumerate(G.coeffs):
-                t = j + d
-                if 0 <= t <= max_degree and any(mat[r]):
-                    row[t * n:(t + 1) * n] = mat[r]
-                    nonzero = True
-            if nonzero:
-                rows.append(row)
-    return rows
+    blocks = G._blocks
+    # band i holds the generator shifted by j = i - (blocks - 1), one band
+    # per alignment against the support: its block d sits at time j + d
+    shifts = max_degree + len(blocks)
+    times = np.arange(max_degree + 1)
+    stack = np.zeros((shifts, G.kappa, max_degree + 1, G.n), dtype=np.int64)
+    for d, mat in enumerate(blocks):
+        stack[len(blocks) - 1 - d + times, :, times] = mat
+    rows = stack.reshape(shifts * G.kappa, (max_degree + 1) * G.n)
+    return rows[rows.any(axis=1)]
 
 
 def free_distance_upper(

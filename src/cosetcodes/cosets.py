@@ -32,11 +32,6 @@ class Coset:
     def cardinality(self) -> int:
         return len(self.elements)
 
-    @property
-    def last(self) -> int:
-        """rep * q^(cardinality-1) mod n, the orbit's final element."""
-        return self.elements[-1]
-
     def __contains__(self, x) -> bool:
         return x % self.n in self.elements if self.n > 0 else x == 0
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import cyclic
 from .cyclic import CyclicCode
-from .gf import factor_prime_power
+from .gf import require_prime_power
 
 
 @dataclass(frozen=True)
@@ -72,12 +72,6 @@ def css_from_pair(
     )
 
 
-def _require_prime_power(q: int, minimum: int):
-    factor_prime_power(q)
-    if q < minimum:
-        raise ValueError(f"need q >= {minimum}, got {q}")
-
-
 def _pair_excluding(q: int, m: int, c: int, excluded_exponents) -> tuple[CyclicCode, CyclicCode]:
     """outer from the cosets of 0..c-2; inner from every coset except those
     of the given exponents."""
@@ -95,7 +89,7 @@ def _pair_excluding(q: int, m: int, c: int, excluded_exponents) -> tuple[CyclicC
 def family_block_full(q: int) -> CssParams:
     """[[q^2-1, q^2-4q+5, d >= q]]: length q^2-1, the widest mirrored-block
     defining sets."""
-    _require_prime_power(q, 3)
+    require_prime_power(q, 3)
     outer, inner = _pair_excluding(q, 2, q, range(q + 1, 2 * q))
     return css_from_pair(outer, inner, designed_distance=q, family="css-block-full")
 
@@ -103,7 +97,7 @@ def family_block_full(q: int) -> CssParams:
 def family_block(q: int, c: int) -> CssParams:
     """[[q^2-1, q^2-4c+5, d >= c]] for 2 <= c <= q; c = q reproduces
     family_block_full and warns."""
-    _require_prime_power(q, 3)
+    require_prime_power(q, 3)
     if not 2 <= c <= q:
         raise ValueError(f"need 2 <= c <= q, got c={c}")
     if c == q:
@@ -118,7 +112,7 @@ def family_block(q: int, c: int) -> CssParams:
 def family_block_even(q: int, m: int, c: int) -> CssParams:
     """[[n, n - 2m(c-2) - m/2 - 1, d >= c]] for even m: the excluded block
     starts right after q^(m/2), where one coset has only m/2 elements."""
-    _require_prime_power(q, 3)
+    require_prime_power(q, 3)
     if m < 2 or m % 2 != 0:
         raise ValueError(f"need even m >= 2, got m={m}")
     if not 2 <= c <= q:
@@ -132,7 +126,7 @@ def family_ladder(q: int, m: int, c: int) -> CssParams:
     """[[n, n - m(2c-3) - 1, d >= c]]: the inner code excludes the ladder
     cosets of q+1, 2q+1, ..., (c-1)q+1, whose final orbit elements are
     consecutive."""
-    _require_prime_power(q, 3)
+    require_prime_power(q, 3)
     if not 2 <= c <= q:
         raise ValueError(f"need 2 <= c <= q, got c={c}")
     from .cosets import ladder_cosets

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import gf
 from .cosets import Coset, complementary, coset_of
 from .gf import FieldContext, Poly, make_field
@@ -142,13 +144,13 @@ def parity_check_matrix(code: CyclicCode, rows) -> list[list[int]]:
     (1, alpha^i, alpha^(2i), ...) for each exponent i in `rows`, expanded
     over the polynomial basis, with linearly dependent rows removed (first
     maximal independent subset, in row order)."""
-    n, ext = code.n, code.ext
-    ext_rows = []
-    for i in rows:
-        if not 0 <= i < n:
-            raise ValueError(f"exponent {i} out of range [0, {n})")
-        ext_rows.append([ext.exp[(i * j) % n] for j in range(n)])
-    raw = gf.expand_matrix(ext, code.base, ext_rows)
+    n = code.n
+    rows = np.asarray(list(rows), dtype=np.int64)
+    bad = rows[(rows < 0) | (rows >= n)]
+    if bad.size:
+        raise ValueError(f"exponent {bad[0]} out of range [0, {n})")
+    raw = gf.expand_matrix(code.ext, code.base,
+                           code.ext._np_exp[np.outer(rows, np.arange(n)) % n])
     keep = gf.independent_rows(code.base, raw)
     return [raw[i] for i in keep]
 
@@ -156,11 +158,8 @@ def parity_check_matrix(code: CyclicCode, rows) -> list[list[int]]:
 def codeword_basis(code: CyclicCode) -> list[list[int]]:
     """The k cyclic shifts x^j g(x), j = 0..k-1, as length-n vectors: a
     GF(q)-basis of the code."""
-    gcoeffs = list(code.generator.coeffs)
-    rows = []
-    for j in range(code.k):
-        row = [0] * code.n
-        for t, c in enumerate(gcoeffs):
-            row[j + t] = c
-        rows.append(row)
-    return rows
+    g = code.generator.coeffs
+    rows = np.zeros((code.k, code.n), dtype=np.int64)
+    shifts = np.arange(code.k)[:, None]
+    rows[shifts, shifts + np.arange(len(g))] = g
+    return rows.tolist()

@@ -23,7 +23,8 @@ broadcasting label arrays (table lookups for q <= 512; above that XOR for
 p = 2 or digit-wise addition, and log/exp multiplication), on top of one
 digit codec, _digits and _labels.  The linear algebra has one elimination,
 rref, which clears a whole pivot column per step; rank, independent_rows,
-nullspace and the coordinate change of expand_matrix all read its result.
+nullspace and expand_matrix's coordinate change (built once per field pair,
+in the cached SubfieldEmbedding) all read its result.
 Generator polynomials come from one root product, poly_with_roots: the
 product of (x - alpha^j) over a whole defining set, taken in the extension
 with the same kernel and lowered to the base field through the subfield
@@ -75,6 +76,13 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     if r != 1:
         raise ValueError(f"{q} is not a prime power")
     return p, e
+
+
+def require_prime_power(q: int, minimum: int):
+    """Raise ValueError unless q is a prime power and at least minimum."""
+    factor_prime_power(q)
+    if q < minimum:
+        raise ValueError(f"need q >= {minimum}, got {q}")
 
 
 # ----------------------------------------------------------------------
@@ -383,7 +391,8 @@ class SubfieldEmbedding:
 
     The image of the base field's primitive element is the root of the base
     defining polynomial with the smallest discrete log in the extension;
-    that pins one specific field homomorphism, deterministically.
+    that pins one specific field homomorphism, deterministically.  It also
+    holds expand_matrix's coordinate change, built once per field pair.
     """
 
     def __init__(self, ext: FieldContext, base: FieldContext):
@@ -409,6 +418,16 @@ class SubfieldEmbedding:
         self.gamma = ext.exp[gamma_log]
         self._up = up
         self._down = {v: i for i, v in enumerate(up)}
+        # expand_matrix's coordinate change over GF(p): column (j, t) of B
+        # holds the digits of lift(x^t) * alpha^j; its inverse is the right
+        # half of rref([B | I])
+        p, em = ext.p, ext.e
+        B = _digits(ext, [ext.mul(up[p**t], ext.exp[j])
+                          for j in range(self.m) for t in range(base.e)]).T
+        R, pivots = rref(make_field(p, 1), np.hstack([B, np.eye(em, dtype=np.int64)]))
+        if pivots != list(range(em)):
+            raise AssertionError("polynomial basis is dependent over the base field")
+        self._to_basis = R[:, em:].T
 
     def lift(self, x: int) -> int:
         return self._up[x]
@@ -455,27 +474,19 @@ def expand_matrix(ctx_ext: FieldContext, base: FieldContext, rows):
     Each extension-field row becomes m rows of base-field coordinates with
     respect to the polynomial basis 1, alpha, ..., alpha^(m-1).  A
     base-field vector is orthogonal to an extension row iff it is
-    orthogonal to all m expanded rows.
+    orthogonal to all m expanded rows.  The coordinate change comes from
+    the cached subfield embedding.
     """
     emb = subfield_embedding(ctx_ext, base)
-    m, eb, em = emb.m, base.e, ctx_ext.e
-    p = ctx_ext.p
     A = np.asarray(rows, dtype=np.int64)
     if A.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     if A.size and (A.min() < 0 or A.max() >= ctx_ext.q):
         raise ValueError("matrix entries out of field range")
-    # coordinate-change matrix over GF(p): column (j, t) holds the digits of
-    # lift(x^t) * alpha^j; its inverse is the right half of rref([B | I])
-    B = _digits(ctx_ext, [ctx_ext.mul(emb.lift(p**t), ctx_ext.exp[j])
-                          for j in range(m) for t in range(eb)]).T
-    R, pivots = rref(make_field(p, 1), np.hstack([B, np.eye(em, dtype=np.int64)]))
-    if pivots != list(range(em)):
-        raise AssertionError("polynomial basis is dependent over the base field")
     r, n = A.shape
-    coords = (_digits(ctx_ext, A).reshape(-1, em) @ R[:, em:].T) % p
-    labels = _labels(base, coords.reshape(r, n, m, eb))      # (r, n, m)
-    return labels.transpose(0, 2, 1).reshape(r * m, n).tolist()
+    coords = (_digits(ctx_ext, A).reshape(-1, ctx_ext.e) @ emb._to_basis) % ctx_ext.p
+    labels = _labels(base, coords.reshape(r, n, emb.m, base.e))  # (r, n, m)
+    return labels.transpose(0, 2, 1).reshape(r * emb.m, n).tolist()
 
 
 # ----------------------------------------------------------------------
@@ -561,28 +572,24 @@ def rank(ctx: FieldContext, rows) -> int:
 
 def nullspace(ctx: FieldContext, rows) -> list[list[int]]:
     """Basis of { v : M v^T = 0 } over GF(q)."""
-    A = _np_rows(ctx, rows)
-    ncols = A.shape[1]
-    R, pivots = rref(ctx, A)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = ctx.neg(int(R[i, f]))
-        basis.append(v)
-    return basis
+    R, pivots = rref(ctx, rows)
+    ncols = R.shape[1]
+    free = np.setdiff1d(np.arange(ncols), pivots)
+    basis = np.zeros((len(free), ncols), dtype=np.int32)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = _mul(ctx, R[:len(pivots), free].T, ctx.p - 1)
+    return basis.tolist()
 
 
-def mat_vec(ctx: FieldContext, rows, v) -> list[int]:
-    """M v^T over GF(q)."""
-    prods = _mul(ctx, _np_rows(ctx, rows), np.asarray(v, dtype=np.int32)[None, :])
+def mat_vec(ctx: FieldContext, rows, v) -> list:
+    """M v^T over GF(q); for a 2-D v, one result list per row of v."""
+    V = np.asarray(v, dtype=np.int32)
+    prods = _mul(ctx, _np_rows(ctx, rows), np.atleast_2d(V)[:, None, :])
     if ctx.p == 2:
-        sums = np.bitwise_xor.reduce(prods, axis=1)
+        sums = np.bitwise_xor.reduce(prods, axis=2)
     else:
-        sums = _labels(ctx, _digits(ctx, prods).sum(axis=1) % ctx.p)
-    return [int(x) for x in sums]
+        sums = _labels(ctx, _digits(ctx, prods).sum(axis=2) % ctx.p)
+    return sums.tolist() if V.ndim == 2 else sums[0].tolist()
 
 
 def dot(ctx: FieldContext, u, v) -> int:

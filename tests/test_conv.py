@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cosetcodes import cyclic, oracle
+from cosetcodes import conv, cyclic, gf, oracle
 from cosetcodes.conv import (
     PolyMatrix,
     build_conv,
@@ -13,7 +16,7 @@ from cosetcodes.conv import (
     free_distance_upper,
     split_parity,
 )
-from cosetcodes.gf import make_field
+from cosetcodes.gf import field_for, make_field
 
 
 # ---------------------------------------------------------------
@@ -206,3 +209,107 @@ def test_build_conv_rejects_mismatched_fields():
     with pytest.raises(ValueError):
         build_conv(cyclic.code_from_cosets(4, 2, [0]),
                    cyclic.code_from_cosets(5, 2, [1]))
+
+
+# ---------------------------------------------------------------
+# array paths against scalar references
+# ---------------------------------------------------------------
+
+def _ref_row_degrees(G):
+    out = []
+    for i in range(G.kappa):
+        deg = 0
+        for d, mat in enumerate(G.coeffs):
+            if any(mat[i]):
+                deg = d
+        out.append(deg)
+    return tuple(out)
+
+
+def _ref_memory(G):
+    mu = 0
+    for d, mat in enumerate(G.coeffs):
+        if any(any(row) for row in mat):
+            mu = d
+    return mu
+
+
+def _ref_evaluate(G, s):
+    """sum_d G_d s^d, one scalar add and multiply per entry."""
+    ctx = G.field
+    out = [list(row) for row in G.coeffs[0]]
+    power = 1
+    for mat in G.coeffs[1:]:
+        power = ctx.mul(power, s) if power else 0
+        for i, row in enumerate(mat):
+            out[i] = [ctx.add(a, ctx.mul(b, power)) for a, b in zip(out[i], row)]
+    return out
+
+
+def _ref_leading_matrix(G):
+    degs = _ref_row_degrees(G)
+    return [list(G.coeffs[degs[i]][i]) for i in range(G.kappa)]
+
+
+def _ref_sliding_check_stack(G, max_degree):
+    """One row per (shift, generator row), entry by entry."""
+    n, kappa = G.n, G.kappa
+    blocks = len(G.coeffs)
+    width = n * (max_degree + 1)
+    rows = []
+    for j in range(-(blocks - 1), max_degree + 1):
+        for r in range(kappa):
+            row = [0] * width
+            nonzero = False
+            for d, mat in enumerate(G.coeffs):
+                t = j + d
+                if 0 <= t <= max_degree and any(mat[r]):
+                    row[t * n:(t + 1) * n] = mat[r]
+                    nonzero = True
+            if nonzero:
+                rows.append(row)
+    return rows
+
+
+@st.composite
+def poly_matrices(draw):
+    """Memory 0-2, kappa 1-5, n 1-8 over GF(2), ..., GF(9), with zero rows."""
+    ctx = field_for(draw(st.sampled_from([2, 3, 4, 5, 8, 9])))
+    blocks, kappa, n = (draw(st.integers(1, 3)), draw(st.integers(1, 5)),
+                        draw(st.integers(1, 8)))
+    row = st.one_of(st.just((0,) * n),
+                    st.tuples(*[st.integers(0, ctx.q - 1)] * n))
+    coeffs = tuple(tuple(draw(row) for _ in range(kappa)) for _ in range(blocks))
+    return PolyMatrix(field=ctx, coeffs=coeffs)
+
+
+def _same_row_space(ctx, A, B, width):
+    A = np.asarray(A, dtype=np.int64).reshape(-1, width)
+    B = np.asarray(B, dtype=np.int64).reshape(-1, width)
+    return gf.rank(ctx, A) == gf.rank(ctx, B) == gf.rank(ctx, np.vstack([A, B]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly_matrices(), st.integers(0, 3))
+def test_array_paths_match_scalar_references(G, max_degree):
+    ctx = G.field
+    assert G.row_degrees == _ref_row_degrees(G)
+    assert G.memory == _ref_memory(G)
+    assert G.degree == sum(_ref_row_degrees(G))
+    assert G.leading_matrix() == _ref_leading_matrix(G)
+    values = [_ref_evaluate(G, s) for s in range(ctx.q)]
+    assert [G.evaluate(s) for s in range(ctx.q)] == values
+    rep = check_reduced_basic(G)
+    assert rep.failed_evaluations == tuple(
+        s for s in range(ctx.q) if gf.rank(ctx, values[s]) != G.kappa)
+    assert rep.leading_rank == gf.rank(ctx, _ref_leading_matrix(G))
+    stack = conv._sliding_check_stack(G, max_degree)
+    assert _same_row_space(ctx, stack, _ref_sliding_check_stack(G, max_degree),
+                           G.n * (max_degree + 1))
+
+
+@pytest.mark.parametrize("max_degree", [0, 2])
+def test_sliding_stack_kernel_matches_reference_q4(max_degree):
+    G = family_split(4).generator
+    assert gf.nullspace(G.field, conv._sliding_check_stack(G, max_degree)) == \
+        gf.nullspace(G.field, _ref_sliding_check_stack(G, max_degree))

@@ -559,6 +559,15 @@ def test_linear_algebra_matches_scalar_gauss_jordan(case):
     assert gf.mat_vec(ctx, rows, v) == ref_mv
 
 
+@settings(max_examples=100, deadline=None)
+@given(field_matrices(), st.data())
+def test_mat_vec_on_a_matrix_equals_per_row_calls(case, data):
+    ctx, rows, v = case
+    vector = st.lists(st.integers(0, ctx.q - 1), min_size=len(v), max_size=len(v))
+    vs = [v] + data.draw(st.lists(vector, max_size=4))
+    assert gf.mat_vec(ctx, rows, vs) == [gf.mat_vec(ctx, rows, u) for u in vs]
+
+
 @pytest.mark.parametrize("q", [q for q in range(2, 65) if len(gf.prime_factors(q)) == 1])
 def test_tables_match_scalar_arithmetic(q):
     f = gf.field_for(q)

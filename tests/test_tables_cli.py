@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from cosetcodes import cli
+from cosetcodes import cli, cosets
 from cosetcodes.tables import TableRow, build_table
 
 # published parameter rows, frozen as plain text
@@ -106,6 +106,27 @@ def test_cli_code(capsys):
     assert cli.main(["code", "5", "2", "0", "1", "2", "3"]) == 0
     out = capsys.readouterr().out
     assert "[24, 17, d >= 5]_5" in out
+
+
+@pytest.mark.parametrize("argv,fmt", [
+    (["cosets", "7", "2"], "text"),
+    (["cosets", "7", "2"], "json"),
+    (["cosets", "7", "2"], "csv"),
+    (["cosets", "2", "16"], "text"),  # 4116 lines: more than one write
+])
+def test_cli_out_file_bytes_match_stdout(argv, fmt, tmp_path, capsysbinary):
+    argv = argv + ["--properties", "--format", fmt]
+    assert cli.main(argv) == 0
+    stdout = capsysbinary.readouterr().out
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    written = out.read_bytes()
+    assert written.endswith(b"\n") and not written.endswith(b"\n\n")
+    # CSV on stdout keeps a newline after the writer's final \r\n
+    assert stdout == written + (b"\n" if fmt == "csv" else b"")
+    if fmt == "text":
+        q, m = int(argv[1]), int(argv[2])
+        assert stdout.count(b"\n") == len(cosets.all_cosets(q, m)) + 1
 
 
 def test_cli_table_json_roundtrip(tmp_path):
