@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import itertools
 import json
 import sys
@@ -22,37 +21,55 @@ from .oracle import OracleBudget, SweepReport
 # output plumbing
 # ----------------------------------------------------------------------
 
+class _Rows(list):
+    """A non-empty row list that json's encoder walks lazily: iterating it
+    draws the rows from an iterator, so the rows are never all held."""
+
+    def __init__(self, rows):
+        super().__init__()
+        self.rows = rows
+
+    def __iter__(self):
+        return self.rows
+
+    def __bool__(self):
+        return True
+
+
 def _emit(command: str, rows, discrepancies, fmt: str, out_path: str | None,
           text_lines) -> None:
-    r"""Write the output to out_path, or to stdout.  Text lines (any
-    iterable) go out 4096 per write, so the whole text is never one string.
-    Every output ends in one newline, except that CSV on stdout keeps a
-    newline after the writer's final \r\n."""
-    if fmt == "json":
-        payload = {
-            "tool_version": __version__,
-            "command": command,
-            "rows": rows,
-            "discrepancies": discrepancies,
-        }
-        text = json.dumps(payload, indent=2)
-    elif fmt == "csv":
-        buf = io.StringIO()
-        if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
-        text = buf.getvalue()
+    r"""Write the output to out_path, or to stdout.  Text lines and JSON and
+    CSV rows (any iterables) are streamed, so the output is never one
+    string; text goes out 4096 lines per write.  Every output ends in one
+    newline, except that CSV on stdout keeps a newline after the writer's
+    final \r\n."""
     with (open(out_path, "w", encoding="utf-8") if out_path
           else contextlib.nullcontext(sys.stdout)) as fh:
         if fmt == "text":
             lines = iter(text_lines)
             while chunk := list(itertools.islice(lines, 4096)):
                 fh.write("\n".join(chunk) + "\n")
-        else:
-            fh.write(text)
-            if not (out_path and text.endswith("\n")):
-                fh.write("\n")
+            return
+        rows = iter(rows)
+        first = next(rows, None)
+        if first is not None:
+            rows = itertools.chain([first], rows)
+        if fmt == "json":
+            payload = {
+                "tool_version": __version__,
+                "command": command,
+                "rows": [] if first is None else _Rows(rows),
+                "discrepancies": discrepancies,
+            }
+            parts = json.JSONEncoder(indent=2).iterencode(payload)
+            while chunk := list(itertools.islice(parts, 4096)):
+                fh.write("".join(chunk))
+        elif first is not None:
+            writer = csv.DictWriter(fh, fieldnames=list(first.keys()))
+            writer.writeheader()
+            writer.writerows(rows)
+        if not (out_path and fmt == "csv" and first is not None):
+            fh.write("\n")
 
 
 def _config_defaults(args) -> dict:
@@ -122,35 +139,45 @@ def _family_instance(args):
 def cmd_cosets(args, cfg) -> int:
     q, m = args.q, args.m
     with _usage_errors(args):
-        partition = cosets.all_cosets(q, m)
+        part = cosets.partition(q, m)
+    props = args.properties
+    if props:
+        gaps = part.gaps()
+        comps = part.reps[part.complements()]
+        if q % 2 == 1 and (mixed := part.mixed()).any():
+            raise AssertionError(f"mixed parity in {part.coset(int(mixed.argmax()))!r}")
 
-    # rows and lines are built one coset at a time: at 31^4 a list of
-    # either holds every coset, so only JSON and CSV build the row list
+    # rows and lines are built from slices of 4096 cosets: at 31^4 a list of
+    # either would hold every coset
+    def records():
+        for a in range(0, len(part.reps), 4096):
+            cut = slice(a, a + 4096)
+            yield from zip(part.reps[cut].tolist(), part.cards[cut].tolist(),
+                           part.elements[cut].tolist(),
+                           *([gaps[cut].tolist(), comps[cut].tolist()] if props
+                             else [itertools.repeat(None)] * 2))
+
     def rows():
-        for c in partition:
-            row = {"rep": c.rep, "cardinality": c.cardinality,
-                   "elements": list(c.elements)}
-            if args.properties:
-                row["gap"] = cosets.gap_stat(c).value
-                row["complement"] = cosets.complementary(c).rep
+        for rep, k, els, gap, comp in records():
+            row = {"rep": rep, "cardinality": k, "elements": els[:k]}
+            if props:
+                row["gap"] = gap or None
+                row["complement"] = comp
                 if q % 2 == 1:
-                    row["parity"] = cosets.parity_class(c)
+                    row["parity"] = "odd" if rep % 2 else "even"
             yield row
 
     def lines():
-        yield f"q={q}, m={m}, n={q**m - 1}: {len(partition)} cosets"
-        for row in rows():
-            line = f"C_{row['rep']} = {{{', '.join(map(str, row['elements']))}}}"
-            if args.properties:
-                gap = row["gap"]
-                line += f"  gap={gap if gap is not None else '-'}"
-                line += f"  complement=C_{row['complement']}"
-                if "parity" in row:
-                    line += f"  parity={row['parity']}"
+        yield f"q={q}, m={m}, n={part.n}: {len(part.reps)} cosets"
+        for rep, k, els, gap, comp in records():
+            line = f"C_{rep} = {{{', '.join(map(str, els[:k]))}}}"
+            if props:
+                line += f"  gap={gap or '-'}  complement=C_{comp}"
+                if q % 2 == 1:
+                    line += f"  parity={'odd' if rep % 2 else 'even'}"
             yield line
 
-    _emit(f"cosets {q} {m}", [] if args.format == "text" else list(rows()), [],
-          args.format, args.out, lines())
+    _emit(f"cosets {q} {m}", rows(), [], args.format, args.out, lines())
     return 0
 
 

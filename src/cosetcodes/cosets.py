@@ -2,15 +2,18 @@
 
 Everything here is plain modular arithmetic; no field tables are involved.
 All values are immutable and all functions are pure.  For n up to
-MAX_MODULUS the partition into cosets is built once per (q, n) and every
-coset question is a lookup into it; larger moduli walk the orbit instead.
+MAX_MODULUS the partition into cosets is built once per (q, n), as numpy
+arrays, and every coset question is a lookup into it; larger moduli walk
+the orbit instead.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+
+import numpy as np
 
 MAX_MODULUS = 10**6
 
@@ -67,31 +70,116 @@ def _coset_by_walk(q: int, n: int, a: int) -> Coset:
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """All cosets modulo n, sorted by representative, and owner[x], the
-    coset containing residue x.  The complement of a coset c is the single
-    lookup owner[(n - c.rep) % n]."""
+    """All cosets modulo n = q^m - 1 as arrays, sorted by representative.
 
-    cosets: tuple[Coset, ...]
-    owner: list[Coset]
+    owner[x] is the index of the coset containing residue x, and row i of
+    `elements` is reps[i] * q^j mod n for j < m, so the orbit of coset i is
+    its first cards[i] entries.  Coset objects are built on demand and
+    shared.  The complement of coset i is the single lookup
+    owner[(n - reps[i]) % n].
+    """
+
+    q: int
+    n: int
+    owner: np.ndarray  # int32
+    reps: np.ndarray
+    cards: np.ndarray
+    elements: np.ndarray
+    _built: dict = field(default_factory=dict, init=False, repr=False)
+
+    def coset(self, i: int) -> Coset:
+        """Coset i, built on its first use."""
+        c = self._built.get(i)
+        if c is None:
+            els = tuple(self.elements[i, : self.cards[i]].tolist())
+            c = self._built[i] = Coset(n=self.n, q=self.q, rep=els[0], elements=els)
+        return c
+
+    def at(self, x: int) -> Coset:
+        """The coset containing residue x, 0 <= x < n."""
+        return self.coset(int(self.owner[x]))
+
+    def classes(self):
+        """(indices, orbits) per cardinality k: the cosets with k elements
+        and their orbits as the k-column rows of `elements`."""
+        for k in np.unique(self.cards).tolist():
+            idx = np.flatnonzero(self.cards == k)
+            yield idx, self.elements[idx, :k]
+
+    def gaps(self) -> np.ndarray:
+        """gap_stat per coset: the least difference between adjacent sorted
+        elements, 0 for singletons."""
+        out = np.zeros(len(self.reps), np.int64)
+        for idx, orbits in self.classes():
+            if orbits.shape[1] > 1:
+                out[idx] = np.diff(np.sort(orbits, axis=1), axis=1).min(axis=1)
+        return out
+
+    def mixed(self) -> np.ndarray:
+        """True for each coset with both even and odd elements."""
+        out = np.zeros(len(self.reps), bool)
+        for idx, orbits in self.classes():
+            out[idx] = (orbits % 2 != orbits[:, :1] % 2).any(axis=1)
+        return out
+
+    def complements(self) -> np.ndarray:
+        """complementary per coset, as coset indices."""
+        return self.owner[(self.n - self.reps) % self.n]
+
+    def oplus(self, other: np.ndarray) -> np.ndarray:
+        """coset_oplus(coset i, coset other[i]) per coset, as coset indices:
+        the coset of reps[i] + w for the witness w of coset other[i] with
+        reps[i] + w = 0 mod n; -1 where coset other[i] holds no witness."""
+        out = np.full(len(self.reps), -1)
+        sizes = self.cards[other]
+        for k in np.unique(sizes).tolist():
+            idx = np.flatnonzero(sizes == k)
+            sums = (self.reps[idx, None] + self.elements[other[idx], :k]) % self.n
+            out[idx[(sums == 0).any(axis=1)]] = self.owner[0]
+        return out
 
 
 @lru_cache(maxsize=None)
 def _partition(q: int, n: int) -> Partition:
-    owner: list = [None] * n
-    out = []
-    for s in range(n):
-        if owner[s] is None:  # s is the least element of a new orbit
-            c = Coset(n=n, q=q, rep=s, elements=tuple(_orbit(q, n, s)))
-            for x in c.elements:
-                owner[x] = c
-            out.append(c)
-    return Partition(tuple(out), owner)
+    m = 1  # n = q^m - 1
+    while q**m <= n:
+        m += 1
+    # The least element of each orbit is the running minimum of its m images
+    # x * q^j mod n; no n x m array is built.  The products q * x reach about
+    # 10^12, so they are int64.
+    x = np.arange(n, dtype=np.int64)
+    least, image = x.copy(), x
+    for _ in range(m - 1):
+        image = image * q % n
+        np.minimum(least, image, out=least)
+    reps = np.flatnonzero(least == x)
+    index = np.empty(n, np.int32)
+    index[reps] = np.arange(len(reps), dtype=np.int32)
+    owner = index[least]
+    elements = np.empty((len(reps), m), np.int64)
+    elements[:, 0] = reps
+    for j in range(1, m):
+        elements[:, j] = elements[:, j - 1] * q % n
+    arrays = owner, reps, np.bincount(owner, minlength=len(reps)), elements
+    for a in arrays:  # shared by every caller through the cache
+        a.flags.writeable = False
+    return Partition(q, n, *arrays)
 
 
 def _lookup(q: int, n: int, a: int) -> Coset:
     if n > MAX_MODULUS:
         return _coset_by_walk(q, n, a)
-    return _partition(q, n).owner[a % n]
+    return _partition(q, n).at(a % n)
+
+
+def partition(q: int, m: int) -> Partition:
+    """The partition of {0, ..., n-1} into cosets modulo n = q^m - 1."""
+    if q < 2 or m < 1:
+        raise ValueError("need q >= 2 and m >= 1")
+    n = q**m - 1
+    if n > MAX_MODULUS:
+        raise ValueError(f"modulus {n} exceeds cap {MAX_MODULUS}")
+    return _partition(q, n)
 
 
 def coset_of(q: int, m: int, a: int) -> Coset:
@@ -105,12 +193,8 @@ def coset_of(q: int, m: int, a: int) -> Coset:
 
 def all_cosets(q: int, m: int) -> list[Coset]:
     """Partition of {0, ..., n-1} into cosets, sorted by representative."""
-    if q < 2 or m < 1:
-        raise ValueError("need q >= 2 and m >= 1")
-    n = q**m - 1
-    if n > MAX_MODULUS:
-        raise ValueError(f"modulus {n} exceeds cap {MAX_MODULUS}")
-    return list(_partition(q, n).cosets)
+    part = partition(q, m)
+    return list(map(part.coset, range(len(part.reps))))
 
 
 def parity_class(c: Coset) -> str:

@@ -256,39 +256,41 @@ class SweepReport:
 
 def _sweep_pair(report: SweepReport, q: int, m: int) -> None:
     n = q**m - 1
-    partition = cs.all_cosets(q, m)
-    report.add(q, m, "partition",
-               sum(c.cardinality for c in partition) == n
-               and len({x for c in partition for x in c.elements}) == n)
+    part = cs.partition(q, m)
+    reps, cards = part.reps, part.cards
+    seen = np.zeros(n, bool)
+    for _, orbits in part.classes():
+        seen[orbits] = True
+    report.add(q, m, "partition", int(cards.sum()) == n and bool(seen.all()))
 
     # parity structure (odd q only)
     if q % 2 == 1:
-        bad = [c for c in partition if len({x % 2 for x in c.elements}) != 1]
+        bad = np.flatnonzero(part.mixed())[:3].tolist()
         report.add(q, m, "parity-uniform", not bad,
-                   f"mixed-parity cosets: {bad[:3]}" if bad else "")
-        consec = [
-            c for c in partition
-            if any((x + 1) % n in c.elements for x in c.elements) and c.cardinality > 1
-        ]
-        report.add(q, m, "no-consecutive", not consec,
-                   f"cosets with consecutive elements: {consec[:3]}" if consec else "")
+                   f"mixed-parity cosets: {list(map(part.coset, bad))}" if bad else "")
+        consec = np.zeros(len(reps), bool)
+        for idx, orbits in part.classes():
+            if orbits.shape[1] > 1:
+                consec[idx] = (part.owner[(orbits + 1) % n] == idx[:, None]).any(axis=1)
+        bad = np.flatnonzero(consec)[:3].tolist()
+        report.add(q, m, "no-consecutive", not bad,
+                   f"cosets with consecutive elements: {list(map(part.coset, bad))}"
+                   if bad else "")
     else:
         report.add(q, m, "parity-uniform", None, "hypothesis: q odd")
         report.add(q, m, "no-consecutive", None, "hypothesis: q odd")
 
-    # gap statistic
+    # gap statistic; 0 stands for a singleton's absent gap
+    gaps = part.gaps()
     if q >= 3:
-        low = []
-        for c in partition:
-            g = cs.gap_stat(c)
-            if g.value is not None and g.value < q - 1:
-                low.append((c.rep, g.value))
+        low = np.flatnonzero((cards > 1) & (gaps < q - 1))[:5]
+        low = list(zip(reps[low].tolist(), gaps[low].tolist()))
         report.add(q, m, "gap-lower-bound", not low,
-                   f"L below q-1 at: {low[:5]}" if low else "")
+                   f"L below q-1 at: {low}" if low else "")
         if m >= 2:
-            g1 = cs.gap_stat(cs.coset_of(q, m, 1))
-            report.add(q, m, "gap-equality-at-one", g1.value == q - 1,
-                       f"L of the coset of 1 is {g1.value}, expected {q - 1}")
+            g1 = int(gaps[part.owner[1]]) or None
+            report.add(q, m, "gap-equality-at-one", g1 == q - 1,
+                       f"L of the coset of 1 is {g1}, expected {q - 1}")
         else:
             report.add(q, m, "gap-equality-at-one", None,
                        "coset of 1 is a singleton for m = 1")
@@ -296,25 +298,26 @@ def _sweep_pair(report: SweepReport, q: int, m: int) -> None:
         report.add(q, m, "gap-lower-bound", None, "hypothesis: q >= 3")
         report.add(q, m, "gap-equality-at-one", None, "hypothesis: q >= 3")
 
-    # complementary-coset properties; a failing check keeps the detail of its
-    # last failing coset
-    failed: dict[str, str] = {}
-    for c in partition:
-        comps = {cs.coset_of(q, m, (n - x) % n).rep for x in c.elements}
-        comp = cs.complementary(c)
-        if comps != {comp.rep}:
-            failed["complement-unique"] = f"coset {c.rep}: complements {sorted(comps)}"
-        if comp.cardinality != c.cardinality:
-            failed["complement-cardinality"] = f"coset {c.rep}"
-        if cs.coset_oplus(c, comp).elements != (0,):
-            failed["complement-oplus-zero"] = f"coset {c.rep}"
-        if cs.gap_stat(c).value != cs.gap_stat(comp).value:
-            failed["complement-gap-equal"] = f"coset {c.rep}"
-        if cs.complementary(comp).rep != c.rep:
-            failed["complement-involution"] = f"coset {c.rep}"
-    for check in ("complement-unique", "complement-cardinality", "complement-oplus-zero",
-                  "complement-gap-equal", "complement-involution"):
-        report.add(q, m, check, check not in failed, failed.get(check, ""))
+    # complementary-coset properties; a failing check names its last failing
+    # coset
+    comp = part.complements()
+    unique = np.zeros(len(reps), bool)
+    for idx, orbits in part.classes():
+        unique[idx] = (part.owner[(n - orbits) % n] == comp[idx, None]).all(axis=1)
+    failing = {
+        "complement-unique": ~unique,
+        "complement-cardinality": cards[comp] != cards,
+        "complement-oplus-zero": part.oplus(comp) != part.owner[0],
+        "complement-gap-equal": gaps[comp] != gaps,
+        "complement-involution": comp[comp] != np.arange(len(reps)),
+    }
+    for check, mask in failing.items():
+        last = np.flatnonzero(mask)[-1:].tolist()
+        detail = f"coset {part.coset(last[0]).rep}" if last else ""
+        if last and check == "complement-unique":
+            comps = {part.at((n - x) % n).rep for x in part.coset(last[0]).elements}
+            detail += f": complements {sorted(comps)}"
+        report.add(q, m, check, not last, detail)
 
     # disjointness range, plus the minimum-representative fact for even m
     T = cs.disjointness_range(q, m)

@@ -1,11 +1,14 @@
+import json
+from dataclasses import astuple
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cosetcodes import cosets, css, cyclic, gf, oracle
+from cosetcodes import cli, cosets, css, cyclic, gf, oracle
 from cosetcodes.gf import make_field
 from cosetcodes.oracle import (
     BudgetError,
@@ -298,6 +301,20 @@ def test_sweep_small_grid_all_pass():
             "ladder", "partition"} <= checks
 
 
+def test_sweep_records_match_the_recorded_sweep(capsys):
+    # recorded from the per-coset sweep that the array checks replaced
+    path = Path(__file__).parent / "data" / "coset_sweep_records.json"
+    expected = [tuple(r) for r in json.loads(path.read_text())]
+    grids = (([2, 3, 4, 5, 7, 8, 9], [1, 2, 3]), ([27], [2]))
+    assert [astuple(r) for qs, ms in grids
+            for r in coset_theorem_sweep(qs, ms).records] == expected
+    # the CLI's default grid: prime powers 3 <= q <= 9, 2 <= m <= 3
+    assert cli.main(["verify", "cosets", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(r["q"], r["m"], r["check"], r["status"], r["detail"]) for r in rows] == [
+        r for r in expected if 3 <= r[0] <= 9 and r[1] >= 2]
+
+
 def test_sweep_ladder_stops_at_q():
     report = coset_theorem_sweep([3, 4, 5], [5])
     assert report.passed
@@ -328,9 +345,48 @@ def test_sweep_report_status_rule():
     assert report.failures == [oracle.CheckRecord(3, 2, "check", "fail", "why")]
 
 
+def test_sweep_failure_details_name_the_cosets(monkeypatch):
+    # every coset is made mixed-parity, and every gap 1
+    monkeypatch.setattr(cosets.Partition, "mixed",
+                        lambda self: np.ones(len(self.reps), bool))
+    monkeypatch.setattr(cosets.Partition, "gaps",
+                        lambda self: np.ones(len(self.reps), np.int64))
+    report = coset_theorem_sweep([3], [2])
+    status = {r.check: (r.status, r.detail) for r in report.records}
+    first3 = cosets.all_cosets(3, 2)[:3]
+    assert status["parity-uniform"] == ("fail", f"mixed-parity cosets: {first3}")
+    assert status["gap-lower-bound"] == ("fail", "L below q-1 at: [(1, 1), (2, 1), (5, 1)]")
+    assert status["gap-equality-at-one"] == ("fail", "L of the coset of 1 is 1, expected 2")
+    assert status["complement-gap-equal"] == ("pass", "")
+
+    # every coset is made its own complement, though {1, 3} and {5, 7}
+    # complement each other
+    monkeypatch.setattr(cosets.Partition, "complements",
+                        lambda self: np.arange(len(self.reps)))
+    report = coset_theorem_sweep([3], [2])
+    status = {r.check: (r.status, r.detail) for r in report.records}
+    assert status["complement-unique"] == ("fail", "coset 5: complements [1]")
+    assert status["complement-oplus-zero"] == ("fail", "coset 5")
+    assert status["complement-involution"] == ("pass", "")
+
+
+def test_sweep_complement_unique_names_a_split_coset(monkeypatch):
+    # residue 7 is misfiled with the coset {1, 3}, so the negations 7 and 5
+    # of that coset fall in two cosets
+    real = cosets.partition(3, 2)
+    owner = real.owner.copy()
+    owner[7] = owner[1]
+    fake = cosets.Partition(3, 8, owner, real.reps, real.cards, real.elements)
+    monkeypatch.setattr(cosets, "_partition", lambda q, n: fake)
+    report = coset_theorem_sweep([3], [2])
+    status = {r.check: (r.status, r.detail) for r in report.records}
+    assert status["complement-unique"] == ("fail", "coset 1: complements [1, 5]")
+
+
 def test_sweep_complement_failure_names_the_last_failing_coset(monkeypatch):
-    # every coset's oplus with its complement is made nonzero
-    monkeypatch.setattr(cosets, "coset_oplus", lambda a, b: cosets.coset_of(3, 2, 1))
+    # every coset's oplus with its complement is made the coset of 1
+    monkeypatch.setattr(cosets.Partition, "oplus",
+                        lambda self, other: np.full(len(self.reps), self.owner[1]))
     report = coset_theorem_sweep([3], [2])
     status = {r.check: (r.status, r.detail) for r in report.records}
     last = cosets.all_cosets(3, 2)[-1].rep

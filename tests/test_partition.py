@@ -1,11 +1,21 @@
 """The memoised coset partition against the slow orbit walk it replaces,
 and the production dual-containing test against both criteria."""
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cosetcodes import cosets
-from cosetcodes.cosets import _coset_by_walk, _orbit, all_cosets, complementary, coset_of
+from cosetcodes.cosets import (
+    _coset_by_walk,
+    _orbit,
+    all_cosets,
+    complementary,
+    coset_of,
+    coset_oplus,
+    gap_stat,
+    parity_class,
+)
 from cosetcodes.cyclic import DefiningSet, contains_dual
 
 
@@ -43,6 +53,56 @@ def test_complementary_matches_orbit_walk(qm, a):
     n = q**m - 1
     c = coset_of(q, m, a)
     assert complementary(c) == _coset_by_walk(q, n, n - c.rep)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q_m())
+@example((2, 1)).via("n = 1")
+@example((7, 1)).via("m = 1")
+def test_partition_arrays_match_orbit_walk(qm):
+    q, m = qm
+    n = q**m - 1
+    part = cosets.partition(q, m)
+    walked = [_coset_by_walk(q, n, x) for x in range(n)]
+    reps = sorted({c.rep for c in walked})
+    assert part.reps.tolist() == reps
+    assert part.owner.dtype == np.int32
+    assert [reps[i] for i in part.owner.tolist()] == [c.rep for c in walked]
+    assert part.elements.shape == (len(reps), m)
+    for rep, k, row in zip(reps, part.cards.tolist(), part.elements.tolist()):
+        c = _coset_by_walk(q, n, rep)
+        assert k == c.cardinality
+        assert row == [rep * q**j % n for j in range(m)]
+        assert tuple(row[:k]) == c.elements
+
+
+@settings(max_examples=60, deadline=None)
+@given(q_m(), st.integers(0, 10**6))
+@example((2, 1), 0).via("n = 1")
+@example((5, 1), 1).via("m = 1")
+def test_partition_properties_match_scalar_functions(qm, shift):
+    q, m = qm
+    n = q**m - 1
+    part = cosets.partition(q, m)
+    walked = [_coset_by_walk(q, n, rep) for rep in part.reps.tolist()]
+    assert part.gaps().tolist() == [gap_stat(c).value or 0 for c in walked]
+    assert part.mixed().tolist() == [len({x % 2 for x in c.elements}) == 2 for c in walked]
+    if q % 2 == 1:
+        assert [("odd" if r % 2 else "even") for r in part.reps.tolist()] == list(
+            map(parity_class, walked))
+    comp = part.complements()
+    assert part.reps[comp].tolist() == [complementary(c).rep for c in walked]
+    # oplus with the complements, and with an arbitrary pairing that may
+    # hold no witness
+    for other in (comp, (comp + shift) % len(walked)):
+        expect = []
+        for c, o in zip(walked, other.tolist()):
+            try:
+                expect.append(coset_oplus(c, walked[o]).rep)
+            except ValueError:
+                expect.append(None)
+        got = part.oplus(other).tolist()
+        assert [None if i < 0 else int(part.reps[i]) for i in got] == expect
 
 
 def test_all_cosets_returns_a_fresh_list_of_shared_cosets():

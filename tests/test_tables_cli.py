@@ -1,10 +1,20 @@
+import csv
+import hashlib
+import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cosetcodes import cli, cosets
+from cosetcodes import __version__, cli, cosets
+from cosetcodes.cosets import _coset_by_walk, gap_stat, parity_class
 from cosetcodes.tables import TableRow, build_table
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # published parameter rows, frozen as plain text
 TABLE1_ROWS = [
@@ -127,6 +137,111 @@ def test_cli_out_file_bytes_match_stdout(argv, fmt, tmp_path, capsysbinary):
     if fmt == "text":
         q, m = int(argv[1]), int(argv[2])
         assert stdout.count(b"\n") == len(cosets.all_cosets(q, m)) + 1
+
+
+def _render_cosets(q, m, properties, fmt, to_file):
+    """The bytes `cosets q m` should print, from the orbit walk and the
+    scalar property functions."""
+    n = q**m - 1
+    rows = []
+    for c in sorted({_coset_by_walk(q, n, x) for x in range(n)}, key=lambda c: c.rep):
+        row = {"rep": c.rep, "cardinality": c.cardinality, "elements": list(c.elements)}
+        if properties:
+            row["gap"] = gap_stat(c).value
+            row["complement"] = _coset_by_walk(q, n, n - c.rep).rep
+            if q % 2 == 1:
+                row["parity"] = parity_class(c)
+        rows.append(row)
+    if fmt == "json":
+        return json.dumps({"tool_version": __version__, "command": f"cosets {q} {m}",
+                           "rows": rows, "discrepancies": []}, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+        return buf.getvalue() + ("" if to_file else "\n")
+    lines = [f"q={q}, m={m}, n={n}: {len(rows)} cosets"]
+    for row in rows:
+        line = f"C_{row['rep']} = {{{', '.join(map(str, row['elements']))}}}"
+        if properties:
+            gap = row["gap"]
+            line += f"  gap={gap if gap is not None else '-'}"
+            line += f"  complement=C_{row['complement']}"
+            if "parity" in row:
+                line += f"  parity={row['parity']}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("q,m,properties", [
+    (7, 2, True),    # odd q: a parity column
+    (4, 3, True),    # even q: no parity column
+    (5, 1, True),    # m = 1: singletons only
+    (2, 1, True),    # n = 1
+    (3, 3, False),
+])
+def test_cli_cosets_bytes_match_scalar_renderer(q, m, properties, fmt, tmp_path,
+                                                capsysbinary):
+    argv = ["cosets", str(q), str(m), "--format", fmt] + ["--properties"] * properties
+    assert cli.main(argv) == 0
+    assert capsysbinary.readouterr().out.decode() == _render_cosets(
+        q, m, properties, fmt, to_file=False)
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes().decode() == _render_cosets(q, m, properties, fmt, to_file=True)
+
+
+# Runs its arguments as a child process and prints the child's wall time and
+# peak RSS, so the peak is that child's alone.
+_MEASURE = """
+import resource, subprocess, sys, time
+t0 = time.perf_counter()
+subprocess.run(sys.argv[1:], check=True)
+print(time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def _run_fresh(argv):
+    """Wall seconds and peak RSS in MB of `cosetcodes argv` in a fresh
+    interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _MEASURE, sys.executable, "-m",
+                           "cosetcodes.cli", *argv],
+                          env=env, capture_output=True, text=True, check=True, timeout=120)
+    elapsed, peak_kb = done.stdout.split()
+    return float(elapsed), int(peak_kb) / 1024
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_cosets_at_the_cap(fmt, tmp_path):
+    out = tmp_path / "out"
+    elapsed, peak_mb = _run_fresh(["cosets", "31", "4", "--properties",
+                                   "--format", fmt, "--out", str(out)])
+    assert elapsed < 5.0, f"cosets 31 4 --format {fmt} took {elapsed:.2f}s"
+    if fmt == "text":
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "0e4e69a68734a23393c548c0158ed08be1456808ac9aebfafeb09ab94606b487")
+    else:
+        assert peak_mb < 150, f"cosets 31 4 --format json peaked at {peak_mb:.0f} MB"
+        with open(out, "rb") as fh:
+            assert fh.read(40).startswith(b'{\n  "tool_version"')
+            fh.seek(-30, os.SEEK_END)
+            assert fh.read().endswith(b'  ],\n  "discrepancies": []\n}\n')
+
+
+def test_cli_verify_cosets_up_to_27_4(tmp_path):
+    out = tmp_path / "out.json"
+    elapsed, _ = _run_fresh(["verify", "cosets", "--qmax", "27", "--mmax", "4",
+                             "--format", "json", "--out", str(out)])
+    assert elapsed < 2.0, f"verify cosets --qmax 27 --mmax 4 took {elapsed:.2f}s"
+    rows = json.loads(out.read_text())["rows"]
+    # recorded from the per-coset sweep that the array checks replaced
+    assert len(rows) == 588
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "95c8e5d5ca4d4107882234b91a4cfdcbb391316db378ccee0b1a61e85f779951")
 
 
 def test_cli_table_json_roundtrip(tmp_path):
