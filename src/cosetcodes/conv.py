@@ -12,9 +12,9 @@ for low-degree dual codewords that upper-bounds the free distance.
 
 PolyMatrix holds its coefficient matrices as one (memory + 1, kappa, n)
 label array.  Row degrees, memory and degree come from one nonzero test on
-it and the leading matrix is one index into it; G(s) is Horner's rule on
-gf's elementwise kernel, so the basicness check evaluates all q points in
-one pass.  The sliding check stack places whole coefficient blocks.
+it and the leading matrix is one index into it; G(s) is gf's one Horner,
+_horner, on the whole block array, so the basicness check evaluates all q
+points in one pass.  The sliding check stack places whole coefficient blocks.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import cyclic, gf, oracle
 from .cyclic import CyclicCode
-from .gf import FieldContext, _add, _mul
+from .gf import FieldContext
 
 
 @dataclass(frozen=True)
@@ -67,14 +67,9 @@ class PolyMatrix:
         return sum(self.row_degrees)
 
     def _evaluate_at(self, points) -> np.ndarray:
-        """G(s) for every s in points, as a (points, kappa, n) array, by
-        Horner's rule from the highest block down."""
-        ctx = self.field
+        """G(s) for every s in points, as a (points, kappa, n) array."""
         s = np.asarray(points, dtype=np.int64)[:, None, None]
-        out = np.zeros_like(s)
-        for mat in self._blocks[::-1]:
-            out = _add(ctx, _mul(ctx, out, s), mat)
-        return out
+        return gf._horner(self.field, self._blocks, s)
 
     def evaluate(self, s: int) -> list[list[int]]:
         """The scalar matrix G(s) over the ground field."""

@@ -5,8 +5,10 @@ Elements of GF(p^e) are labelled by the integers 0..p^e-1: the base-p digits
 of a label are the coefficients of the element written in the polynomial
 basis 1, x, x^2, ... of GF(p)[x]/(f), where f is the field's defining
 polynomial.  Multiplication goes through log/antilog tables indexed by the
-chosen primitive element; addition is digit-wise mod p.  For q <= 512 the
-context also holds full q x q addition and multiplication tables.
+chosen primitive element; addition is digit-wise mod p.  The context stores
+each table once, as an int32 array; the public lists exp and log are views
+built on first read, and nothing in the library reads them.  For q <= 512
+the context also holds full q x q addition and multiplication tables.
 
 make_field searches the monic polynomials in lexicographic order for the
 first primitive one, skipping every constant term that no primitive
@@ -28,16 +30,19 @@ in the cached SubfieldEmbedding) all read its result.
 Generator polynomials come from one root product, poly_with_roots: the
 product of (x - alpha^j) over a whole defining set, taken in the extension
 with the same kernel and lowered to the base field through the subfield
-embedding.
+embedding.  Poly's sum, product and division are row operations on the same
+kernel; one Horner's rule, _horner, evaluates Poly, the embedding's root
+search and conv's polynomial matrices at arrays of points.
 
-Field contexts are immutable after construction and safe to share between
-threads; every function in this module is a pure function of its inputs.
+Field contexts are safe to share between threads: only the lazy exp and log
+views change after construction, and a race at worst builds one twice.
+Every function in this module is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -175,11 +180,8 @@ class FieldContext:
             raise AssertionError("defining polynomial is not primitive")
         if labels[-1] != 1:
             raise AssertionError("alpha does not have order q-1")
-        self.exp = exp.tolist()
-        self.log: list[int | None] = log.tolist()
-        self.log[0] = None
         self.alpha = int(labels[1])
-        # int32 copies for the array kernel; _np_log[0] is 0
+        # the one copy of the tables; _np_log[0] is 0
         self._np_exp = exp.astype(np.int32)
         self._np_log = log.astype(np.int32)
         self._add_table = None
@@ -197,29 +199,37 @@ class FieldContext:
         self._add_table = add.astype(np.int32)
         self._mul_table = mul
 
+    @cached_property
+    def exp(self) -> list[int]:
+        """exp[i] is the label of alpha^i (0 <= i < q - 1); built on first read."""
+        return self._np_exp.tolist()
+
+    @cached_property
+    def log(self) -> list[int | None]:
+        """log[x] is the discrete log of the label x, log[0] None; built on
+        first read."""
+        log = self._np_log.tolist()
+        log[0] = None
+        return log
+
     # -- arithmetic ------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self._add_table is not None:
-            return int(self._add_table[a, b])
         return int(_add(self, a, b))
 
     def neg(self, a: int) -> int:
         # the label p - 1 is -1 in every GF(p^e)
         return self.mul(a, self.p - 1)
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
+        return int(self._np_exp[(self._np_log[a] + self._np_log[b]) % (self.q - 1)])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        return self.exp[(-self.log[a]) % (self.q - 1)]
+        return int(self._np_exp[-self._np_log[a] % (self.q - 1)])
 
     def __repr__(self):
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
@@ -326,57 +336,41 @@ class Poly:
         return hash((id(self.ctx), self.coeffs))
 
     def __add__(self, other):
-        ctx = self.ctx
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = ctx.add(out[i], c)
-        return Poly(ctx, out)
+        n = max(len(self.coeffs), len(other.coeffs))
+        a, b = (np.array(f.coeffs + (0,) * (n - len(f.coeffs)), dtype=np.int64)
+                for f in (self, other))
+        return Poly(self.ctx, _add(self.ctx, a, b).tolist())
 
     def __mul__(self, other):
         ctx = self.ctx
         if self.is_zero or other.is_zero:
             return Poly.zero(ctx)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                la = ctx.log[a]
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = ctx.add(
-                            out[i + j], ctx.exp[(la + ctx.log[b]) % (ctx.q - 1)]
-                        )
-        return Poly(ctx, out)
+        short, long = sorted((self.coeffs, other.coeffs), key=len)
+        long = np.array(long, dtype=np.int64)
+        out = np.zeros(len(short) + len(long) - 1, dtype=np.int64)
+        for i, c in enumerate(short):
+            out[i:i + len(long)] = _add(ctx, out[i:i + len(long)], _mul(ctx, long, c))
+        return Poly(ctx, out.tolist())
 
     def divmod(self, other) -> tuple["Poly", "Poly"]:
         ctx = self.ctx
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly.zero(ctx), Poly(ctx, rem)
-        quot = [0] * (dq + 1)
+        d = other.degree
+        if self.degree < d:
+            return Poly.zero(ctx), self
         inv_lead = ctx.inv(other.coeffs[-1])
-        for i in range(len(rem) - 1, len(other.coeffs) - 2, -1):
-            c = rem[i]
-            if c:
-                f = ctx.mul(c, inv_lead)
-                quot[i - (len(other.coeffs) - 1)] = f
-                for j, oc in enumerate(other.coeffs):
-                    rem[i - (len(other.coeffs) - 1) + j] = ctx.sub(
-                        rem[i - (len(other.coeffs) - 1) + j], ctx.mul(f, oc)
-                    )
-        return Poly(ctx, quot), Poly(ctx, rem)
+        # -other / lead: adding rem[i] times it clears rem[i]
+        step = _mul(ctx, np.array(other.coeffs, dtype=np.int64), ctx.neg(inv_lead))
+        rem = np.array(self.coeffs, dtype=np.int64)
+        quot = np.zeros(self.degree - d + 1, dtype=np.int64)
+        for i in range(self.degree, d - 1, -1):
+            quot[i - d] = rem[i]
+            rem[i - d:i + 1] = _add(ctx, rem[i - d:i + 1], _mul(ctx, step, rem[i]))
+        return Poly(ctx, _mul(ctx, quot, inv_lead).tolist()), Poly(ctx, rem.tolist())
 
     def evaluate(self, x: int) -> int:
-        ctx = self.ctx
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = ctx.add(ctx.mul(acc, x), c)
-        return acc
+        return int(_horner(self.ctx, np.array(self.coeffs, dtype=np.int64), x))
 
     def __repr__(self):
         return f"Poly({self.ctx!r}, {list(self.coeffs)})"
@@ -401,42 +395,41 @@ class SubfieldEmbedding:
         self.ext = ext
         self.base = base
         self.m = ext.e // base.e
+        # gamma = alpha^(t * stride) for the least t that makes it a root of
+        # the base defining polynomial (its GF(p) digits are the same labels
+        # in ext); for m = 1 that t is 1, or 0 in GF(2), so only t < 2 are tried
         stride = (ext.q - 1) // (base.q - 1)
-        # the defining coefficients are GF(p) digits: the same labels in ext
-        defining = Poly(ext, base.defining)
-        gamma_log = None
-        for t in range(base.q - 1):
-            cand = ext.exp[(t * stride) % (ext.q - 1)]
-            if defining.evaluate(cand) == 0:
-                gamma_log = (t * stride) % (ext.q - 1)
-                break
-        if gamma_log is None:
+        count = base.q - 1 if self.m > 1 else min(2, base.q - 1)
+        logs = np.arange(count, dtype=np.int64) * stride
+        values = _horner(ext, np.array(base.defining, dtype=np.int64), ext._np_exp[logs])
+        roots = np.flatnonzero(values == 0)
+        if not roots.size:
             raise AssertionError("no root of base defining polynomial in extension")
-        up = [0] * base.q
-        for s in range(base.q - 1):
-            up[base.exp[s]] = ext.exp[(gamma_log * s) % (ext.q - 1)]
-        self.gamma = ext.exp[gamma_log]
-        self._up = up
-        self._down = {v: i for i, v in enumerate(up)}
+        gamma_log = int(logs[roots[0]])
+        # lift(alpha_base^s) = gamma^s, and lower inverts it (-1 off the copy)
+        self._up = np.zeros(base.q, dtype=np.int64)
+        self._up[base._np_exp] = ext._np_exp[gamma_log * np.arange(base.q - 1) % (ext.q - 1)]
+        self._down = np.full(ext.q, -1, dtype=np.int32)
+        self._down[self._up] = np.arange(base.q)
+        self.gamma = int(ext._np_exp[gamma_log])
         # expand_matrix's coordinate change over GF(p): column (j, t) of B
         # holds the digits of lift(x^t) * alpha^j; its inverse is the right
         # half of rref([B | I])
         p, em = ext.p, ext.e
-        B = _digits(ext, [ext.mul(up[p**t], ext.exp[j])
-                          for j in range(self.m) for t in range(base.e)]).T
+        cols = _mul(ext, ext._np_exp[:self.m, None], self._up[list(base._powers)])
+        B = _digits(ext, cols).reshape(em, em).T
         R, pivots = rref(make_field(p, 1), np.hstack([B, np.eye(em, dtype=np.int64)]))
         if pivots != list(range(em)):
             raise AssertionError("polynomial basis is dependent over the base field")
         self._to_basis = R[:, em:].T
 
     def lift(self, x: int) -> int:
-        return self._up[x]
+        return int(self._up[x])
 
     def lower(self, y: int) -> int:
-        try:
-            return self._down[y]
-        except KeyError:
-            raise ValueError(f"{y} is not in the embedded subfield") from None
+        if not 0 <= y < self.ext.q or self._down[y] < 0:
+            raise ValueError(f"{y} is not in the embedded subfield")
+        return int(self._down[y])
 
 
 @lru_cache(maxsize=None)
@@ -454,11 +447,12 @@ def poly_with_roots(ctx_ext: FieldContext, base_q: int, exponents) -> Poly:
     says which coefficient is not in the subfield."""
     emb = subfield_embedding(ctx_ext, field_for(base_q))
     n = ctx_ext.q - 1
-    js = list(exponents)
-    for j in js:
-        if not 0 <= j < n:
-            raise ValueError(f"exponent {j} out of range [0, {n})")
-    roots = np.array([ctx_ext.exp[j] for j in js], dtype=np.int64)
+    # no dtype: an exponent past int64 makes an object array, still checked
+    js = np.array(list(exponents))
+    bad = (js < 0) | (js >= n)
+    if bad.any():
+        raise ValueError(f"exponent {js[bad.argmax()]} out of range [0, {n})")
+    roots = ctx_ext._np_exp[js.astype(np.int64)]
     g = np.zeros(len(js) + 1, dtype=np.int64)
     g[0] = 1
     for d, c in enumerate(_mul(ctx_ext, roots, ctx_ext.p - 1)):
@@ -521,6 +515,16 @@ def _mul(ctx: FieldContext, A, B) -> np.ndarray:
     out = np.zeros(A.shape, dtype=np.int32)
     nz = (A != 0) & (B != 0)
     out[nz] = exp[(log[A[nz]] + log[B[nz]]) % (ctx.q - 1)]
+    return out
+
+
+def _horner(ctx: FieldContext, coeffs, s) -> np.ndarray:
+    """The polynomials with coefficients coeffs (degree on axis 0, constant
+    term first) evaluated at s over GF(q), by Horner's rule; s broadcasts
+    against coeffs[0]."""
+    out = np.zeros(np.broadcast_shapes(np.shape(s), np.shape(coeffs)[1:]), dtype=np.int64)
+    for c in coeffs[::-1]:
+        out = _add(ctx, _mul(ctx, out, s), c)
     return out
 
 

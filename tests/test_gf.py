@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cosetcodes import gf
@@ -316,6 +316,12 @@ def test_minimal_polynomial_range_errors():
     f9 = make_field(3, 2)
     with pytest.raises(ValueError):
         gf.poly_with_roots(f9, 3, [8])
+    with pytest.raises(ValueError, match=r"^exponent 9 out of range \[0, 8\)$"):
+        gf.poly_with_roots(f9, 3, [0, 4, 9, -1])
+    with pytest.raises(ValueError, match=r"^exponent -1 out of range \[0, 8\)$"):
+        gf.poly_with_roots(f9, 3, (j for j in [4, -1, 9]))
+    with pytest.raises(ValueError, match=rf"^exponent {2**70} out of range \[0, 8\)$"):
+        gf.poly_with_roots(f9, 3, [0, 2**70])
     with pytest.raises(ValueError):
         gf.poly_with_roots(f9, 2, [1])  # GF(2) not a subfield of GF(9)
 
@@ -348,6 +354,47 @@ def test_embedding_is_a_field_homomorphism(pq, ext_e):
 def test_embedding_rejects_non_subfield():
     with pytest.raises(ValueError):
         subfield_embedding(make_field(2, 3), make_field(2, 2))
+
+
+def _ref_embedding(ext, base):
+    """gamma and the lift table by the scalar search: gamma is the first
+    alpha^(t * stride), t = 0, 1, ..., that is a root of the base defining
+    polynomial."""
+    stride = (ext.q - 1) // (base.q - 1)
+    defining = Poly(ext, base.defining)
+    for t in range(base.q - 1):
+        if _ref_evaluate(defining, ext.exp[(t * stride) % (ext.q - 1)]) == 0:
+            gamma_log = (t * stride) % (ext.q - 1)
+            break
+    else:
+        raise AssertionError("no root of base defining polynomial in extension")
+    up = [0] * base.q
+    for s in range(base.q - 1):
+        up[base.exp[s]] = ext.exp[(gamma_log * s) % (ext.q - 1)]
+    return ext.exp[gamma_log], up
+
+
+# (q^m, q) for every embedding `verify all` builds
+VERIFY_ALL_FIELD_PAIRS = [(9, 3), (27, 3), (81, 3), (16, 4), (64, 4), (256, 4), (25, 5),
+                          (125, 5), (625, 5), (49, 7), (343, 7), (64, 8), (81, 9),
+                          (121, 11), (169, 13)]
+
+
+@pytest.mark.parametrize("ext_q,base_q", VERIFY_ALL_FIELD_PAIRS + [
+    (2, 2), (8, 2), (9, 9), (1024, 1024), (4096, 64), (2187, 3), (1024, 32)])
+def test_embedding_matches_scalar_search(ext_q, base_q):
+    ext, base = gf.field_for(ext_q), gf.field_for(base_q)
+    emb = subfield_embedding(ext, base)
+    gamma, up = _ref_embedding(ext, base)
+    assert emb.gamma == gamma
+    assert [emb.lift(x) for x in range(base.q)] == up
+    down = {v: i for i, v in enumerate(up)}
+    for y in range(-1, ext.q + 1):
+        if y in down:
+            assert emb.lower(y) == down[y]
+        else:
+            with pytest.raises(ValueError, match="not in the embedded subfield"):
+                emb.lower(y)
 
 
 # ---------------------------------------------------------------
@@ -619,3 +666,100 @@ def test_poly_evaluate():
     p = Poly(f5, [1, 0, 1])  # 1 + x^2
     assert p.evaluate(2) == 0  # 1 + 4 = 5 = 0
     assert p.evaluate(1) == 2
+
+
+def _ref_add(a, b):
+    ctx = a.ctx
+    x, y = a.coeffs, b.coeffs
+    if len(x) < len(y):
+        x, y = y, x
+    out = list(x)
+    for i, c in enumerate(y):
+        out[i] = ctx.add(out[i], c)
+    return Poly(ctx, out)
+
+
+def _ref_mul(a, b):
+    ctx = a.ctx
+    if a.is_zero or b.is_zero:
+        return Poly.zero(ctx)
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if x:
+            lx = ctx.log[x]
+            for j, y in enumerate(b.coeffs):
+                if y:
+                    out[i + j] = ctx.add(out[i + j], ctx.exp[(lx + ctx.log[y]) % (ctx.q - 1)])
+    return Poly(ctx, out)
+
+
+def _ref_divmod(a, b):
+    """Schoolbook division: one scalar step per quotient term and divisor
+    coefficient."""
+    ctx = a.ctx
+    rem = list(a.coeffs)
+    d = b.degree
+    if a.degree < d:
+        return Poly.zero(ctx), Poly(ctx, rem)
+    quot = [0] * (a.degree - d + 1)
+    inv_lead = ctx.inv(b.coeffs[-1])
+    for i in range(a.degree, d - 1, -1):
+        if rem[i]:
+            f = ctx.mul(rem[i], inv_lead)
+            quot[i - d] = f
+            for j, c in enumerate(b.coeffs):
+                rem[i - d + j] = ctx.add(rem[i - d + j], ctx.neg(ctx.mul(f, c)))
+    return Poly(ctx, quot), Poly(ctx, rem)
+
+
+def _ref_evaluate(a, x):
+    ctx = a.ctx
+    acc = 0
+    for c in reversed(a.coeffs):
+        acc = ctx.add(ctx.mul(acc, x), c)
+    return acc
+
+
+# small fields (with add/mul tables), and the table-free paths: XOR in
+# GF(2^10), digit-wise addition in GF(5^4)
+POLY_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 10), (5, 4)]
+
+
+@st.composite
+def field_polys(draw):
+    ctx = make_field(*draw(st.sampled_from(POLY_FIELDS)))
+    label = st.integers(0, ctx.q - 1)
+    # sparse or all-zero coefficient lists half the time
+    coeff = st.one_of(label, st.just(0))
+    a = Poly(ctx, draw(st.lists(coeff, max_size=12)))
+    b = Poly(ctx, draw(st.lists(coeff, max_size=6)))
+    return ctx, a, b, draw(label)
+
+
+def _poly_case(p, e, a, b, x):
+    ctx = make_field(p, e)
+    return ctx, Poly(ctx, a), Poly(ctx, b), x
+
+
+@settings(max_examples=500, deadline=None)
+@given(field_polys())
+@example(_poly_case(3, 1, [], [1, 2], 1))                    # zero dividend
+@example(_poly_case(2, 10, [5, 1000], [1, 2, 3, 1023], 77))  # deg(a) < deg(b), XOR
+@example(_poly_case(5, 4, [1, 2, 3, 4, 600, 7], [9, 0, 311], 624))  # non-monic, digits
+@example(_poly_case(3, 2, [1, 2, 3], [0, 0], 8))             # zero divisor
+def test_poly_arithmetic_matches_scalar_references(case):
+    ctx, a, b, x = case
+    for u, v in [(a, b), (b, a)]:
+        results = [u + v, u * v]
+        assert results == [_ref_add(u, v), _ref_mul(u, v)]
+        if v.is_zero:
+            with pytest.raises(ZeroDivisionError):
+                u.divmod(v)
+        else:
+            quot, rem = u.divmod(v)
+            assert (quot, rem) == _ref_divmod(u, v)
+            assert rem.degree < v.degree and quot * v + rem == u
+            results += [quot, rem]
+        assert all(type(c) is int for f in results for c in f.coeffs)
+    value = a.evaluate(x)
+    assert type(value) is int and value == _ref_evaluate(a, x)

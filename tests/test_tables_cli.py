@@ -232,6 +232,16 @@ def test_cli_cosets_at_the_cap(fmt, tmp_path):
             assert fh.read().endswith(b'  ],\n  "discrepancies": []\n}\n')
 
 
+def test_cli_code_at_the_field_cap(tmp_path):
+    out = tmp_path / "out"
+    elapsed, peak_mb = _run_fresh(["code", "2", "20", "1", "--out", str(out)])
+    assert elapsed < 5.0, f"code 2 20 1 took {elapsed:.2f}s"
+    # GF(2^20) holds each log/antilog table once
+    assert peak_mb < 100, f"code 2 20 1 peaked at {peak_mb:.0f} MB"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "c7379e4bda19268b602c23fdd62661274d27cf3fdd40261d91ca47e3e7c96bcd")
+
+
 def test_cli_verify_cosets_up_to_27_4(tmp_path):
     out = tmp_path / "out.json"
     elapsed, _ = _run_fresh(["verify", "cosets", "--qmax", "27", "--mmax", "4",
