@@ -5,10 +5,12 @@ Elements of GF(p^e) are labelled by the integers 0..p^e-1: the base-p digits
 of a label are the coefficients of the element written in the polynomial
 basis 1, x, x^2, ... of GF(p)[x]/(f), where f is the field's defining
 polynomial.  Multiplication goes through log/antilog tables indexed by the
-chosen primitive element; addition is digit-wise mod p.  The context stores
-each table once, as an int32 array; the public lists exp and log are views
-built on first read, and nothing in the library reads them.  For q <= 512
-the context also holds full q x q addition and multiplication tables.
+chosen primitive element; addition is XOR for p = 2 and, for odd p, goes
+through the Zech logarithms Z(k) = log(1 + alpha^k), one int32 table of
+q - 1 entries.  The context stores each table once, as an int32 array; the
+public lists exp and log are views built on first read, and nothing in the
+library reads them.  For q <= 512 the context also holds full q x q
+addition and multiplication tables, built by the same XOR and Zech paths.
 
 make_field searches the monic polynomials in lexicographic order for the
 first primitive one, skipping every constant term that no primitive
@@ -22,8 +24,8 @@ label exactly once.
 
 Array arithmetic goes through one elementwise kernel, _add and _mul on
 broadcasting label arrays (table lookups for q <= 512; above that XOR for
-p = 2 or digit-wise addition, and log/exp multiplication), on top of one
-digit codec, _digits and _labels.  The linear algebra has one elimination,
+p = 2 or Zech logarithms, and log/exp multiplication), next to one digit
+codec, _digits and _labels.  The linear algebra has one elimination,
 rref, which clears a whole pivot column per step; rank, independent_rows,
 nullspace and expand_matrix's coordinate change (built once per field pair,
 in the cached SubfieldEmbedding) all read its result.
@@ -184,6 +186,15 @@ class FieldContext:
         # the one copy of the tables; _np_log[0] is 0
         self._np_exp = exp.astype(np.int32)
         self._np_log = log.astype(np.int32)
+        # Zech logarithms for odd p: _zech[k] is the log of 1 + alpha^k, or
+        # -1 where that sum is 0; adding 1 changes only digit 0 of a label,
+        # so a digit 0 that reaches p wraps to 0 with no carry
+        self._zech = None
+        if p > 2:
+            one_plus = self._np_exp + 1
+            one_plus[one_plus % p == 0] -= p
+            self._zech = self._np_log[one_plus]
+            self._zech[one_plus == 0] = -1
         self._add_table = None
         self._mul_table = None
         if self.q <= 512:
@@ -498,12 +509,21 @@ def _labels(ctx: FieldContext, D) -> np.ndarray:
 
 
 def _add(ctx: FieldContext, A, B) -> np.ndarray:
-    """A + B elementwise over GF(q), broadcasting."""
+    """A + B elementwise over GF(q), broadcasting.  Without a table, XOR
+    for p = 2; for odd p, a + b = alpha^(log a + Z(log b - log a)) by the
+    Zech logarithms Z."""
     if ctx._add_table is not None:
         return ctx._add_table[A, B]
     if ctx.p == 2:
         return np.bitwise_xor(A, B)
-    return _labels(ctx, (_digits(ctx, A) + _digits(ctx, B)) % ctx.p)
+    exp, log, order = ctx._np_exp, ctx._np_log, ctx.q - 1
+    A, B = np.broadcast_arrays(A, B)
+    out = np.where(A == 0, B, A)
+    nz = (A != 0) & (B != 0)
+    la = log[A[nz]]
+    z = ctx._zech[(log[B[nz]] - la) % order]
+    out[nz] = np.where(z < 0, 0, exp[(la + z) % order])
+    return out
 
 
 def _mul(ctx: FieldContext, A, B) -> np.ndarray:

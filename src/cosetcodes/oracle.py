@@ -5,13 +5,17 @@ structural coset checks.
 
 One enumerator, span_min_weight, walks the GF(p)-combinations of a basis
 in index order: digit t of index i is the coefficient of generator t.
-Words are columns of GF(p)-digits.  The low generators span one table of
-at most _BLOCK words; each block of the walk is that table plus one
-offset word, the combination of the high digits, so no index is decoded
-and nothing is multiplied per word.  A CSS side (C minus its subcode S)
-is the span of a basis of C whose first rows span S: S's words are
-exactly the lowest indices, so the walk starts above them and no word is
-tested for membership.
+The low generators span one table of at most _BLOCK words; each block of
+the walk is that table plus one offset word, the combination of the high
+digits, so no index is decoded and nothing is multiplied per word.  Words
+are columns.  For p = 2 they are bit planes: digit t of 64 consecutive
+symbols is one uint64, a block is one XOR per plane, and a weight is the
+popcount of the OR of a word's e planes, summed over its ceil(n/64)
+words.  For odd p each digit is one byte (wider for p > 128), and the
+nonzero symbols are counted in the least dtype that holds n.  A CSS side
+(C minus its subcode S) is the span of a basis of C whose first rows span
+S: S's words are exactly the lowest indices, so the walk starts above
+them and no word is tested for membership.
 
 Results produced within budget are exact; over-budget requests raise
 BudgetError (css_distance_at_least answers None) rather than approximating
@@ -62,16 +66,33 @@ class OracleBudget:
 
 def _digit_matrix(ctx: FieldContext, rows) -> np.ndarray:
     """The GF(p)-generators of the span of rows (each row times 1, x, ...,
-    x^(e-1)) as columns of GF(p)-digits, e per symbol, in the least unsigned
-    dtype that holds two digits' sum: the word of coefficients c is D @ c % p."""
+    x^(e-1)) as columns of GF(p)-digits, e per symbol (row j*e + t holds
+    digit t of symbol j): the word of coefficients c is D @ c % p."""
     gens = _mul(ctx, np.asarray(rows)[:, None, :], ctx.p ** np.arange(ctx.e)[:, None])
-    digs = _digits(ctx, gens).reshape(len(rows) * ctx.e, -1).T
-    return np.ascontiguousarray(digs, dtype=np.min_scalar_type(2 * (ctx.p - 1)))
+    return np.ascontiguousarray(_digits(ctx, gens).reshape(len(rows) * ctx.e, -1).T)
+
+
+def _pack(ctx: FieldContext, digits: np.ndarray) -> np.ndarray:
+    """The walk's words from digit columns.  For p = 2, bit planes: row
+    w*e + t is a uint64 that holds digit t of the 64 symbols 64w..64w+63
+    (zero past the last symbol).  For odd p, the digit rows as they are, in
+    the least unsigned dtype that holds two digits' sum.  Either way rows
+    t::e hold digit t."""
+    p, e = ctx.p, ctx.e
+    if p > 2:
+        return digits.astype(np.min_scalar_type(2 * (p - 1)))
+    n, cols = digits.shape[0] // e, digits.shape[1]
+    words = -(-n // 64)
+    bits = np.zeros((words * 64, e, cols), np.uint8)
+    bits[:n] = digits.reshape(n, e, cols)
+    planes = np.packbits(bits.reshape(words, 64, e, cols), axis=1)
+    return planes.transpose(0, 2, 3, 1).copy().view(np.uint64).reshape(words * e, cols)
 
 
 def _add_mod(p: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(A + B) mod p on unsigned digit arrays, broadcasting.  Odd p: a sum
-    S below p wraps S - p around to more than S, so the minimum is S mod p."""
+    """(A + B) mod p on unsigned digit arrays or bit planes (p = 2),
+    broadcasting.  Odd p: a sum S below p wraps S - p around to more than
+    S, so the minimum is S mod p."""
     if p == 2:
         return A ^ B
     S = A + B
@@ -79,11 +100,17 @@ def _add_mod(p: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _weights(ctx: FieldContext, words: np.ndarray) -> np.ndarray:
-    """Symbol weights of the columns of a digit array."""
+    """Symbol weights of the columns of a word array, bit planes (uint64)
+    or digit rows: a symbol counts iff any of its e digits is nonzero.  The
+    sum accumulates in the least dtype that holds the largest weight."""
     nonzero = words[0::ctx.e]
     for t in range(1, ctx.e):
         nonzero = nonzero | words[t::ctx.e]
-    return (nonzero != 0).sum(axis=0)
+    if nonzero.dtype == np.uint64:
+        counts, most = np.bitwise_count(nonzero), 64 * len(nonzero)
+    else:
+        counts, most = nonzero != 0, len(nonzero)
+    return counts.sum(axis=0, dtype=np.min_scalar_type(most))
 
 
 def span_min_weight(
@@ -112,20 +139,21 @@ def span_min_weight(
     if first >= total:
         raise ValueError("span has no words outside the subcode")
     D = _digit_matrix(ctx, rows)
+    G = _pack(ctx, D)
     p, dim = ctx.p, D.shape[1]
     a = max(t for t in range(dim + 1) if p**t <= _BLOCK)
-    L = np.zeros((D.shape[0], 1), D.dtype)
+    L = np.zeros((G.shape[0], 1), G.dtype)
     for t in range(a):
         parts = [L]
         for _ in range(p - 1):
-            parts.append(_add_mod(p, parts[-1], D[:, t:t + 1]))
+            parts.append(_add_mod(p, parts[-1], G[:, t:t + 1]))
         L = np.concatenate(parts, axis=1)
     size = p**a
     best = len(rows[0]) + 1
     for h in range(first // size, total // size):
         high = np.array([h // p**s % p for s in range(dim - a)], dtype=np.int64)
-        offset = ((D[:, a:] @ high) % p).astype(D.dtype)
-        block = _add_mod(p, L[:, max(first - h * size, 0):], offset[:, None])
+        offset = _pack(ctx, (D[:, a:] @ high)[:, None] % p)
+        block = _add_mod(p, L[:, max(first - h * size, 0):], offset)
         blockmin = int(_weights(ctx, block).min())
         if blockmin == 0:
             raise AssertionError("generators are linearly dependent")

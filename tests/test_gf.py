@@ -615,6 +615,11 @@ def test_mat_vec_on_a_matrix_equals_per_row_calls(case, data):
     assert gf.mat_vec(ctx, rows, vs) == [gf.mat_vec(ctx, rows, u) for u in vs]
 
 
+def _digitwise(p, e, a, b, sign=1):
+    """a + sign * b in GF(p^e), one base-p digit at a time."""
+    return sum(((a // p**t + sign * (b // p**t)) % p) * p**t for t in range(e))
+
+
 @pytest.mark.parametrize("q", [q for q in range(2, 65) if len(gf.prime_factors(q)) == 1])
 def test_tables_match_scalar_arithmetic(q):
     f = gf.field_for(q)
@@ -622,8 +627,7 @@ def test_tables_match_scalar_arithmetic(q):
     for a in range(q):
         for b in range(q):
             assert f._mul_table[a, b] == f.mul(a, b)
-            digitwise = sum(((a // p**t + b // p**t) % p) * p**t for t in range(f.e))
-            assert f._add_table[a, b] == digitwise
+            assert f._add_table[a, b] == _digitwise(p, f.e, a, b)
 
 
 @settings(max_examples=300, deadline=None)
@@ -635,7 +639,32 @@ def test_scalar_add_matches_digitwise_reference(pe, data):
     a, b = (data.draw(st.integers(0, f.q - 1)) for _ in range(2))
     total = f.add(a, b)
     assert type(total) is int
-    assert total == sum(((a // p**t + b // p**t) % p) * p**t for t in range(e))
+    assert total == _digitwise(p, e, a, b)
+
+
+@st.composite
+def addends(draw, q):
+    """A label and a second operand: any label, zero, or its negation."""
+    a = draw(st.just(0) | st.integers(0, q - 1))
+    kind = draw(st.sampled_from(["any", "zero", "negation"]))
+    b = draw(st.integers(0, q - 1)) if kind == "any" else 0
+    return a, b, kind == "negation"
+
+
+# odd characteristic: GF(3) and GF(9) read the tables that the Zech path
+# filled, the others run it on every call
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(3, 1), (3, 2), (5, 4), (3, 7), (3, 12)]), st.data())
+def test_zech_add_matches_digitwise_reference(pe, data):
+    p, e = pe
+    f = make_field(p, e)
+    cases = data.draw(st.lists(addends(f.q), min_size=1, max_size=30))
+    a = [x for x, _, _ in cases]
+    b = [_digitwise(p, e, 0, x, -1) if neg else y for x, y, neg in cases]
+    got = gf._add(f, np.array(a), np.array(b))
+    assert got.tolist() == [_digitwise(p, e, x, y) for x, y in zip(a, b)]
+    assert all(got[i] == 0 for i, (_, _, neg) in enumerate(cases) if neg)
+    assert f.add(a[0], b[0]) == got[0]
 
 
 # ---------------------------------------------------------------

@@ -112,12 +112,19 @@ def _reference_min_weight(ctx, rows, subcode_rows):
 
 # GF(2), GF(3), GF(4), GF(5), GF(8), GF(9), each with at most 729 words
 ENUM_FIELDS = {(2, 1): 9, (3, 1): 6, (2, 2): 4, (5, 1): 4, (2, 3): 3, (3, 2): 3}
+# for p = 2 the walk packs 64 symbols in a word: lengths on either side of
+# one and two word boundaries, with at most 64 codewords per span
+WORD_EDGES = [63, 64, 65, 127, 129]
 
 
 @st.composite
 def span_cases(draw):
     (p, e), kmax = draw(st.sampled_from(sorted(ENUM_FIELDS.items())))
-    k, n = draw(st.integers(1, kmax)), draw(st.integers(1, 6))
+    lengths = st.integers(1, 6)
+    if p == 2:
+        lengths |= st.sampled_from(WORD_EDGES)
+    n = draw(lengths)
+    k = draw(st.integers(1, kmax if n <= 6 else 6 // e))
     rows = [[draw(st.integers(0, p**e - 1)) for _ in range(n)] for _ in range(k)]
     subcode_rows = draw(st.integers(0, k - 1))
     # tiny blocks make the walk cross many of them, with the subcode
@@ -129,6 +136,11 @@ def span_cases(draw):
 
 I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 I4 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
+# one nonzero symbol, the last: in the top bit of a word (n = 64) or alone
+# in the next word (n = 65, 129), in a digit other than the lowest
+LAST_64 = [[0] * 63 + [2], [1, 3] * 32]
+LAST_65 = [[0] * 64 + [3], [2] * 65]
+LAST_129 = [[0] * 128 + [6], [3] * 128 + [5]]
 
 
 @settings(max_examples=80, deadline=None)
@@ -141,6 +153,14 @@ I4 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
 @example(((3, 1), [[1, 2, 0], [2, 1, 0]], 0, 4, None))  # dependent rows
 @example(((2, 2), [[1, 0], [0, 1], [1, 1]], 1, 4, None))
 @example(((2, 1), [[1, 0, 0], [1, 0, 0], [0, 1, 0]], 2, 4, None))  # dependent subcode
+@example(((2, 2), LAST_64, 0, 4, None))
+@example(((2, 2), LAST_64, 1, 4, None))
+@example(((2, 2), LAST_65, 0, oracle._BLOCK, None))
+@example(((2, 3), LAST_129, 0, 4, 2))
+@example(((2, 3), LAST_129, 1, oracle._BLOCK, None))
+# minimum weights above 255, the largest an 8-bit count holds
+@example(((3, 1), [[1] * 300], 0, oracle._BLOCK, None))
+@example(((2, 1), [[1] * 300], 0, oracle._BLOCK, None))
 def test_span_min_weight_matches_reference(case):
     (p, e), rows, subcode_rows, block, stop = case
     ctx = make_field(p, e)
