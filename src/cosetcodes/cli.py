@@ -248,9 +248,8 @@ def cmd_verify(args, cfg) -> int:
     if args.scope in ("cosets", "all"):
         qs, ms = verify.coset_grid(args.qmax, args.mmax)
         if not qs or not ms:
-            raise SystemExit(f"error: verify {args.scope}: empty coset grid "
-                             f"(prime powers 3 <= q <= {args.qmax}, "
-                             f"2 <= m <= {args.mmax})")
+            args.parser.error(f"empty coset grid (prime powers 3 <= q <= "
+                              f"{args.qmax}, 2 <= m <= {args.mmax})")
         report.records.extend(oracle.coset_theorem_sweep(qs, ms).records)
     if args.scope in ("cyclic", "all"):
         report.records.extend(verify.verify_cyclic_identities().records)

@@ -270,10 +270,12 @@ def ladder_cosets(q: int, m: int, c: int) -> list[Coset]:
     cardinality m, disjoint from the cosets of 1..c, with final orbit
     elements forming c consecutive integers.
 
-    Hypothesis: 1 <= c <= q and cq + 1 < q^ceil(m/2) - 1.  The bound c <= q
-    is needed: for c >= q + 1 the first ladder coset, of q + 1, is itself
-    one of the cosets of 1..c.
+    Hypothesis: m >= 1, 1 <= c <= q and cq + 1 < q^ceil(m/2) - 1.  The
+    bound c <= q is needed: for c >= q + 1 the first ladder coset, of q + 1,
+    is itself one of the cosets of 1..c.
     """
+    if m < 1:
+        raise ValueError(f"need m >= 1, got m={m}")
     if not 1 <= c <= q:
         raise ValueError(f"hypothesis violated: need 1 <= c <= {q}, got c={c}")
     bound = q ** ((m + 1) // 2) - 1

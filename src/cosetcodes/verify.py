@@ -13,6 +13,8 @@ from . import conv, cosets, cyclic, families, gf, oracle
 from .oracle import SweepReport
 
 _PRIME_POWERS = [3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27]
+# the identity sweep: codes of length <= _N_CAP, unions of <= _MAX_UNION cosets
+_N_CAP, _MAX_UNION = 80, 4
 
 
 def coset_grid(qmax: int, mmax: int) -> tuple[list[int], range]:
@@ -21,11 +23,11 @@ def coset_grid(qmax: int, mmax: int) -> tuple[list[int], range]:
     return [q for q in _PRIME_POWERS if 3 <= q <= qmax], range(2, mmax + 1)
 
 
-def _identity_instances(n_cap: int = 80):
-    """Deterministic set of (q, m) pairs with q^m - 1 <= n_cap."""
-    # every q is above 2, so q^m - 1 <= n_cap needs m < n_cap.bit_length()
-    return [(q, m) for q in _PRIME_POWERS for m in range(2, n_cap.bit_length())
-            if q**m - 1 <= n_cap]
+def _identity_instances():
+    """Deterministic set of (q, m) pairs with q^m - 1 <= _N_CAP."""
+    # every q is above 2, so q^m - 1 <= _N_CAP needs m < _N_CAP.bit_length()
+    return [(q, m) for q in _PRIME_POWERS for m in range(2, _N_CAP.bit_length())
+            if q**m - 1 <= _N_CAP]
 
 
 def _code_identities(code) -> tuple[bool, str]:
@@ -48,14 +50,14 @@ def _code_identities(code) -> tuple[bool, str]:
     return gh_ok, ""
 
 
-def verify_cyclic_identities(n_cap: int = 80, max_union: int = 4) -> SweepReport:
+def verify_cyclic_identities() -> SweepReport:
     """Algebraic identities on small instances: g*h = x^n - 1 and check-matrix
     null-space equivalence for every single-coset code and every family
-    code of length <= n_cap, the two dual-containing criteria over all
-    unions of up to `max_union` cosets, and the designed-distance cap for
+    code of length <= _N_CAP, the two dual-containing criteria over all
+    unions of up to _MAX_UNION cosets, and the designed-distance cap for
     admissible block defining sets."""
     report = SweepReport()
-    for q, m in _identity_instances(n_cap):
+    for q, m in _identity_instances():
         partition = cosets.all_cosets(q, m)
         ok_gh = ok_null = True
         detail_gh = detail_null = ""
@@ -82,7 +84,7 @@ def verify_cyclic_identities(n_cap: int = 80, max_union: int = 4) -> SweepReport
                   sum(1 << x for x in cosets.complementary(c).elements))
                  for c in partition]
         detail_dc = ""
-        for r in range(1, max_union + 1):
+        for r in range(1, _MAX_UNION + 1):
             for combo in itertools.combinations(masks, r):
                 z = neg = comp = 0
                 for _, elements, negations, complement in combo:
@@ -113,7 +115,7 @@ def verify_cyclic_identities(n_cap: int = 80, max_union: int = 4) -> SweepReport
 
     # identity checks on both codes of every printed CSS instance at this scale
     for fam, args in families.rows(1, 2):
-        if families.length(args) > n_cap:
+        if families.length(args) > _N_CAP:
             continue
         params = fam.build(**args)
         for side, code in (("outer", params.outer), ("inner", params.inner)):

@@ -158,7 +158,7 @@ def test_criterion_7_convolutional_soundness():
 
 
 def test_criterion_8_algebraic_identities():
-    report = verify.verify_cyclic_identities(n_cap=80, max_union=4)
+    report = verify.verify_cyclic_identities()
     assert report.passed, report.failures
     by_check = {}
     for r in report.records:

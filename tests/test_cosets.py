@@ -241,6 +241,9 @@ def test_ladder_hypothesis_violation():
         ladder_cosets(3, 2, 1)  # cq+1 = 4 not < q - 1 = 2
     with pytest.raises(ValueError):
         ladder_cosets(3, 5, 4)  # cq+1 = 13 < 26, but c > q
+    for m in (0, -2):  # q^ceil(m/2) - 1 is 0, or a float
+        with pytest.raises(ValueError, match=f"need m >= 1, got m={m}"):
+            ladder_cosets(4, m, 2)
 
 
 @pytest.mark.parametrize("q,m", [(3, 3), (5, 3), (3, 4), (5, 4), (7, 3)])

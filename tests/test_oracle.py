@@ -130,8 +130,7 @@ def span_cases(draw):
     # tiny blocks make the walk cross many of them, with the subcode
     # boundary inside the first block, on a block edge or beyond it
     block = draw(st.sampled_from([1, 4, oracle._BLOCK]))
-    stop = draw(st.none() | st.integers(1, n + 1))
-    return (p, e), rows, subcode_rows, block, stop
+    return (p, e), rows, subcode_rows, block
 
 
 I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -145,24 +144,24 @@ LAST_129 = [[0] * 128 + [6], [3] * 128 + [5]]
 
 @settings(max_examples=80, deadline=None)
 @given(span_cases())
-@example(((2, 1), I3, 1, 4, None))        # first index 2, inside block 0
-@example(((2, 1), I3, 2, 4, None))        # first index 4, on a block edge
-@example(((2, 1), I4, 3, 4, None))        # first index 8, past block 0
-@example(((3, 2), [[1, 5, 0], [0, 1, 7]], 1, 4, None))  # GF(9): 9 past 3
-@example(((2, 3), [[1, 3], [6, 1]], 1, 4, 2))           # GF(8): 8 on an edge
-@example(((3, 1), [[1, 2, 0], [2, 1, 0]], 0, 4, None))  # dependent rows
-@example(((2, 2), [[1, 0], [0, 1], [1, 1]], 1, 4, None))
-@example(((2, 1), [[1, 0, 0], [1, 0, 0], [0, 1, 0]], 2, 4, None))  # dependent subcode
-@example(((2, 2), LAST_64, 0, 4, None))
-@example(((2, 2), LAST_64, 1, 4, None))
-@example(((2, 2), LAST_65, 0, oracle._BLOCK, None))
-@example(((2, 3), LAST_129, 0, 4, 2))
-@example(((2, 3), LAST_129, 1, oracle._BLOCK, None))
+@example(((2, 1), I3, 1, 4))  # first index 2, inside block 0
+@example(((2, 1), I3, 2, 4))  # first index 4, on a block edge
+@example(((2, 1), I4, 3, 4))  # first index 8, past block 0
+@example(((3, 2), [[1, 5, 0], [0, 1, 7]], 1, 4))  # GF(9): 9 past 3
+@example(((2, 3), [[1, 3], [6, 1]], 1, 4))        # GF(8): 8 on an edge
+@example(((3, 1), [[1, 2, 0], [2, 1, 0]], 0, 4))  # dependent rows
+@example(((2, 2), [[1, 0], [0, 1], [1, 1]], 1, 4))
+@example(((2, 1), [[1, 0, 0], [1, 0, 0], [0, 1, 0]], 2, 4))  # dependent subcode
+@example(((2, 2), LAST_64, 0, 4))
+@example(((2, 2), LAST_64, 1, 4))
+@example(((2, 2), LAST_65, 0, oracle._BLOCK))
+@example(((2, 3), LAST_129, 0, 4))
+@example(((2, 3), LAST_129, 1, oracle._BLOCK))
 # minimum weights above 255, the largest an 8-bit count holds
-@example(((3, 1), [[1] * 300], 0, oracle._BLOCK, None))
-@example(((2, 1), [[1] * 300], 0, oracle._BLOCK, None))
+@example(((3, 1), [[1] * 300], 0, oracle._BLOCK))
+@example(((2, 1), [[1] * 300], 0, oracle._BLOCK))
 def test_span_min_weight_matches_reference(case):
-    (p, e), rows, subcode_rows, block, stop = case
+    (p, e), rows, subcode_rows, block = case
     ctx = make_field(p, e)
     k = len(rows)
     # some word outside the subcode's indices is zero iff the rows past the
@@ -174,13 +173,23 @@ def test_span_min_weight_matches_reference(case):
             with pytest.raises(AssertionError, match="linearly dependent"):
                 span_min_weight(ctx, rows, ctx.q**k, subcode_rows=subcode_rows)
             return
-        got = span_min_weight(ctx, rows, ctx.q**k, subcode_rows=subcode_rows,
-                              stop_below=stop)
-    want = _reference_min_weight(ctx, rows, subcode_rows)
-    if stop is None or want >= stop:
-        assert got == want
-    else:
-        assert want <= got and got < stop
+        got = span_min_weight(ctx, rows, ctx.q**k, subcode_rows=subcode_rows)
+    assert got == _reference_min_weight(ctx, rows, subcode_rows)
+
+
+def test_span_min_weight_does_not_depend_on_the_split():
+    # 4^10 words of weight >= 4: the high table has 16 words at the real
+    # _BLOCK and 2^16 at the smallest, where the low table has 16
+    code = css.family_block_full(4).outer
+    rows = cyclic.codeword_basis(code)
+    got = {0: set(), 3: set()}
+    for block in (1 << 16, 1 << 10, 1 << 4):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_BLOCK", block)
+            for subcode_rows in got:
+                got[subcode_rows].add(span_min_weight(
+                    code.base, rows, code.q**code.k, subcode_rows=subcode_rows))
+    assert got[0] == {4} and len(got[3]) == 1
 
 
 def test_span_min_weight_rejects_a_span_inside_its_subcode():

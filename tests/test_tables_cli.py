@@ -380,10 +380,10 @@ def test_cli_verify_empty_grid_is_an_error(capsys):
                  ["verify", "cosets", "--mmax", "0"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
-        assert exc.value.code != 0
-        message = str(exc.value.code)
-        assert "empty coset grid" in message and "\n" not in message
-    assert "checks" not in capsys.readouterr().out
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert "checks" not in out
+        assert len(err.splitlines()) == 1 and "error: empty coset grid" in err
 
 
 def test_cli_rejects_negative_budget(capsys):
@@ -391,6 +391,13 @@ def test_cli_rejects_negative_budget(capsys):
         cli.main(["table", "1", "--budget", "-5"])
     assert exc.value.code == 2
     assert "must be >= 0" in capsys.readouterr().err
+
+
+# the ladder bound q^ceil(m/2) - 1 needs m >= 1 (for m < 0 it is a float)
+LADDER_BELOW_M1 = {
+    "css --family ladder --q 4 --m -2 --c 3": "error: need m >= 1, got m=-2",
+    "css --family ladder --q 4 --m 0 --c 3": "error: need m >= 1, got m=0",
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -409,6 +416,7 @@ def test_cli_rejects_negative_budget(capsys):
     "verify conv --q 3",
     "css --family block-full --q 5 --m 4",
     "conv --family split --q 5 --i 3",
+    *LADDER_BELOW_M1,
 ])
 def test_cli_bad_input_is_one_line_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -417,6 +425,7 @@ def test_cli_bad_input_is_one_line_usage_error(argv, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "error: " in err
     assert "Traceback" not in err
+    assert LADDER_BELOW_M1.get(argv, "") in err
 
 
 def test_cli_verify_css_unprinted_q_checks_block_family(capsys):
