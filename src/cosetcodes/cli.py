@@ -243,6 +243,8 @@ def cmd_table(args, cfg) -> int:
 
 
 def cmd_verify(args, cfg) -> int:
+    if args.q is not None and args.scope in ("cosets", "cyclic"):
+        args.parser.error(f"--q restricts only css/conv, not verify {args.scope}")
     bud = _budget_from(args, cfg)
     report = SweepReport()
     if args.scope in ("cosets", "all"):

@@ -72,6 +72,8 @@ def contexts_for(q: int, m: int) -> tuple[FieldContext, FieldContext]:
 def code_from_cosets(q: int, m: int, exponents) -> CyclicCode:
     """Cyclic code whose defining set Z is the union of the cosets of the
     given exponents; g is the product of (x - alpha^z) over z in Z."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got m={m}")
     base, ext = contexts_for(q, m)
     n = q**m - 1
     defining = DefiningSet.from_exponents(q, m, exponents)

@@ -336,37 +336,30 @@ def _sweep_pair(report: SweepReport, q: int, m: int) -> None:
             detail += f": complements {sorted(comps)}"
         report.add(q, m, check, not last, detail)
 
-    # disjointness range, plus the minimum-representative fact for even m
+    # disjointness range, plus the minimum-representative fact for even m; a
+    # failing check names its last x, paired with the first x of its coset
     T = cs.disjointness_range(q, m)
-    owner: dict[int, int] = {}
-    clash = None
-    minrep_bad = None
-    for x in range(1, T + 1):
-        if x % q == 0:
-            continue
-        c = cs.coset_of(q, m, x)
-        if m % 2 == 0 and c.rep != x % n:
-            minrep_bad = x
-        for el in c.elements:
-            if el in owner and owner[el] != x:
-                clash = (owner[el], x)
-            owner.setdefault(el, x)
+    xs = np.arange(1, T + 1)
+    xs = xs[xs % q != 0]
+    idx = part.owner[xs % n]
+    pairs = list(zip(idx.tolist(), xs.tolist()))
+    least = dict(pairs[::-1])  # coset index -> least x in range it owns
+    shared = [(least[i], x) for i, x in pairs if least[i] != x]
+    clash = shared[-1] if shared else None
     report.add(q, m, "disjoint-range", clash is None,
                f"cosets of {clash} meet" if clash else f"range [1, {T}]")
     if m % 2 == 0:
-        report.add(q, m, "min-representative", minrep_bad is None,
-                   f"{minrep_bad} is not minimal in its coset" if minrep_bad else "")
+        bad = xs[reps[idx] != xs % n][-1:].tolist()
+        report.add(q, m, "min-representative", not bad,
+                   f"{bad[0]} is not minimal in its coset" if bad else "")
     else:
         report.add(q, m, "min-representative", None, "stated for even m")
 
-    # full-cardinality range
-    bad_card = None
-    for x in range(1, q ** ((m + 1) // 2) + 1):
-        if cs.coset_of(q, m, x).cardinality != m:
-            bad_card = x
-            break
-    report.add(q, m, "cardinality-range", bad_card is None,
-               f"coset of {bad_card} is small" if bad_card is not None else "")
+    # full-cardinality range; a failing check names its first x
+    xs = np.arange(1, q ** ((m + 1) // 2) + 1)
+    bad = xs[cards[part.owner[xs % n]] != m][:1].tolist()
+    report.add(q, m, "cardinality-range", not bad,
+               f"coset of {bad[0]} is small" if bad else "")
 
     # ladder cosets for every admissible c (at most q)
     cmax = 0

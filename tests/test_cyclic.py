@@ -1,8 +1,12 @@
+import itertools
+import re
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cosetcodes import cyclic, gf
+from cosetcodes import cosets, cyclic, gf, verify
 from cosetcodes.cyclic import (
     DefiningSet,
     bch_bound,
@@ -234,3 +238,77 @@ def test_designed_distance_cap_for_block_sets():
                 assert delta <= c + 2
                 if c == 1:
                     assert delta == 2
+
+
+# ---------------------------------------------------------------
+# the dual-containing criteria in the identity sweep
+# ---------------------------------------------------------------
+
+def _ref_union_scan(partition):
+    """Both dual-containing criteria on every union of up to four cosets,
+    one union at a time: the note naming the last union where they
+    disagree, or empty."""
+    n = partition[0].n
+    masks = [(c.rep,
+              sum(1 << x for x in c.elements),
+              sum(1 << (-x % n) for x in c.elements),
+              sum(1 << x for x in cosets.complementary(c).elements))
+             for c in partition]
+    detail = ""
+    for r in range(1, 5):
+        for combo in itertools.combinations(masks, r):
+            z = neg = comp = 0
+            for _, elements, negations, complement in combo:
+                z |= elements
+                neg |= negations
+                comp |= complement
+            if (z & neg == 0) != (z & comp == 0):
+                detail = (f"criteria disagree on the union of cosets "
+                          f"{[mask[0] for mask in combo]} mod {n}")
+    return detail
+
+
+@st.composite
+def complement_maps(draw):
+    """An identity-sweep instance (q, m), a kind of complement map and a
+    permutation of the coset indices, which orders the pairing of a random
+    involution."""
+    q, m = draw(st.sampled_from(verify._identity_instances()))
+    kind = draw(st.sampled_from(["true", "identity", "involution"]))
+    order = draw(st.permutations(range(len(cosets.all_cosets(q, m)))))
+    return q, m, kind, order
+
+
+@settings(max_examples=40, deadline=None)
+@given(complement_maps())
+# an involution that moves the same cosets as the true map: every single
+# coset agrees, and only a union of two cosets tells the criteria apart
+@example((5, 2, "involution", list(range(14))))
+def test_criteria_pair_scan_matches_the_four_coset_scan(case):
+    q, m, kind, order = case
+    partition = cosets.all_cosets(q, m)
+    n = partition[0].n
+    comp = {c: cosets.complementary(c) for c in partition}
+    if kind == "identity":
+        comp = {c: c for c in partition}
+    elif kind == "involution":
+        # the true map's fixed points, the other cosets paired off at random
+        moved = [partition[i] for i in order if comp[partition[i]] != partition[i]]
+        comp = {c: c for c in partition}
+        for a, b in zip(moved[::2], moved[1::2]):
+            comp[a], comp[b] = b, a
+    with mock.patch.object(cosets, "complementary", comp.__getitem__):
+        detail = verify._criteria_disagreement(partition)
+        assert bool(detail) == bool(_ref_union_scan(partition))
+    if detail:
+        match = re.fullmatch(
+            r"criteria disagree on the union of cosets \[([\d, ]+)\] mod (\d+)",
+            detail)
+        assert match and int(match.group(2)) == n
+        reps = {int(x) for x in match.group(1).split(", ")}
+        members = [c for c in partition if c.rep in reps]
+        assert len(members) == len(reps) <= 2
+        z = {x for c in members for x in c.elements}
+        meets_negation = any(-x % n in z for x in z)
+        complement_is_member = any(comp[c] in members for c in members)
+        assert meets_negation != complement_is_member

@@ -1,5 +1,5 @@
 import json
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from itertools import product
 from pathlib import Path
 
@@ -342,6 +342,52 @@ def test_sweep_records_match_the_recorded_sweep(capsys):
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [(r["q"], r["m"], r["check"], r["status"], r["detail"]) for r in rows] == [
         r for r in expected if 3 <= r[0] <= 9 and r[1] >= 2]
+
+
+def _corrupted_partition(q, m, swaps, rotations):
+    """The partition mod q^m - 1 with the owners of each pair of residues
+    in swaps exchanged, and each coset whose representative is in rotations
+    listed from its second element, which then stands as its rep."""
+    part = cosets.partition(q, m)
+    owner, reps, elements = part.owner.copy(), part.reps.copy(), part.elements.copy()
+    for x, y in swaps:
+        owner[[x, y]] = owner[[y, x]]
+    for rep in rotations:
+        i = int(np.flatnonzero(part.reps == rep)[0])
+        k = int(part.cards[i])
+        elements[i, :k] = np.roll(elements[i, :k], -1)
+        reps[i] = elements[i, 0]
+    return replace(part, owner=owner, reps=reps, elements=elements)
+
+
+# the range checks' records, recorded from the per-residue coset_of sweep
+# that the array lookups replaced
+@pytest.mark.parametrize("q,m,swaps,rotations,expected", [
+    # x = 7 and x = 8 now own the cosets of 2 and 4; x = 3 and x = 5 own
+    # the singletons {6} and {12}
+    (5, 2, [(7, 10), (3, 6), (8, 20), (5, 12)], [], [
+        ("disjoint-range", "fail", "cosets of (4, 8) meet"),
+        ("min-representative", "fail", "8 is not minimal in its coset"),
+        ("cardinality-range", "fail", "coset of 3 is small")]),
+    # {1, 3} listed as {3, 1}, {5, 7} as {7, 5}
+    (3, 2, [], [1, 5], [
+        ("disjoint-range", "pass", "range [1, 6]"),
+        ("min-representative", "fail", "5 is not minimal in its coset"),
+        ("cardinality-range", "pass", "")]),
+    # odd m: x = 2 owns {13}, x = 5 the coset of 4
+    (3, 3, [(2, 13), (5, 12)], [], [
+        ("disjoint-range", "fail", "cosets of (4, 5) meet"),
+        ("min-representative", "skipped", "stated for even m"),
+        ("cardinality-range", "fail", "coset of 2 is small")]),
+])
+def test_sweep_range_checks_fail_on_a_corrupted_partition(
+        monkeypatch, q, m, swaps, rotations, expected):
+    bad, real = _corrupted_partition(q, m, swaps, rotations), cosets._partition
+    monkeypatch.setattr(cosets, "_partition",
+                        lambda q_, n: bad if (q_, n) == (q, q**m - 1) else real(q_, n))
+    records = coset_theorem_sweep([q], [m]).records
+    assert [(r.check, r.status, r.detail) for r in records
+            if r.check in {c for c, _, _ in expected}] == expected
 
 
 def test_sweep_ladder_stops_at_q():

@@ -393,10 +393,18 @@ def test_cli_rejects_negative_budget(capsys):
     assert "must be >= 0" in capsys.readouterr().err
 
 
-# the ladder bound q^ceil(m/2) - 1 needs m >= 1 (for m < 0 it is a float)
-LADDER_BELOW_M1 = {
+# the messages of some usage errors
+USAGE_MESSAGES = {
+    # the ladder bound q^ceil(m/2) - 1 needs m >= 1 (for m < 0 it is a
+    # float), and so does a code: m is checked ahead of the field GF(q^m)
     "css --family ladder --q 4 --m -2 --c 3": "error: need m >= 1, got m=-2",
     "css --family ladder --q 4 --m 0 --c 3": "error: need m >= 1, got m=0",
+    "code 4 0 1": "error: need m >= 1, got m=0",
+    "code 3 0": "error: need m >= 1, got m=0",
+    "code 4 -1": "error: need m >= 1, got m=-1",
+    # --q restricts the css and conv sweeps only
+    "verify cosets --q 5": "error: --q restricts only css/conv, not verify cosets",
+    "verify cyclic --q 5": "error: --q restricts only css/conv, not verify cyclic",
 }
 
 
@@ -416,7 +424,7 @@ LADDER_BELOW_M1 = {
     "verify conv --q 3",
     "css --family block-full --q 5 --m 4",
     "conv --family split --q 5 --i 3",
-    *LADDER_BELOW_M1,
+    *USAGE_MESSAGES,
 ])
 def test_cli_bad_input_is_one_line_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -425,7 +433,7 @@ def test_cli_bad_input_is_one_line_usage_error(argv, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "error: " in err
     assert "Traceback" not in err
-    assert LADDER_BELOW_M1.get(argv, "") in err
+    assert USAGE_MESSAGES.get(argv, "") in err
 
 
 def test_cli_verify_css_unprinted_q_checks_block_family(capsys):
