@@ -6,16 +6,12 @@ __version__ = "0.1.0"
 
 from .cosets import (  # noqa: F401
     Coset,
-    GapStat,
     all_cosets,
     complementary,
     coset_of,
-    coset_oplus,
+    cosets_of,
     disjointness_range,
-    gap_stat,
     ladder_cosets,
-    parity_class,
-    special_coset_cardinality,
 )
 from .cyclic import (  # noqa: F401
     CyclicCode,

@@ -36,15 +36,19 @@ class _Rows(list):
         return True
 
 
-def _emit(command: str, rows, discrepancies, fmt: str, out_path: str | None,
-          text_lines) -> None:
-    r"""Write the output to out_path, or to stdout.  Text lines and JSON and
-    CSV rows (any iterables) are streamed, so the output is never one
-    string; text goes out 4096 lines per write.  Every output ends in one
-    newline, except that CSV on stdout keeps a newline after the writer's
-    final \r\n."""
-    with (open(out_path, "w", encoding="utf-8") if out_path
-          else contextlib.nullcontext(sys.stdout)) as fh:
+def _emit(args, command: str, rows, discrepancies, text_lines) -> None:
+    r"""Write the output in args.format to args.out, or to stdout; a file
+    that cannot be opened is a usage error.  Text lines and JSON and CSV
+    rows (any iterables) are streamed, so the output is never one string;
+    text goes out 4096 lines per write.  Every output ends in one newline,
+    except that CSV on stdout keeps a newline after the writer's final
+    \r\n."""
+    fmt, out_path = args.format, args.out
+    try:
+        out = open(out_path, "w", encoding="utf-8") if out_path else None
+    except OSError as exc:
+        args.parser.error(f"cannot write output file: {exc}")
+    with out or contextlib.nullcontext(sys.stdout) as fh:
         if fmt == "text":
             lines = iter(text_lines)
             while chunk := list(itertools.islice(lines, 4096)):
@@ -177,7 +181,7 @@ def cmd_cosets(args, cfg) -> int:
                     line += f"  parity={'odd' if rep % 2 else 'even'}"
             yield line
 
-    _emit(f"cosets {q} {m}", rows(), [], args.format, args.out, lines())
+    _emit(args, f"cosets {q} {m}", rows(), [], lines())
     return 0
 
 
@@ -197,7 +201,7 @@ def cmd_code(args, cfg) -> int:
         f"generator coefficients (low to high): {list(code.generator.coeffs)}",
         f"contains its dual: {row['contains_dual']}",
     ]
-    _emit("code", [row], [], args.format, args.out, lines)
+    _emit(args, "code", [row], [], lines)
     return 0
 
 
@@ -210,7 +214,7 @@ def cmd_css(args, cfg) -> int:
     lines = [params.bracket(),
              f"outer [{params.n}, {params.k1}], inner [{params.n}, {params.k2}]",
              f"run-based distance bound: {params.distance_lb}"]
-    _emit("css", [row], [], args.format, args.out, lines)
+    _emit(args, "css", [row], [], lines)
     return 0
 
 
@@ -229,7 +233,7 @@ def cmd_conv(args, cfg) -> int:
              f"parent d >= {code.d_parent_lb} "
              f"(combined: dfree >= {code.dfree_lb_derived})",
              f"reduced/basic check: {rep.summary()}"]
-    _emit("conv", [row], [], args.format, args.out, lines)
+    _emit(args, "conv", [row], [], lines)
     return 0
 
 
@@ -238,7 +242,7 @@ def cmd_table(args, cfg) -> int:
     rows = tables.build_table(args.which, bud)
     dicts = [r.to_dict() for r in rows]
     lines = [f"{r.text}  [{r.status}]" for r in rows]
-    _emit(f"table {args.which}", dicts, [], args.format, args.out, lines)
+    _emit(args, f"table {args.which}", dicts, [], lines)
     return 0
 
 
@@ -270,7 +274,7 @@ def cmd_verify(args, cfg) -> int:
              for r in report.records]
     lines.append(f"{len(report.records)} checks, {len(discrepancies)} failures, "
                  f"{n_skip} skipped")
-    _emit(f"verify {args.scope}", rows, discrepancies, args.format, args.out, lines)
+    _emit(args, f"verify {args.scope}", rows, discrepancies, lines)
     if n_skip and not discrepancies:
         print(f"warning: {n_skip} checks skipped", file=sys.stderr)
     return 1 if discrepancies else 0

@@ -25,6 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import cyclic, gf, oracle
+from .cosets import cosets_of
 from .cyclic import CyclicCode
 from .gf import FieldContext
 
@@ -128,8 +129,8 @@ def split_parity(parent: CyclicCode, head_exponents, tail_exponents):
     """
     head = list(head_exponents)
     tail = list(tail_exponents)
-    head_cosets = {cyclic.coset_of(parent.q, parent.m, x).rep for x in head}
-    tail_cosets = {cyclic.coset_of(parent.q, parent.m, x).rep for x in tail}
+    head_cosets = {c.rep for c in cosets_of(parent.q, parent.m, head)}
+    tail_cosets = {c.rep for c in cosets_of(parent.q, parent.m, tail)}
     parent_reps = {c.rep for c in parent.defining.cosets}
     if head_cosets & tail_cosets:
         raise ValueError("head and tail exponent sets overlap")

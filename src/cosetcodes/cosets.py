@@ -3,13 +3,14 @@
 Everything here is plain modular arithmetic; no field tables are involved.
 All values are immutable and all functions are pure.  For n up to
 MAX_MODULUS the partition into cosets is built once per (q, n), as numpy
-arrays, and every coset question is a lookup into it; larger moduli walk
-the orbit instead.
+arrays, and every coset question is a lookup into it; cosets_of turns the
+exponents of a defining set into its cosets with one mask over the owner
+array.  Larger moduli walk the orbit instead.  The gap, parity and oplus
+structure exists only as whole-partition arrays.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -35,20 +36,8 @@ class Coset:
     def cardinality(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, x) -> bool:
-        return x % self.n in self.elements if self.n > 0 else x == 0
-
     def __repr__(self):
         return f"Coset(q={self.q}, n={self.n}, {{{', '.join(map(str, self.elements))}}})"
-
-
-@dataclass(frozen=True)
-class GapStat:
-    """Minimum absolute difference between distinct reduced elements of a
-    coset; absent (None) for singletons, where no pair exists."""
-
-    coset: Coset
-    value: int | None
 
 
 def _orbit(q: int, n: int, a: int) -> list[int]:
@@ -99,6 +88,16 @@ class Partition:
         """The coset containing residue x, 0 <= x < n."""
         return self.coset(int(self.owner[x]))
 
+    def hit(self, exponents) -> np.ndarray:
+        """True for each coset holding one of the exponents, reduced mod n."""
+        try:
+            xs = np.asarray(exponents, dtype=np.int64) % self.n
+        except OverflowError:  # an exponent past int64
+            xs = np.array([a % self.n for a in exponents], dtype=np.int64)
+        out = np.zeros(len(self.reps), bool)
+        out[self.owner[xs]] = True
+        return out
+
     def classes(self):
         """(indices, orbits) per cardinality k: the cosets with k elements
         and their orbits as the k-column rows of `elements`."""
@@ -107,7 +106,7 @@ class Partition:
             yield idx, self.elements[idx, :k]
 
     def gaps(self) -> np.ndarray:
-        """gap_stat per coset: the least difference between adjacent sorted
+        """The gap per coset: the least difference between adjacent sorted
         elements, 0 for singletons."""
         out = np.zeros(len(self.reps), np.int64)
         for idx, orbits in self.classes():
@@ -127,9 +126,10 @@ class Partition:
         return self.owner[(self.n - self.reps) % self.n]
 
     def oplus(self, other: np.ndarray) -> np.ndarray:
-        """coset_oplus(coset i, coset other[i]) per coset, as coset indices:
-        the coset of reps[i] + w for the witness w of coset other[i] with
-        reps[i] + w = 0 mod n; -1 where coset other[i] holds no witness."""
+        """The oplus of coset i with coset other[i] per coset, as coset
+        indices: the coset of reps[i] + w for the witness w of coset other[i]
+        with reps[i] + w = 0 mod n; -1 where coset other[i] holds no
+        witness."""
         out = np.full(len(self.reps), -1)
         sizes = self.cards[other]
         for k in np.unique(sizes).tolist():
@@ -166,12 +166,6 @@ def _partition(q: int, n: int) -> Partition:
     return Partition(q, n, *arrays)
 
 
-def _lookup(q: int, n: int, a: int) -> Coset:
-    if n > MAX_MODULUS:
-        return _coset_by_walk(q, n, a)
-    return _partition(q, n).at(a % n)
-
-
 def partition(q: int, m: int) -> Partition:
     """The partition of {0, ..., n-1} into cosets modulo n = q^m - 1."""
     if q < 2 or m < 1:
@@ -182,13 +176,30 @@ def partition(q: int, m: int) -> Partition:
     return _partition(q, n)
 
 
-def coset_of(q: int, m: int, a: int) -> Coset:
-    """The q-ary coset of a modulo q^m - 1 (a is reduced first)."""
+def _modulus(q: int, m: int) -> int:
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    return _lookup(q, q**m - 1, a)
+    return q**m - 1
+
+
+def coset_of(q: int, m: int, a: int) -> Coset:
+    """The q-ary coset of a modulo q^m - 1 (a is reduced first)."""
+    n = _modulus(q, m)
+    return _coset_by_walk(q, n, a) if n > MAX_MODULUS else _partition(q, n).at(a % n)
+
+
+def cosets_of(q: int, m: int, exponents) -> list[Coset]:
+    """The distinct cosets of the exponents modulo q^m - 1, sorted by
+    representative (each exponent is reduced first): one Partition.hit mask,
+    or an orbit walk per exponent above MAX_MODULUS."""
+    n = _modulus(q, m)
+    if n > MAX_MODULUS:
+        by_rep = {c.rep: c for c in (_coset_by_walk(q, n, int(a)) for a in exponents)}
+        return [by_rep[rep] for rep in sorted(by_rep)]
+    part = _partition(q, n)
+    return list(map(part.coset, np.flatnonzero(part.hit(exponents)).tolist()))
 
 
 def all_cosets(q: int, m: int) -> list[Coset]:
@@ -197,43 +208,10 @@ def all_cosets(q: int, m: int) -> list[Coset]:
     return list(map(part.coset, range(len(part.reps))))
 
 
-def parity_class(c: Coset) -> str:
-    """'even' or 'odd': the common parity of all elements (odd q only)."""
-    if c.q % 2 == 0:
-        raise ValueError("parity structure is only claimed for odd q")
-    parities = {x % 2 for x in c.elements}
-    if len(parities) != 1:
-        raise AssertionError(f"mixed parity in {c!r}")
-    return "even" if parities == {0} else "odd"
-
-
-def gap_stat(c: Coset) -> GapStat:
-    if c.cardinality == 1:
-        return GapStat(c, None)
-    els = sorted(c.elements)
-    return GapStat(c, min(map(operator.sub, els[1:], els)))
-
-
 def complementary(c: Coset) -> Coset:
     """The unique coset containing n - rep."""
-    return _lookup(c.q, c.n, c.n - c.rep)
-
-
-def coset_oplus(c1: Coset, c2bar: Coset) -> Coset:
-    """Combine a coset with its complementary coset through the witness
-    element w in c2bar satisfying rep(c1) + w = 0 mod n; the result is the
-    coset of the witnessed sum, i.e. {0} whenever c2bar complements c1."""
-    if c1.n != c2bar.n or c1.q != c2bar.q:
-        raise ValueError("cosets live modulo different (n, q)")
-    n, s = c1.n, c1.rep
-    for w in c2bar.elements:
-        if (s + w) % n == 0:
-            return _lookup(c1.q, n, s + w)
-    residues = {w: (s + w) % n for w in c2bar.elements}
-    raise ValueError(
-        f"no witness: rep {s} plus each of {sorted(c2bar.elements)} gives "
-        f"residues {residues}, none are 0 mod {n}"
-    )
+    a = (c.n - c.rep) % c.n
+    return _coset_by_walk(c.q, c.n, a) if c.n > MAX_MODULUS else _partition(c.q, c.n).at(a)
 
 
 def disjointness_range(q: int, m: int) -> int:
@@ -249,20 +227,6 @@ def disjointness_range(q: int, m: int) -> int:
     if m % 2 == 0:
         return 2 * q ** (m // 2)
     return min(q ** ((m + 1) // 2) - 1, n - 1)
-
-
-def special_coset_cardinality(q: int, m: int) -> tuple[int, int]:
-    """For even m the coset of q^(m/2) + 1 has only m/2 elements; returns
-    (representative, cardinality) after verifying the orbit directly."""
-    if m % 2 != 0:
-        raise ValueError("defined for even m only")
-    s = q ** (m // 2) + 1
-    c = coset_of(q, m, s)
-    if c.rep != s % c.n or c.cardinality != m // 2:
-        raise AssertionError(
-            f"expected coset of {s} mod {c.n} to have {m // 2} elements, got {c!r}"
-        )
-    return s, m // 2
 
 
 def ladder_cosets(q: int, m: int, c: int) -> list[Coset]:

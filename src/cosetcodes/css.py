@@ -4,7 +4,9 @@ A nested pair C2 in C1 yields an [[n, k1 - k2, D]] qudit code whose distance
 is at least the smaller of the two run-based bounds, for C1 and for the dual
 of C2.  Four parameter families are provided; each one looks its cosets up
 in the memoised partition and rebuilds its codes and dimensions on every
-call.
+call.  An inner code's defining set is every coset of the partition but
+the excluded ones, picked by one mask over the coset indices; above
+MAX_MODULUS there is no partition and the families are refused.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 from . import cyclic
+from .cosets import ladder_cosets, partition
 from .cyclic import CyclicCode
 from .gf import require_prime_power
 
@@ -75,14 +78,9 @@ def css_from_pair(
 def _pair_excluding(q: int, m: int, c: int, excluded_exponents) -> tuple[CyclicCode, CyclicCode]:
     """outer from the cosets of 0..c-2; inner from every coset except those
     of the given exponents."""
-    from .cosets import all_cosets, coset_of
-
     outer = cyclic.code_from_cosets(q, m, range(c - 1))
-    excluded = {coset_of(q, m, x).rep for x in excluded_exponents}
-    inner_exps = [
-        cs.rep for cs in all_cosets(q, m) if cs.rep not in excluded
-    ]
-    inner = cyclic.code_from_cosets(q, m, inner_exps)
+    part = partition(q, m)  # raises above MAX_MODULUS
+    inner = cyclic.code_from_cosets(q, m, part.reps[~part.hit(excluded_exponents)])
     return outer, inner
 
 
@@ -129,8 +127,6 @@ def family_ladder(q: int, m: int, c: int) -> CssParams:
     require_prime_power(q, 3)
     if not 2 <= c <= q:
         raise ValueError(f"need 2 <= c <= q, got c={c}")
-    from .cosets import ladder_cosets
-
     # checks the ladder hypothesis (c-1)q+1 < q^ceil(m/2) - 1 and structure
     ladder = ladder_cosets(q, m, c - 1)
     outer, inner = _pair_excluding(q, m, c, [lc.rep for lc in ladder])

@@ -8,12 +8,13 @@ parity-check matrices (expanded over the base field) all live here.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf
-from .cosets import Coset, complementary, coset_of
+from .cosets import Coset, complementary, cosets_of
 from .gf import FieldContext, Poly, make_field
 
 
@@ -28,14 +29,10 @@ class DefiningSet:
 
     @classmethod
     def from_exponents(cls, q: int, m: int, exponents) -> "DefiningSet":
-        n = q**m - 1
-        by_rep: dict[int, Coset] = {}
-        for a in exponents:
-            c = coset_of(q, m, a)
-            by_rep[c.rep] = c
-        cosets = tuple(sorted(by_rep.values(), key=lambda c: c.rep))
-        flat = sorted(x for c in cosets for x in c.elements)
-        return cls(n=n, q=q, cosets=cosets, exponents=tuple(flat))
+        """The union of the cosets of the exponents (each reduced mod n)."""
+        cosets = tuple(cosets_of(q, m, exponents))
+        flat = sorted(itertools.chain.from_iterable(c.elements for c in cosets))
+        return cls(n=q**m - 1, q=q, cosets=cosets, exponents=tuple(flat))
 
     @property
     def size(self) -> int:
@@ -112,10 +109,9 @@ def bch_bound(code) -> int:
 
 def dual_defining_set(code: CyclicCode) -> DefiningSet:
     """Defining set of the Euclidean dual: {0..n-1} minus -Z mod n."""
-    n = code.n
-    neg = {(-z) % n for z in code.defining.exponents}
-    comp = [x for x in range(n) if x not in neg]
-    return DefiningSet.from_exponents(code.q, code.m, comp)
+    keep = np.ones(code.n, bool)
+    keep[-np.array(code.defining.exponents, dtype=np.int64) % code.n] = False
+    return DefiningSet.from_exponents(code.q, code.m, np.flatnonzero(keep))
 
 
 def dual_code(code: CyclicCode) -> CyclicCode:

@@ -7,10 +7,9 @@ basis 1, x, x^2, ... of GF(p)[x]/(f), where f is the field's defining
 polynomial.  Multiplication goes through log/antilog tables indexed by the
 chosen primitive element; addition is XOR for p = 2 and, for odd p, goes
 through the Zech logarithms Z(k) = log(1 + alpha^k), one int32 table of
-q - 1 entries.  The context stores each table once, as an int32 array; the
-public lists exp and log are views built on first read, and nothing in the
-library reads them.  For q <= 512 the context also holds full q x q
-addition and multiplication tables, built by the same XOR and Zech paths.
+q - 1 entries.  The context stores each table once, as an int32 array.
+For q <= 512 the context also holds full q x q addition and
+multiplication tables, built by the same XOR and Zech paths.
 
 make_field searches the monic polynomials in lexicographic order for the
 first primitive one, skipping every constant term that no primitive
@@ -36,15 +35,13 @@ embedding.  Poly's sum, product and division are row operations on the same
 kernel; one Horner's rule, _horner, evaluates Poly, the embedding's root
 search and conv's polynomial matrices at arrays of points.
 
-Field contexts are safe to share between threads: only the lazy exp and log
-views change after construction, and a race at worst builds one twice.
 Every function in this module is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -210,19 +207,6 @@ class FieldContext:
         self._add_table = add.astype(np.int32)
         self._mul_table = mul
 
-    @cached_property
-    def exp(self) -> list[int]:
-        """exp[i] is the label of alpha^i (0 <= i < q - 1); built on first read."""
-        return self._np_exp.tolist()
-
-    @cached_property
-    def log(self) -> list[int | None]:
-        """log[x] is the discrete log of the label x, log[0] None; built on
-        first read."""
-        log = self._np_log.tolist()
-        log[0] = None
-        return log
-
     # -- arithmetic ------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
@@ -331,10 +315,6 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __eq__(self, other):
         return (
@@ -614,7 +594,3 @@ def mat_vec(ctx: FieldContext, rows, v) -> list:
     else:
         sums = _labels(ctx, _digits(ctx, prods).sum(axis=2) % ctx.p)
     return sums.tolist() if V.ndim == 2 else sums[0].tolist()
-
-
-def dot(ctx: FieldContext, u, v) -> int:
-    return mat_vec(ctx, [u], v)[0]

@@ -34,10 +34,6 @@ class TableRow:
     def to_dict(self):
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 def _css_row(table: int, params: css.CssParams, budget) -> TableRow:
     verified = oracle.css_distance_at_least(params, params.printed_distance, budget)

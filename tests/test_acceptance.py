@@ -8,6 +8,7 @@ criterion asserts its own wall-clock budget.
 import time
 
 from cosetcodes import conv, css, cyclic, families, oracle, verify
+from cosetcodes.cosets import coset_of
 from cosetcodes.oracle import OracleBudget
 from cosetcodes.tables import build_table
 
@@ -44,11 +45,10 @@ def test_criterion_2_table2_regeneration():
     assert "[[624, 597, d >= 5]]_5" in texts
     assert "[[342, 308, d >= 7]]_7" in texts
     # the half-size coset correction enters the even-m dimensions
-    from cosetcodes.cosets import special_coset_cardinality
-
     for q, m, c in families.BY_NAME["css-block-even"].instances:
-        rep, size = special_coset_cardinality(q, m)
-        assert size == m // 2
+        special = coset_of(q, m, q ** (m // 2) + 1)
+        assert special.rep == q ** (m // 2) + 1
+        assert special.cardinality == m // 2
         params = css.family_block_even(q, m, c)
         assert params.k == params.outer.k - params.inner.k
     assert elapsed < 10.0, f"table 2 took {elapsed:.2f}s"

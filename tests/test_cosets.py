@@ -1,20 +1,42 @@
+import json
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cosetcodes import cli
 from cosetcodes.cosets import (
     all_cosets,
     complementary,
     coset_of,
-    coset_oplus,
     disjointness_range,
-    gap_stat,
     ladder_cosets,
-    parity_class,
-    special_coset_cardinality,
+    partition,
 )
 
 SMALL_GRID = [(q, m) for q in (3, 5, 7, 9) for m in (2, 3)]
+
+
+def _listing(q, m, capsys):
+    """The rows of `cosets q m --properties --format json`, by rep."""
+    assert cli.main(["cosets", str(q), str(m), "--properties", "--format", "json"]) == 0
+    return {row["rep"]: row for row in json.loads(capsys.readouterr().out)["rows"]}
+
+
+def _gap(q, m, a):
+    """The partition's gap of the coset of a; None for a singleton."""
+    part = partition(q, m)
+    return int(part.gaps()[part.owner[a % part.n]]) or None
+
+
+def _oplus(q, m, a, b):
+    """The partition's oplus of the cosets of a and b; None where the coset
+    of b holds no witness."""
+    part = partition(q, m)
+    other = np.full(len(part.reps), part.owner[b % part.n])
+    i = int(part.oplus(other)[part.owner[a % part.n]])
+    return None if i < 0 else part.coset(i)
 
 
 # ---------------------------------------------------------------
@@ -74,15 +96,16 @@ def test_degenerate_modulus():
 # parity
 # ---------------------------------------------------------------
 
-def test_parity_class_examples():
-    assert parity_class(coset_of(5, 2, 2)) == "even"
-    assert parity_class(coset_of(5, 2, 1)) == "odd"
-    assert parity_class(coset_of(3, 2, 0)) == "even"
+def test_parity_class_examples(capsys):
+    listed = _listing(5, 2, capsys)
+    assert listed[2]["parity"] == "even"
+    assert listed[1]["parity"] == "odd"
+    assert _listing(3, 2, capsys)[0]["parity"] == "even"
 
 
-def test_parity_class_refuses_even_q():
-    with pytest.raises(ValueError):
-        parity_class(coset_of(4, 2, 1))
+def test_parity_class_refuses_even_q(capsys):
+    # parity structure is only claimed for odd q
+    assert not any("parity" in row for row in _listing(4, 2, capsys).values())
 
 
 @pytest.mark.parametrize("q,m", SMALL_GRID)
@@ -99,23 +122,23 @@ def test_parity_uniform_and_no_consecutive(q, m):
 # ---------------------------------------------------------------
 
 def test_gap_examples():
-    assert gap_stat(coset_of(5, 2, 1)).value == 4
-    assert gap_stat(coset_of(5, 2, 0)).value is None
-    assert gap_stat(coset_of(5, 2, 19)).value == 4
+    assert _gap(5, 2, 1) == 4
+    assert _gap(5, 2, 0) is None
+    assert _gap(5, 2, 19) == 4
 
 
 @pytest.mark.parametrize("q,m", SMALL_GRID)
 def test_gap_lower_bound_and_equality_at_one(q, m):
     for c in all_cosets(q, m):
-        g = gap_stat(c)
-        if g.value is not None:
-            assert g.value >= q - 1
-    assert gap_stat(coset_of(q, m, 1)).value == q - 1
+        g = _gap(q, m, c.rep)
+        if g is not None:
+            assert g >= q - 1
+    assert _gap(q, m, 1) == q - 1
 
 
 def _gap_reference(c):
     """The minimum |x - y| over every pair of distinct elements: the slow
-    reference for gap_stat."""
+    reference for the partition's gaps."""
     els = c.elements
     if len(els) == 1:
         return None
@@ -132,8 +155,7 @@ def _gap_reference(c):
 )
 def test_gap_matches_pairwise_reference(qm, a):
     q, m = qm
-    c = coset_of(q, m, a)
-    assert gap_stat(c).value == _gap_reference(c)
+    assert _gap(q, m, a) == _gap_reference(coset_of(q, m, a))
 
 
 # ---------------------------------------------------------------
@@ -157,26 +179,19 @@ def test_complementary_properties(q, m):
         # unique: every element's negation lands in the same coset
         assert {coset_of(q, m, n - x).rep for x in c.elements} == {comp.rep}
         assert comp.cardinality == c.cardinality
-        assert gap_stat(comp).value == gap_stat(c).value
+        assert _gap(q, m, comp.rep) == _gap(q, m, c.rep)
         assert complementary(comp) == c
 
 
 def test_coset_oplus_annihilates_complementary_pair():
-    c1 = coset_of(5, 2, 1)
-    assert coset_oplus(c1, complementary(c1)).elements == (0,)
-    c0 = coset_of(5, 2, 0)
-    assert coset_oplus(c0, c0).elements == (0,)
-    c2 = coset_of(3, 2, 2)
-    assert coset_oplus(c2, complementary(c2)).elements == (0,)
+    assert _oplus(5, 2, 1, complementary(coset_of(5, 2, 1)).rep).elements == (0,)
+    assert _oplus(5, 2, 0, 0).elements == (0,)
+    assert _oplus(3, 2, 2, complementary(coset_of(3, 2, 2)).rep).elements == (0,)
 
 
 def test_coset_oplus_reports_failed_congruence():
-    c1 = coset_of(5, 2, 1)
-    c2 = coset_of(5, 2, 2)
-    with pytest.raises(ValueError, match="residues"):
-        coset_oplus(c1, c2)
-    with pytest.raises(ValueError):
-        coset_oplus(c1, coset_of(3, 2, 1))  # mismatched modulus
+    # no element w of the coset {2, 10} of 2 gives 1 + w = 0 mod 24
+    assert _oplus(5, 2, 1, 2) is None
 
 
 # ---------------------------------------------------------------
@@ -217,13 +232,13 @@ def test_disjointness_range_guarantee(q, m):
 # ---------------------------------------------------------------
 
 def test_special_coset_cardinality():
-    assert special_coset_cardinality(5, 2) == (6, 1)
+    # for even m the coset of q^(m/2) + 1 has only m/2 elements
     assert coset_of(5, 2, 6).elements == (6,)
-    assert special_coset_cardinality(3, 2) == (4, 1)
-    assert special_coset_cardinality(3, 4) == (10, 2)
+    assert coset_of(3, 2, 4).elements == (4,)
     assert coset_of(3, 4, 10).elements == (10, 30)
-    with pytest.raises(ValueError):
-        special_coset_cardinality(3, 3)
+    for q, m in [(4, 2), (7, 2), (3, 6), (5, 4)]:
+        c = coset_of(q, m, q ** (m // 2) + 1)
+        assert (c.rep, c.cardinality) == (q ** (m // 2) + 1, m // 2)
 
 
 def test_ladder_cosets_examples():

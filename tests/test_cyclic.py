@@ -20,6 +20,8 @@ from cosetcodes.cyclic import (
 )
 from cosetcodes.gf import Poly, subfield_embedding
 
+from test_gf import _tables
+
 
 # ---------------------------------------------------------------
 # construction
@@ -49,9 +51,10 @@ def test_generator_roots_are_exactly_the_defining_set():
     code = code_from_cosets(3, 2, [1])
     emb = subfield_embedding(code.ext, code.base)
     lifted = [emb.lift(c) for c in code.generator.coeffs]
+    exp, _ = _tables(code.ext)
     for z in range(code.n):
         acc = 0
-        x = code.ext.exp[z]
+        x = exp[z]
         for c in reversed(lifted):
             acc = code.ext.add(code.ext.mul(acc, x), c)
         assert (acc == 0) == (z in code.defining.exponents)
@@ -77,11 +80,12 @@ def _reference_generator(q, m, exponents):
     emb = subfield_embedding(ext, base)
     n = q**m - 1
     orbits = {frozenset((i * q**t) % n for t in range(m)) for i in exponents}
+    exp, _ = _tables(ext)
     g = Poly.one(base)
     for orbit in orbits:
         coeffs = [1]
         for j in orbit:
-            c = ext.neg(ext.exp[j])
+            c = ext.neg(exp[j])
             nxt = [0] * (len(coeffs) + 1)
             for t, a in enumerate(coeffs):
                 nxt[t + 1] = ext.add(nxt[t + 1], a)
@@ -142,7 +146,7 @@ def test_dual_defining_set_of_block_inner_code():
     # inner code excluding the cosets of 6..9 (q=5): its dual's defining
     # set is the negation of the excluded block and carries a length-4 run
     z2 = [x for x in range(24)
-          if cyclic.coset_of(5, 2, x).rep not in (6, 7, 8, 9)]
+          if cosets.coset_of(5, 2, x).rep not in (6, 7, 8, 9)]
     inner = code_from_cosets(5, 2, z2)
     d = dual_code(inner)
     assert d.defining.exponents == (3, 8, 13, 15, 16, 17, 18)
@@ -157,6 +161,49 @@ def test_self_reciprocal_dual_is_complement():
     assert set(dual.exponents) == set(range(24)) - set(code.defining.exponents)
 
 
+def _ref_from_exponents(q, m, exponents):
+    """The defining set the slow way: one orbit walk per exponent."""
+    n = q**m - 1
+    by_rep = {}
+    for a in exponents:
+        c = cosets._coset_by_walk(q, n, a)
+        by_rep[c.rep] = c
+    members = tuple(sorted(by_rep.values(), key=lambda c: c.rep))
+    flat = sorted(x for c in members for x in c.elements)
+    return DefiningSet(n=n, q=q, cosets=members, exponents=tuple(flat))
+
+
+def _ref_dual_defining_set(code):
+    """{0..n-1} minus -Z, residue by residue."""
+    n = code.n
+    neg = {(-z) % n for z in code.defining.exponents}
+    return _ref_from_exponents(code.q, code.m, [x for x in range(n) if x not in neg])
+
+
+@st.composite
+def _exponent_lists(draw):
+    """(q, m, exponents) with n = q^m - 1 <= 80: from none to 2n exponents
+    in [-2n, 3n), so residues repeat and the defining set falls on either
+    side of n/2."""
+    q, m = draw(st.sampled_from(_SMALL_LENGTHS))
+    n = q**m - 1
+    size = draw(st.integers(0, 2 * n))
+    return q, m, draw(st.lists(st.integers(-2 * n, 3 * n - 1), min_size=size, max_size=size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exponent_lists())
+@example((3, 2, [])).via("the empty set")
+@example((4, 2, [-1, 14, 29, 44, -16, 3])).via("one residue five ways")
+@example((2, 6, list(range(-63, 63)))).via("every residue twice")
+@example((4, 2, [10**20, -(10**20), 2**63])).via("exponents past int64")
+def test_defining_sets_match_per_exponent_reference(case):
+    q, m, exponents = case
+    assert DefiningSet.from_exponents(q, m, exponents) == _ref_from_exponents(q, m, exponents)
+    code = code_from_cosets(q, m, exponents)
+    assert dual_defining_set(code) == _ref_dual_defining_set(code)
+
+
 def test_contains_dual_examples():
     assert contains_dual(code_from_cosets(5, 2, [1])) is True
     assert contains_dual(code_from_cosets(5, 2, [0])) is False
@@ -166,7 +213,7 @@ def test_contains_dual_examples():
 def test_nested_examples():
     outer = code_from_cosets(5, 2, range(4))
     z2 = [x for x in range(24)
-          if cyclic.coset_of(5, 2, x).rep not in (6, 7, 8, 9)]
+          if cosets.coset_of(5, 2, x).rep not in (6, 7, 8, 9)]
     inner = code_from_cosets(5, 2, z2)
     assert nested(outer, inner) is True
     assert nested(outer, outer) is True

@@ -11,6 +11,14 @@ from cosetcodes.cosets import coset_of
 from cosetcodes.gf import Poly, make_field, subfield_embedding
 
 
+def _tables(ctx):
+    """The antilog list (entry i is the label of alpha^i) and the log list
+    (entry 0 is None) of a field, read from its int32 tables."""
+    log = ctx._np_log.tolist()
+    log[0] = None
+    return ctx._np_exp.tolist(), log
+
+
 # ---------------------------------------------------------------
 # field construction
 # ---------------------------------------------------------------
@@ -20,24 +28,24 @@ def test_make_field_gf3_smallest_generator():
     assert f.q == 3
     assert f.alpha == 2
     # 2 generates GF(3)^*: 2^1 = 2, 2^2 = 1
-    assert sorted(f.exp) == [1, 2]
+    assert sorted(_tables(f)[0]) == [1, 2]
 
 
 def test_make_field_gf2_trivial_group():
     f = make_field(2, 1)
     assert f.alpha == 1
-    assert f.exp == [1]
-    assert f.log[1] == 0
+    assert _tables(f) == ([1], [None, 0])
 
 
 def test_make_field_gf25_table_and_order():
     f = make_field(5, 2)
-    assert len(f.exp) == 24
+    exp, _ = _tables(f)
+    assert len(exp) == 24
     # antilog is a bijection onto the nonzero elements
-    assert sorted(f.exp) == list(range(1, 25))
+    assert sorted(exp) == list(range(1, 25))
     # alpha has order exactly 24: no earlier return to 1
-    assert all(f.exp[i] != 1 for i in range(1, 24))
-    assert f.mul(f.exp[23], f.alpha) == 1
+    assert all(exp[i] != 1 for i in range(1, 24))
+    assert f.mul(exp[23], f.alpha) == 1
 
 
 def test_make_field_gf9_defining_poly_is_lex_smallest_primitive():
@@ -104,10 +112,10 @@ def test_field_axioms_exhaustive(q):
 
 
 def test_log_antilog_roundtrip():
-    f = make_field(2, 4)
+    exp, log = _tables(make_field(2, 4))
     for i in range(15):
-        assert f.log[f.exp[i]] == i
-    assert f.log[0] is None
+        assert log[exp[i]] == i
+    assert log[0] is None
 
 
 # ---------------------------------------------------------------
@@ -194,7 +202,7 @@ def test_make_field_matches_unpruned_scalar_reference(p, e):
     f = next(f for f in _reference_candidates(p, e) if _reference_is_primitive(f, p, e))
     ctx = make_field(p, e)
     assert ctx.defining == tuple(f)
-    assert (ctx.alpha, ctx.exp, ctx.log) == _reference_tables(p, e, f)
+    assert (ctx.alpha, *_tables(ctx)) == _reference_tables(p, e, f)
 
 
 @pytest.mark.parametrize("p,e,defining", [
@@ -206,7 +214,7 @@ def test_make_field_pinned_at_scale(p, e, defining):
     # pinned from the unpruned search, which takes seconds at these sizes
     ctx = make_field(p, e)
     assert ctx.defining == defining
-    assert (ctx.alpha, ctx.exp, ctx.log) == _reference_tables(p, e, defining)
+    assert (ctx.alpha, *_tables(ctx)) == _reference_tables(p, e, defining)
 
 
 @settings(max_examples=40, deadline=None)
@@ -242,10 +250,11 @@ def test_make_field_at_the_cap():
         elapsed = time.perf_counter() - t0
         q = p**e
         assert elapsed < 5.0, f"GF({p}^{e}) took {elapsed:.2f}s"
-        assert sorted(ctx.exp) == list(range(1, q))
-        assert all(ctx.log[v] == i for i, v in enumerate(ctx.exp))
-        assert ctx.log[0] is None
-        assert ctx.mul(ctx.exp[q - 2], ctx.alpha) == 1
+        exp, log = _tables(ctx)
+        assert sorted(exp) == list(range(1, q))
+        assert all(log[v] == i for i, v in enumerate(exp))
+        assert log[0] is None
+        assert ctx.mul(exp[q - 2], ctx.alpha) == 1
     with pytest.raises(ValueError):
         make_field(2, 21)
 
@@ -268,11 +277,11 @@ def test_minimal_polynomial_singleton_coset_is_linear():
     f25 = make_field(5, 2)
     base = make_field(5, 1)
     mp = _minimal_polynomial(f25, 5, 6)
-    assert mp.degree == 1 and mp.is_monic
+    assert mp.degree == 1 and mp.coeffs[-1] == 1
     # its root, lifted back into the extension, is alpha^6
     emb = subfield_embedding(f25, base)
     root = base.neg(mp.coeffs[0])
-    assert emb.lift(root) == f25.exp[6]
+    assert emb.lift(root) == _tables(f25)[0][6]
 
 
 def test_minimal_polynomial_of_alpha_has_degree_two_over_gf3():
@@ -362,16 +371,17 @@ def _ref_embedding(ext, base):
     polynomial."""
     stride = (ext.q - 1) // (base.q - 1)
     defining = Poly(ext, base.defining)
+    ext_exp, base_exp = _tables(ext)[0], _tables(base)[0]
     for t in range(base.q - 1):
-        if _ref_evaluate(defining, ext.exp[(t * stride) % (ext.q - 1)]) == 0:
+        if _ref_evaluate(defining, ext_exp[(t * stride) % (ext.q - 1)]) == 0:
             gamma_log = (t * stride) % (ext.q - 1)
             break
     else:
         raise AssertionError("no root of base defining polynomial in extension")
     up = [0] * base.q
     for s in range(base.q - 1):
-        up[base.exp[s]] = ext.exp[(gamma_log * s) % (ext.q - 1)]
-    return ext.exp[gamma_log], up
+        up[base_exp[s]] = ext_exp[(gamma_log * s) % (ext.q - 1)]
+    return ext_exp[gamma_log], up
 
 
 # (q^m, q) for every embedding `verify all` builds
@@ -421,7 +431,7 @@ def test_expand_orthogonality_equivalence():
             ext_dot = 0
             for vi, ui in zip(v, u):
                 ext_dot = f9.add(ext_dot, f9.mul(emb.lift(vi), ui))
-            expanded_zero = all(gf.dot(f3, v, r) == 0 for r in rows)
+            expanded_zero = not any(gf.mat_vec(f3, rows, v))
             assert (ext_dot == 0) == expanded_zero
 
 
@@ -470,7 +480,8 @@ def test_expand_raw_rows_and_rank_q4():
     # rank 7 over GF(4)
     f16, f4 = make_field(2, 4), make_field(2, 2)
     n = 15
-    rows = [[f16.exp[(i * j) % n] for j in range(n)] for i in range(4)]
+    exp = _tables(f16)[0]
+    rows = [[exp[(i * j) % n] for j in range(n)] for i in range(4)]
     raw = gf.expand_matrix(f16, f4, rows)
     assert len(raw) == 8
     assert gf.rank(f4, raw) == 7
@@ -712,13 +723,14 @@ def _ref_mul(a, b):
     ctx = a.ctx
     if a.is_zero or b.is_zero:
         return Poly.zero(ctx)
+    exp, log = _tables(ctx)
     out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
     for i, x in enumerate(a.coeffs):
         if x:
-            lx = ctx.log[x]
+            lx = log[x]
             for j, y in enumerate(b.coeffs):
                 if y:
-                    out[i + j] = ctx.add(out[i + j], ctx.exp[(lx + ctx.log[y]) % (ctx.q - 1)])
+                    out[i + j] = ctx.add(out[i + j], exp[(lx + log[y]) % (ctx.q - 1)])
     return Poly(ctx, out)
 
 

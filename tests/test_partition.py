@@ -1,6 +1,8 @@
 """The memoised coset partition against the slow orbit walk it replaces,
 and the production dual-containing test against both criteria."""
 
+import operator
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,11 +14,31 @@ from cosetcodes.cosets import (
     all_cosets,
     complementary,
     coset_of,
-    coset_oplus,
-    gap_stat,
-    parity_class,
+    cosets_of,
 )
 from cosetcodes.cyclic import DefiningSet, contains_dual
+
+
+def _ref_gap_stat(c):
+    """The least difference between neighbouring sorted elements of a
+    coset; None for a singleton, where no pair exists."""
+    els = sorted(c.elements)
+    return min(map(operator.sub, els[1:], els), default=None)
+
+
+def _ref_parity_class(c):
+    """'even' or 'odd': the common parity of all elements (odd q only)."""
+    parities = {x % 2 for x in c.elements}
+    assert c.q % 2 == 1 and len(parities) == 1, f"mixed parity in {c!r}"
+    return "even" if parities == {0} else "odd"
+
+
+def _ref_coset_oplus(c1, c2bar):
+    """The coset of rep(c1) + w for the witness w in c2bar with
+    rep(c1) + w = 0 mod n, i.e. {0}; None if c2bar holds no witness."""
+    n = c1.n
+    return next((_coset_by_walk(c1.q, n, c1.rep + w) for w in c2bar.elements
+                 if (c1.rep + w) % n == 0), None)
 
 
 @st.composite
@@ -85,22 +107,18 @@ def test_partition_properties_match_scalar_functions(qm, shift):
     n = q**m - 1
     part = cosets.partition(q, m)
     walked = [_coset_by_walk(q, n, rep) for rep in part.reps.tolist()]
-    assert part.gaps().tolist() == [gap_stat(c).value or 0 for c in walked]
+    assert part.gaps().tolist() == [_ref_gap_stat(c) or 0 for c in walked]
     assert part.mixed().tolist() == [len({x % 2 for x in c.elements}) == 2 for c in walked]
     if q % 2 == 1:
         assert [("odd" if r % 2 else "even") for r in part.reps.tolist()] == list(
-            map(parity_class, walked))
+            map(_ref_parity_class, walked))
     comp = part.complements()
     assert part.reps[comp].tolist() == [complementary(c).rep for c in walked]
     # oplus with the complements, and with an arbitrary pairing that may
     # hold no witness
     for other in (comp, (comp + shift) % len(walked)):
-        expect = []
-        for c, o in zip(walked, other.tolist()):
-            try:
-                expect.append(coset_oplus(c, walked[o]).rep)
-            except ValueError:
-                expect.append(None)
+        expect = [getattr(_ref_coset_oplus(c, walked[o]), "rep", None)
+                  for c, o in zip(walked, other.tolist())]
         got = part.oplus(other).tolist()
         assert [None if i < 0 else int(part.reps[i]) for i in got] == expect
 
@@ -123,6 +141,13 @@ def test_moduli_over_the_cap_walk_the_orbit(monkeypatch):
     c = coset_of(2, 20, -3)
     assert c == _coset_by_walk(2, n, n - 3)
     assert complementary(c) == _coset_by_walk(2, n, 3)
+    walked = {_coset_by_walk(2, n, a) for a in (6, -3, 3, 2 * n + 3, 1)}
+    assert cosets_of(2, 20, [6, -3, 3, 2 * n + 3, 1]) == sorted(walked, key=lambda c: c.rep)
+    # past int64 the walk keeps Python ints: residues >= 2^63 reduce exactly
+    n = 2**70 - 1
+    assert coset_of(2, 70, -1) == _coset_by_walk(2, n, n - 1)
+    assert cosets_of(2, 70, [-1, 2**69, n + 2**69]) == [
+        _coset_by_walk(2, n, 1), _coset_by_walk(2, n, n - 1)]
 
 
 @settings(max_examples=200, deadline=None)

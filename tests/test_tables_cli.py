@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 from cosetcodes import __version__, cli, cosets
-from cosetcodes.cosets import _coset_by_walk, gap_stat, parity_class
+from cosetcodes.cosets import _coset_by_walk
 from cosetcodes.tables import TableRow, build_table
+
+from test_partition import _ref_gap_stat, _ref_parity_class
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -141,16 +143,16 @@ def test_cli_out_file_bytes_match_stdout(argv, fmt, tmp_path, capsysbinary):
 
 def _render_cosets(q, m, properties, fmt, to_file):
     """The bytes `cosets q m` should print, from the orbit walk and the
-    scalar property functions."""
+    scalar reference functions."""
     n = q**m - 1
     rows = []
     for c in sorted({_coset_by_walk(q, n, x) for x in range(n)}, key=lambda c: c.rep):
         row = {"rep": c.rep, "cardinality": c.cardinality, "elements": list(c.elements)}
         if properties:
-            row["gap"] = gap_stat(c).value
+            row["gap"] = _ref_gap_stat(c)
             row["complement"] = _coset_by_walk(q, n, n - c.rep).rep
             if q % 2 == 1:
-                row["parity"] = parity_class(c)
+                row["parity"] = _ref_parity_class(c)
         rows.append(row)
     if fmt == "json":
         return json.dumps({"tool_version": __version__, "command": f"cosets {q} {m}",
@@ -261,7 +263,7 @@ def test_cli_table_json_roundtrip(tmp_path):
     payload = json.loads(out_file.read_text())
     assert payload["command"] == "table 1"
     assert "tool_version" in payload and payload["discrepancies"] == []
-    parsed = [TableRow.from_dict(d) for d in payload["rows"]]
+    parsed = [TableRow(**d) for d in payload["rows"]]
     assert parsed == build_table(1, budget=cli.OracleBudget(max_enumeration=0))
 
 
@@ -405,6 +407,11 @@ USAGE_MESSAGES = {
     # --q restricts the css and conv sweeps only
     "verify cosets --q 5": "error: --q restricts only css/conv, not verify cosets",
     "verify cyclic --q 5": "error: --q restricts only css/conv, not verify cyclic",
+    # the CSS families need the partition, capped at n = 10^6
+    "css --family block-even --q 4 --m 10 --c 3": "error: modulus 1048575 exceeds cap 1000000",
+    # an output file that cannot be opened: a directory, a missing directory
+    "cosets 4 2 --out .": "error: cannot write output file: ",
+    "table 1 --out /nonexistent/x.json": "error: cannot write output file: ",
 }
 
 
