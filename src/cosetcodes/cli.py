@@ -13,6 +13,7 @@ import csv
 import itertools
 import json
 import sys
+import warnings
 
 from . import __version__, conv, cosets, cyclic, families, oracle, tables, verify
 from .oracle import OracleBudget, SweepReport
@@ -121,7 +122,7 @@ def _usage_errors(args):
 def _family_instance(args):
     """The instance that --family, --q and --m/--c/--i name.  A missing
     option, an option the family does not take, and a value its
-    constructor rejects are usage errors."""
+    constructor rejects are usage errors; its warnings are one line each."""
     fam = families.BY_NAME[f"{args.command}-{args.family}"]
     given = {p: v for p in "mci" if (v := vars(args).get(p)) is not None}
     extra = sorted(given.keys() - set(fam.params))
@@ -132,8 +133,12 @@ def _family_instance(args):
     missing = [p for p in fam.params if p not in given]
     if missing:
         args.parser.error(f"--family {args.family} needs --{missing[0]}")
-    with _usage_errors(args):
-        return fam.build(q=args.q, **given)
+    with _usage_errors(args), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        instance = fam.build(q=args.q, **given)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return instance
 
 
 # ----------------------------------------------------------------------

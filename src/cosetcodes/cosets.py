@@ -101,7 +101,7 @@ class Partition:
     def classes(self):
         """(indices, orbits) per cardinality k: the cosets with k elements
         and their orbits as the k-column rows of `elements`."""
-        for k in np.unique(self.cards).tolist():
+        for k in np.flatnonzero(np.bincount(self.cards)).tolist():
             idx = np.flatnonzero(self.cards == k)
             yield idx, self.elements[idx, :k]
 
@@ -132,7 +132,7 @@ class Partition:
         witness."""
         out = np.full(len(self.reps), -1)
         sizes = self.cards[other]
-        for k in np.unique(sizes).tolist():
+        for k in np.flatnonzero(np.bincount(sizes)).tolist():
             idx = np.flatnonzero(sizes == k)
             sums = (self.reps[idx, None] + self.elements[other[idx], :k]) % self.n
             out[idx[(sums == 0).any(axis=1)]] = self.owner[0]

@@ -1,21 +1,23 @@
 """Cyclic and BCH-style codes of length q^m - 1 over GF(q), built from
 defining sets of cyclotomic cosets.
 
-A code is a value object: defining set, generator polynomial, dimension.
-The run-based designed-distance bound, duals, the dual-containing test and
-parity-check matrices (expanded over the base field) all live here.
+A code is a value object: defining set and dimension, with the generator
+polynomial built on first read.  The run-based designed-distance bound,
+duals, the dual-containing test and parity-check matrices (expanded over
+the base field) all live here.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import gf
 from .cosets import Coset, complementary, cosets_of
-from .gf import FieldContext, Poly, make_field
+from .gf import FieldContext, Poly
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,7 @@ class CyclicCode:
     """Cyclic code over GF(q) of length n = q^m - 1 with defining set Z.
 
     g divides x^n - 1, its roots are exactly alpha^z for z in Z, and
-    k = n - |Z|.
+    k = n - |Z|.  g is built on first read; codes compare and hash without it.
     """
 
     base: FieldContext
@@ -53,32 +55,27 @@ class CyclicCode:
     m: int
     n: int
     defining: DefiningSet
-    generator: Poly
     k: int
+
+    @cached_property
+    def generator(self) -> Poly:
+        return gf.poly_with_roots(self.ext, self.q, self.defining.exponents)
 
     def __repr__(self):
         return f"CyclicCode[{self.n}, {self.k}]_{self.q}"
 
 
-def contexts_for(q: int, m: int) -> tuple[FieldContext, FieldContext]:
-    """(GF(q), GF(q^m)) for a prime power q."""
-    p, e = gf.factor_prime_power(q)
-    return make_field(p, e), make_field(p, e * m)
-
-
 def code_from_cosets(q: int, m: int, exponents) -> CyclicCode:
     """Cyclic code whose defining set Z is the union of the cosets of the
-    given exponents; g is the product of (x - alpha^z) over z in Z."""
+    given exponents."""
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
-    base, ext = contexts_for(q, m)
+    base = gf.field_for(q)
+    ext = gf.make_field(base.p, base.e * m)
     n = q**m - 1
     defining = DefiningSet.from_exponents(q, m, exponents)
-    return CyclicCode(
-        base=base, ext=ext, q=q, m=m, n=n, defining=defining,
-        generator=gf.poly_with_roots(ext, q, defining.exponents),
-        k=n - defining.size,
-    )
+    return CyclicCode(base=base, ext=ext, q=q, m=m, n=n, defining=defining,
+                      k=n - defining.size)
 
 
 def _longest_cyclic_run(exponents, n: int) -> int:

@@ -323,9 +323,6 @@ class Poly:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self):
-        return hash((id(self.ctx), self.coeffs))
-
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
         a, b = (np.array(f.coeffs + (0,) * (n - len(f.coeffs)), dtype=np.int64)
@@ -578,7 +575,7 @@ def nullspace(ctx: FieldContext, rows) -> list[list[int]]:
     """Basis of { v : M v^T = 0 } over GF(q)."""
     R, pivots = rref(ctx, rows)
     ncols = R.shape[1]
-    free = np.setdiff1d(np.arange(ncols), pivots)
+    free = np.delete(np.arange(ncols), pivots)  # np.setdiff1d imports numpy.ma
     basis = np.zeros((len(free), ncols), dtype=np.int32)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = _mul(ctx, R[:len(pivots), free].T, ctx.p - 1)

@@ -18,7 +18,7 @@ from cosetcodes.cyclic import (
     nested,
     parity_check_matrix,
 )
-from cosetcodes.gf import Poly, subfield_embedding
+from cosetcodes.gf import Poly, field_for, make_field, subfield_embedding
 
 from test_gf import _tables
 
@@ -60,6 +60,29 @@ def test_generator_roots_are_exactly_the_defining_set():
         assert (acc == 0) == (z in code.defining.exponents)
 
 
+def test_generator_is_built_once_on_first_read(monkeypatch):
+    calls = []
+    real = gf.poly_with_roots
+    monkeypatch.setattr(gf, "poly_with_roots",
+                        lambda *args: calls.append(args) or real(*args))
+    code = code_from_cosets(4, 2, [1, 2, 3])
+    assert calls == []
+    g = code.generator
+    assert code.generator is g
+    assert len(calls) == 1
+    assert g == real(code.ext, code.q, code.defining.exponents)
+
+
+def test_codes_compare_and_hash_on_their_cosets():
+    # the same cosets, named by different exponents in a different order
+    a = code_from_cosets(5, 2, [7, 1, 0])
+    b = code_from_cosets(5, 2, [0, 5, 35, 1])
+    assert a == b and hash(a) == hash(b)
+    a.generator  # a built generator is not part of the value
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != code_from_cosets(5, 2, [0, 1])
+
+
 def test_defining_set_closed_under_multiplier():
     ds = DefiningSet.from_exponents(5, 2, [1, 7])
     zs = set(ds.exponents)
@@ -76,7 +99,8 @@ def _reference_generator(q, m, exponents):
     exponents, the scalar product of (x - alpha^j) over its elements in
     GF(q^m), lowered to GF(q); the cosets' polynomials multiplied by
     Poly.__mul__."""
-    base, ext = cyclic.contexts_for(q, m)
+    base = field_for(q)
+    ext = make_field(base.p, base.e * m)
     emb = subfield_embedding(ext, base)
     n = q**m - 1
     orbits = {frozenset((i * q**t) % n for t in range(m)) for i in exponents}

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cosetcodes import __version__, cli, cosets
+from cosetcodes import __version__, cli, cosets, cyclic, gf
 from cosetcodes.cosets import _coset_by_walk
 from cosetcodes.tables import TableRow, build_table
 
@@ -89,6 +89,30 @@ def test_table_regeneration_is_deterministic():
     a = [r.to_dict() for r in build_table(3)]
     b = [r.to_dict() for r in build_table(3)]
     assert a == b
+
+
+def test_tables_build_only_the_generators_they_read(monkeypatch):
+    # a code's parameters come from its cosets; its generator is built only
+    # for the codes whose basis the oracle enumerates
+    built, read = [], {}
+    real_roots, real_basis = gf.poly_with_roots, cyclic.codeword_basis
+
+    def roots(ext, q, exponents):
+        built.append((ext, q, tuple(exponents)))
+        return real_roots(ext, q, exponents)
+
+    def basis(code):
+        read.setdefault(id(code), code)
+        return real_basis(code)
+
+    monkeypatch.setattr(gf, "poly_with_roots", roots)
+    monkeypatch.setattr(cyclic, "codeword_basis", basis)
+    build_table(1)
+    build_table(3)
+    assert built == [] and read == {}
+    build_table(2)
+    assert built == [(c.ext, c.q, c.defining.exponents) for c in read.values()]
+    assert 0 < len(built) <= 2
 
 
 def test_build_table_rejects_unknown():
@@ -348,6 +372,12 @@ def test_cli_css_and_conv_single_instances(capsys):
     assert cli.main(["css", "--family", "ladder", "--q", "5",
                      "--m", "3", "--c", "5"]) == 0
     assert "[[124, 102, d >= 5]]_5" in capsys.readouterr().out
+    # c = q is in range but warns: one line on stderr, the row on stdout
+    assert cli.main(["css", "--family", "block", "--q", "3", "--c", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert "[[8, 2, d >= 3]]_3" in out
+    assert err.splitlines() == [
+        "warning: c = q reproduces family_block_full; the stated range is c < q"]
     assert cli.main(["conv", "--family", "short-parent", "--q", "7",
                      "--i", "4"]) == 0
     assert "(48, 35, 9; 1, dfree >= 14)_7" in capsys.readouterr().out
@@ -395,6 +425,24 @@ def test_cli_rejects_negative_budget(capsys):
     assert "must be >= 0" in capsys.readouterr().err
 
 
+def test_cli_sweeps_do_not_import_numpy_ma():
+    # numpy.ma costs about 13 ms per process to import; np.unique and
+    # np.setdiff1d pull it in, and no command needs it
+    script = (
+        "import contextlib, io, sys\n"
+        "from cosetcodes import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert cli.main(['verify', 'all']) == 0\n"
+        "    assert cli.main(['cosets', '5', '2', '--properties']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout == "False\n"
+
+
 # the messages of some usage errors
 USAGE_MESSAGES = {
     # the ladder bound q^ceil(m/2) - 1 needs m >= 1 (for m < 0 it is a
@@ -403,6 +451,9 @@ USAGE_MESSAGES = {
     "css --family ladder --q 4 --m 0 --c 3": "error: need m >= 1, got m=0",
     "code 4 0 1": "error: need m >= 1, got m=0",
     "code 3 0": "error: need m >= 1, got m=0",
+    # the fields are built with the code, ahead of its generator
+    "code 6 2 1": "error: 6 is not a prime power",
+    "code 2 21 1": "error: field size 2^21 exceeds cap 1048576",
     "code 4 -1": "error: need m >= 1, got m=-1",
     # --q restricts the css and conv sweeps only
     "verify cosets --q 5": "error: --q restricts only css/conv, not verify cosets",
@@ -426,7 +477,6 @@ USAGE_MESSAGES = {
     "css --family block --q 5 --c 9",
     "cosets 1 2",
     "cosets 31 5",
-    "code 6 2 1",
     "verify css --q 6",
     "verify conv --q 3",
     "css --family block-full --q 5 --m 4",
