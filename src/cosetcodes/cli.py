@@ -98,7 +98,7 @@ def _config_defaults(args) -> dict:
         if key not in defaults:
             args.parser.error(f"unknown config key: {key}")
         try:
-            defaults[key] = (_nonnegative if key == "budget" else int)(val)
+            defaults[key] = _nonnegative(val)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             args.parser.error(f"config key {key}: {exc}")
     return defaults
@@ -309,7 +309,7 @@ def _add_common(sub):
     sub.add_argument("--out", metavar="FILE", default=None)
     sub.add_argument("--budget", type=_nonnegative, default=None,
                      help="max oracle enumeration size (0 disables the oracle)")
-    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--seed", type=_nonnegative, default=None)
     sub.add_argument("--config", metavar="FILE", default=None,
                      help="key=value file: budget, seed")
 

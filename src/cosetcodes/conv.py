@@ -10,17 +10,17 @@ Free distance is handled by bounds only: a lower bound combining the
 run-based bounds of the split pieces, and an independent bounded search
 for low-degree dual codewords that upper-bounds the free distance.
 
-PolyMatrix holds its coefficient matrices as one (memory + 1, kappa, n)
-label array.  Row degrees, memory and degree come from one nonzero test on
-it and the leading matrix is one index into it; G(s) is gf's one Horner,
-_horner, on the whole block array, so the basicness check evaluates all q
-points in one pass.  The sliding check stack places whole coefficient blocks.
+PolyMatrix holds G as one read-only (memory + 1, kappa, n) label array.
+Row degrees, memory and degree come from one nonzero test on it and the
+leading matrix is one index into it; G(s) is gf's one Horner, _horner, on
+the whole array, so the basicness check evaluates all q points in one pass.
+The sliding check stack places whole coefficient blocks.  The five
+families are one builder, _split_family, called with their cosets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,27 +30,26 @@ from .cyclic import CyclicCode
 from .gf import FieldContext
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyMatrix:
-    """Matrix of polynomials in the delay variable, stored as the tuple of
-    its coefficient matrices (constant term first)."""
+    """Matrix of polynomials in the delay variable: a read-only copy of its
+    coefficient matrices, constant term first, as one label array."""
 
     field: FieldContext
-    coeffs: tuple[tuple[tuple[int, ...], ...], ...]
+    blocks: np.ndarray
 
-    @cached_property
-    def _blocks(self) -> np.ndarray:
-        """The coefficient matrices as one (blocks, kappa, n) label array."""
-        return np.array(self.coeffs, dtype=np.int64).reshape(
-            len(self.coeffs), self.kappa, self.n)
+    def __post_init__(self):
+        blocks = np.array(self.blocks, dtype=np.int64)
+        blocks.flags.writeable = False
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def kappa(self) -> int:
-        return len(self.coeffs[0])
+        return self.blocks.shape[1]
 
     @property
     def n(self) -> int:
-        return len(self.coeffs[0][0]) if self.coeffs[0] else 0
+        return self.blocks.shape[2]
 
     @property
     def memory(self) -> int:
@@ -58,7 +57,7 @@ class PolyMatrix:
 
     @property
     def row_degrees(self) -> tuple[int, ...]:
-        nonzero = self._blocks.any(axis=2)  # (blocks, kappa)
+        nonzero = self.blocks.any(axis=2)  # (blocks, kappa)
         last = len(nonzero) - 1 - nonzero[::-1].argmax(axis=0)
         return tuple(np.where(nonzero.any(axis=0), last, 0).tolist())
 
@@ -67,19 +66,15 @@ class PolyMatrix:
         """Overall constraint length: the sum of the row degrees."""
         return sum(self.row_degrees)
 
-    def _evaluate_at(self, points) -> np.ndarray:
+    def evaluate(self, points) -> np.ndarray:
         """G(s) for every s in points, as a (points, kappa, n) array."""
         s = np.asarray(points, dtype=np.int64)[:, None, None]
-        return gf._horner(self.field, self._blocks, s)
-
-    def evaluate(self, s: int) -> list[list[int]]:
-        """The scalar matrix G(s) over the ground field."""
-        return self._evaluate_at([s])[0].tolist()
+        return gf._horner(self.field, self.blocks, s)
 
     def leading_matrix(self) -> list[list[int]]:
         """Row i of the coefficient matrix of its own highest degree."""
         degs = np.array(self.row_degrees, dtype=np.int64)
-        return self._blocks[degs, np.arange(self.kappa)].tolist()
+        return self.blocks[degs, np.arange(self.kappa)].tolist()
 
 
 @dataclass(frozen=True)
@@ -103,7 +98,7 @@ class ConvCode:
     d1_lb: int
     d_parent_lb: int
     dfree_lb_derived: int
-    generator: PolyMatrix
+    generator: PolyMatrix = field(compare=False)
     parent: CyclicCode
     head: CyclicCode
     tail: CyclicCode
@@ -167,18 +162,18 @@ def build_conv(
     kappa = len(h0)
     gamma = len(h1)
     n = parent.n
-    h1_padded = [list(r) for r in h1] + [[0] * n for _ in range(kappa - gamma)]
-    mats = [tuple(tuple(r) for r in h0)]
-    if tail.defining.size:
-        mats.append(tuple(tuple(r) for r in h1_padded))
-    G = PolyMatrix(field=head.base, coeffs=tuple(mats))
+    memory = 1 if tail.defining.size else 0
+    blocks = np.zeros((1 + memory, kappa, n), np.int64)
+    blocks[0] = np.reshape(h0, (kappa, n))  # h0 may have no rows
+    if memory:
+        blocks[1, :gamma] = h1
+    G = PolyMatrix(field=head.base, blocks=blocks)
     d0 = cyclic.bch_bound(head)
     d1 = cyclic.bch_bound(tail)
     dp = cyclic.bch_bound(parent)
     derived = min(d0 + d1, dp)
     return ConvCode(
-        n=n, q=head.q, k=n - kappa, degree=gamma,
-        memory=1 if tail.defining.size else 0, kappa=kappa,
+        n=n, q=head.q, k=n - kappa, degree=gamma, memory=memory, kappa=kappa,
         dfree_lb=claimed_dfree if claimed_dfree is not None else derived,
         d0_lb=d0, d1_lb=d1, d_parent_lb=dp, dfree_lb_derived=derived,
         generator=G, parent=parent, head=head, tail=tail,
@@ -190,55 +185,51 @@ def build_conv(
 # the five construction families (q >= 4 a prime power, n = q^2 - 1)
 # ----------------------------------------------------------------------
 
+def _split_family(q: int, head: range, tail: range, claimed_dfree: int,
+                  family: str, i: int | None = None) -> ConvCode:
+    """The instance whose head and tail are the cosets of the exponents in
+    the two ranges, in length q^2 - 1.  A head may run through q, which lies
+    in the coset {1, q} of 1."""
+    gf.require_prime_power(q, 4)
+    if i is not None and not 1 <= i <= q - 3:
+        raise ValueError(f"need 1 <= i <= q-3, got i={i}")
+    return build_conv(cyclic.code_from_cosets(q, 2, head),
+                      cyclic.code_from_cosets(q, 2, tail),
+                      claimed_dfree=claimed_dfree, family=family, index=i)
+
+
 def family_split(q: int) -> ConvCode:
     """(n, n-2q+1, 2q-3; 1, dfree >= 2q+1): head = cosets of 0..q-1,
     tail = cosets of q+1..2q-1."""
-    gf.require_prime_power(q, 4)
-    head = cyclic.code_from_cosets(q, 2, range(q))
-    tail = cyclic.code_from_cosets(q, 2, range(q + 1, 2 * q))
-    return build_conv(head, tail, claimed_dfree=2 * q + 1, family="conv-split")
+    return _split_family(q, range(q), range(q + 1, 2 * q), 2 * q + 1, "conv-split")
 
 
 def family_split_wide_head(q: int) -> ConvCode:
     """(n, n-2q, 2q-4; 1, dfree >= 2q+1): the singleton coset of q+1 moves
     into the head."""
-    gf.require_prime_power(q, 4)
-    head = cyclic.code_from_cosets(q, 2, list(range(q)) + [q + 1])
-    tail = cyclic.code_from_cosets(q, 2, range(q + 2, 2 * q))
-    return build_conv(head, tail, claimed_dfree=2 * q + 1, family="conv-wide-head")
+    return _split_family(q, range(q + 2), range(q + 2, 2 * q), 2 * q + 1,
+                         "conv-wide-head")
 
 
 def family_split_wider_head(q: int, i: int) -> ConvCode:
     """(n, n-2(q+i), 2(q-2-i); 1, dfree >= 2q+1) for 1 <= i <= q-3: the
     first 1+i tail cosets move into the head."""
-    gf.require_prime_power(q, 4)
-    if not 1 <= i <= q - 3:
-        raise ValueError(f"need 1 <= i <= q-3, got i={i}")
-    head = cyclic.code_from_cosets(q, 2, list(range(q)) + list(range(q + 1, q + 2 + i)))
-    tail = cyclic.code_from_cosets(q, 2, range(q + 2 + i, 2 * q))
-    return build_conv(head, tail, claimed_dfree=2 * q + 1,
-                      family="conv-wider-head", index=i)
+    return _split_family(q, range(q + 2 + i), range(q + 2 + i, 2 * q), 2 * q + 1,
+                         "conv-wider-head", i)
 
 
 def family_split_short_parent(q: int, i: int) -> ConvCode:
     """(n, n-2q+1, 2i+1; 1, dfree >= q+i+3) for 1 <= i <= q-3: the parent
     keeps only the first 1+i cosets after the gap, all of them as tail."""
-    gf.require_prime_power(q, 4)
-    if not 1 <= i <= q - 3:
-        raise ValueError(f"need 1 <= i <= q-3, got i={i}")
-    head = cyclic.code_from_cosets(q, 2, range(q))
-    tail = cyclic.code_from_cosets(q, 2, range(q + 1, q + 2 + i))
-    return build_conv(head, tail, claimed_dfree=q + i + 3,
-                      family="conv-short-parent", index=i)
+    return _split_family(q, range(q), range(q + 1, q + 2 + i), q + i + 3,
+                         "conv-short-parent", i)
 
 
 def family_split_singleton_tail(q: int) -> ConvCode:
     """(n, n-2q+1, 1; 1, dfree >= q+2): the tail is just the singleton coset
     of q+1."""
-    gf.require_prime_power(q, 4)
-    head = cyclic.code_from_cosets(q, 2, range(q))
-    tail = cyclic.code_from_cosets(q, 2, [q + 1])
-    return build_conv(head, tail, claimed_dfree=q + 2, family="conv-singleton-tail")
+    return _split_family(q, range(q), range(q + 1, q + 2), q + 2,
+                         "conv-singleton-tail")
 
 
 # ----------------------------------------------------------------------
@@ -284,8 +275,8 @@ def check_reduced_basic(G: PolyMatrix) -> BasicnessReport:
     evaluation-rank basicness criterion."""
     ctx = G.field
     kappa = G.kappa
-    rank_h0 = gf.rank(ctx, G._blocks[0])
-    values = G._evaluate_at(range(ctx.q))
+    rank_h0 = gf.rank(ctx, G.blocks[0])
+    values = G.evaluate(range(ctx.q))
     failed = [s for s in range(ctx.q) if gf.rank(ctx, values[s]) != kappa]
     lead_rank = gf.rank(ctx, G.leading_matrix())
     return BasicnessReport(
@@ -301,7 +292,7 @@ def check_reduced_basic(G: PolyMatrix) -> BasicnessReport:
 def _sliding_check_stack(G: PolyMatrix, max_degree: int) -> np.ndarray:
     """Constraint matrix whose kernel is the set of dual codewords of degree
     at most max_degree, laid out as concatenated time blocks."""
-    blocks = G._blocks
+    blocks = G.blocks
     # band i holds the generator shifted by j = i - (blocks - 1), one band
     # per alignment against the support: its block d sits at time j + d
     shifts = max_degree + len(blocks)

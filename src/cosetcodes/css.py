@@ -2,11 +2,13 @@
 
 A nested pair C2 in C1 yields an [[n, k1 - k2, D]] qudit code whose distance
 is at least the smaller of the two run-based bounds, for C1 and for the dual
-of C2.  Four parameter families are provided; each one looks its cosets up
-in the memoised partition and rebuilds its codes and dimensions on every
-call.  An inner code's defining set is every coset of the partition but
-the excluded ones, picked by one mask over the coset indices; above
-MAX_MODULUS there is no partition and the families are refused.
+of C2.  Four parameter families are provided; each one checks its range
+and makes one call to _pair_excluding, which looks the cosets up in the
+memoised partition, rebuilds both codes and returns the family's
+parameters with its c as the design.  An inner code's defining set is
+every coset of the partition but the excluded ones, picked by one mask
+over the coset indices; above MAX_MODULUS there is no partition and the
+families are refused.
 """
 
 from __future__ import annotations
@@ -75,21 +77,20 @@ def css_from_pair(
     )
 
 
-def _pair_excluding(q: int, m: int, c: int, excluded_exponents) -> tuple[CyclicCode, CyclicCode]:
-    """outer from the cosets of 0..c-2; inner from every coset except those
-    of the given exponents."""
+def _pair_excluding(q: int, m: int, c: int, excluded_exponents, family: str) -> CssParams:
+    """The pair with design c: outer from the cosets of 0..c-2; inner from
+    every coset except those of the given exponents."""
     outer = cyclic.code_from_cosets(q, m, range(c - 1))
     part = partition(q, m)  # raises above MAX_MODULUS
     inner = cyclic.code_from_cosets(q, m, part.reps[~part.hit(excluded_exponents)])
-    return outer, inner
+    return css_from_pair(outer, inner, designed_distance=c, family=family)
 
 
 def family_block_full(q: int) -> CssParams:
     """[[q^2-1, q^2-4q+5, d >= q]]: length q^2-1, the widest mirrored-block
     defining sets."""
     require_prime_power(q, 3)
-    outer, inner = _pair_excluding(q, 2, q, range(q + 1, 2 * q))
-    return css_from_pair(outer, inner, designed_distance=q, family="css-block-full")
+    return _pair_excluding(q, 2, q, range(q + 1, 2 * q), "css-block-full")
 
 
 def family_block(q: int, c: int) -> CssParams:
@@ -103,8 +104,7 @@ def family_block(q: int, c: int) -> CssParams:
             "c = q reproduces family_block_full; the stated range is c < q",
             stacklevel=2,
         )
-    outer, inner = _pair_excluding(q, 2, c, range(q + 1, q + c))
-    return css_from_pair(outer, inner, designed_distance=c, family="css-block")
+    return _pair_excluding(q, 2, c, range(q + 1, q + c), "css-block")
 
 
 def family_block_even(q: int, m: int, c: int) -> CssParams:
@@ -116,8 +116,7 @@ def family_block_even(q: int, m: int, c: int) -> CssParams:
     if not 2 <= c <= q:
         raise ValueError(f"need 2 <= c <= q, got c={c}")
     half = q ** (m // 2)
-    outer, inner = _pair_excluding(q, m, c, range(half + 1, half + c))
-    return css_from_pair(outer, inner, designed_distance=c, family="css-block-even")
+    return _pair_excluding(q, m, c, range(half + 1, half + c), "css-block-even")
 
 
 def family_ladder(q: int, m: int, c: int) -> CssParams:
@@ -129,5 +128,4 @@ def family_ladder(q: int, m: int, c: int) -> CssParams:
         raise ValueError(f"need 2 <= c <= q, got c={c}")
     # checks the ladder hypothesis (c-1)q+1 < q^ceil(m/2) - 1 and structure
     ladder = ladder_cosets(q, m, c - 1)
-    outer, inner = _pair_excluding(q, m, c, [lc.rep for lc in ladder])
-    return css_from_pair(outer, inner, designed_distance=c, family="css-ladder")
+    return _pair_excluding(q, m, c, [lc.rep for lc in ladder], "css-ladder")

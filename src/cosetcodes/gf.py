@@ -31,9 +31,9 @@ in the cached SubfieldEmbedding) all read its result.
 Generator polynomials come from one root product, poly_with_roots: the
 product of (x - alpha^j) over a whole defining set, taken in the extension
 with the same kernel and lowered to the base field through the subfield
-embedding.  Poly's sum, product and division are row operations on the same
-kernel; one Horner's rule, _horner, evaluates Poly, the embedding's root
-search and conv's polynomial matrices at arrays of points.
+embedding.  Poly's product and division are row operations on the same
+kernel; one Horner's rule, _horner, evaluates the embedding's root search
+and conv's polynomial matrices at arrays of points.
 
 Every function in this module is a pure function of its inputs.
 """
@@ -297,10 +297,6 @@ class Poly:
         return cls(ctx, ())
 
     @classmethod
-    def one(cls, ctx):
-        return cls(ctx, (1,))
-
-    @classmethod
     def x_pow_minus_one(cls, ctx, n: int):
         coeffs = [0] * (n + 1)
         coeffs[0] = ctx.neg(1)
@@ -322,12 +318,6 @@ class Poly:
             and self.ctx is other.ctx
             and self.coeffs == other.coeffs
         )
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a, b = (np.array(f.coeffs + (0,) * (n - len(f.coeffs)), dtype=np.int64)
-                for f in (self, other))
-        return Poly(self.ctx, _add(self.ctx, a, b).tolist())
 
     def __mul__(self, other):
         ctx = self.ctx
@@ -356,9 +346,6 @@ class Poly:
             quot[i - d] = rem[i]
             rem[i - d:i + 1] = _add(ctx, rem[i - d:i + 1], _mul(ctx, step, rem[i]))
         return Poly(ctx, _mul(ctx, quot, inv_lead).tolist()), Poly(ctx, rem.tolist())
-
-    def evaluate(self, x: int) -> int:
-        return int(_horner(self.ctx, np.array(self.coeffs, dtype=np.int64), x))
 
     def __repr__(self):
         return f"Poly({self.ctx!r}, {list(self.coeffs)})"

@@ -136,6 +136,23 @@ def test_degree_comes_from_tail_rank_and_rows():
     assert G.row_degrees == (1,) * 7 + (0,) * 2
 
 
+def test_generator_is_a_read_only_copy():
+    source = np.array([[[1, 2, 0], [0, 1, 3]]])
+    G = PolyMatrix(field=make_field(2, 2), blocks=source)
+    source[0, 0, 0] = 3
+    assert G.blocks.tolist() == [[[1, 2, 0], [0, 1, 3]]]
+    with pytest.raises(ValueError):
+        G.blocks[0, 0, 0] = 3
+
+
+def test_codes_compare_and_hash_on_their_split():
+    # the generator is left out: parent, head and tail fix it
+    a, b = family_split(4), family_split(4)
+    assert a.generator is not b.generator
+    assert a == b and hash(a) == hash(b)
+    assert a != family_split_wide_head(4)
+
+
 # ---------------------------------------------------------------
 # reduced/basic checking
 # ---------------------------------------------------------------
@@ -151,7 +168,7 @@ def test_families_pass_reduced_basic(q):
 def test_identity_with_zero_columns_is_reduced_basic():
     f = make_field(2, 2)
     rows = ((1, 0, 0, 0), (0, 1, 0, 0))
-    rep = check_reduced_basic(PolyMatrix(field=f, coeffs=(rows,)))
+    rep = check_reduced_basic(PolyMatrix(field=f, blocks=(rows,)))
     assert rep.passed
 
 
@@ -159,7 +176,7 @@ def test_duplicated_row_fails_rank_check():
     f = make_field(2, 2)
     h0 = ((1, 2, 0), (1, 2, 0))
     h1 = ((0, 0, 0), (0, 0, 0))
-    rep = check_reduced_basic(PolyMatrix(field=f, coeffs=(h0, h1)))
+    rep = check_reduced_basic(PolyMatrix(field=f, blocks=(h0, h1)))
     assert not rep.rank_condition_ok
     assert not rep.passed
     assert "inconclusive" in rep.summary()
@@ -205,6 +222,13 @@ def test_block_code_embedding_matches_oracle():
     assert free_distance_upper(blk, 0) == oracle.min_distance_bruteforce(head)
 
 
+def test_build_conv_of_empty_pieces_is_the_full_space():
+    empty = cyclic.code_from_cosets(4, 2, [])
+    code = build_conv(empty, empty)
+    assert code.bracket() == "(15, 15, 0; 0, dfree >= 1)_4"
+    assert code.generator.blocks.shape == (1, 0, 15)
+
+
 def test_build_conv_rejects_mismatched_fields():
     with pytest.raises(ValueError):
         build_conv(cyclic.code_from_cosets(4, 2, [0]),
@@ -219,7 +243,7 @@ def _ref_row_degrees(G):
     out = []
     for i in range(G.kappa):
         deg = 0
-        for d, mat in enumerate(G.coeffs):
+        for d, mat in enumerate(G.blocks.tolist()):
             if any(mat[i]):
                 deg = d
         out.append(deg)
@@ -228,7 +252,7 @@ def _ref_row_degrees(G):
 
 def _ref_memory(G):
     mu = 0
-    for d, mat in enumerate(G.coeffs):
+    for d, mat in enumerate(G.blocks.tolist()):
         if any(any(row) for row in mat):
             mu = d
     return mu
@@ -237,9 +261,9 @@ def _ref_memory(G):
 def _ref_evaluate(G, s):
     """sum_d G_d s^d, one scalar add and multiply per entry."""
     ctx = G.field
-    out = [list(row) for row in G.coeffs[0]]
+    out, *rest = G.blocks.tolist()
     power = 1
-    for mat in G.coeffs[1:]:
+    for mat in rest:
         power = ctx.mul(power, s) if power else 0
         for i, row in enumerate(mat):
             out[i] = [ctx.add(a, ctx.mul(b, power)) for a, b in zip(out[i], row)]
@@ -248,20 +272,20 @@ def _ref_evaluate(G, s):
 
 def _ref_leading_matrix(G):
     degs = _ref_row_degrees(G)
-    return [list(G.coeffs[degs[i]][i]) for i in range(G.kappa)]
+    return [G.blocks.tolist()[degs[i]][i] for i in range(G.kappa)]
 
 
 def _ref_sliding_check_stack(G, max_degree):
     """One row per (shift, generator row), entry by entry."""
     n, kappa = G.n, G.kappa
-    blocks = len(G.coeffs)
+    blocks = len(G.blocks)
     width = n * (max_degree + 1)
     rows = []
     for j in range(-(blocks - 1), max_degree + 1):
         for r in range(kappa):
             row = [0] * width
             nonzero = False
-            for d, mat in enumerate(G.coeffs):
+            for d, mat in enumerate(G.blocks.tolist()):
                 t = j + d
                 if 0 <= t <= max_degree and any(mat[r]):
                     row[t * n:(t + 1) * n] = mat[r]
@@ -279,8 +303,8 @@ def poly_matrices(draw):
                         draw(st.integers(1, 8)))
     row = st.one_of(st.just((0,) * n),
                     st.tuples(*[st.integers(0, ctx.q - 1)] * n))
-    coeffs = tuple(tuple(draw(row) for _ in range(kappa)) for _ in range(blocks))
-    return PolyMatrix(field=ctx, coeffs=coeffs)
+    mats = tuple(tuple(draw(row) for _ in range(kappa)) for _ in range(blocks))
+    return PolyMatrix(field=ctx, blocks=mats)
 
 
 def _same_row_space(ctx, A, B, width):
@@ -298,7 +322,7 @@ def test_array_paths_match_scalar_references(G, max_degree):
     assert G.degree == sum(_ref_row_degrees(G))
     assert G.leading_matrix() == _ref_leading_matrix(G)
     values = [_ref_evaluate(G, s) for s in range(ctx.q)]
-    assert [G.evaluate(s) for s in range(ctx.q)] == values
+    assert G.evaluate(range(ctx.q)).tolist() == values
     rep = check_reduced_basic(G)
     assert rep.failed_evaluations == tuple(
         s for s in range(ctx.q) if gf.rank(ctx, values[s]) != G.kappa)

@@ -340,10 +340,11 @@ def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
     "budget 5\n",
     "budget = abc\n",
     "budget = -5\n",  # as --budget -5 is
+    "seed = -1\n",  # as --seed -1 is
     "modulus_cap = 100000000\n",  # the cap is cosets.MAX_MODULUS, not a key
     None,  # no such file
 ], ids=["unknown-key", "no-equals", "not-an-integer", "negative-budget",
-        "modulus-cap", "missing-file"])
+        "negative-seed", "modulus-cap", "missing-file"])
 def test_cli_rejects_bad_config(tmp_path, capsys, text):
     cfg = tmp_path / "cfg"
     if text is not None:
@@ -463,6 +464,12 @@ USAGE_MESSAGES = {
     # an output file that cannot be opened: a directory, a missing directory
     "cosets 4 2 --out .": "error: cannot write output file: ",
     "table 1 --out /nonexistent/x.json": "error: cannot write output file: ",
+    # a seed is checked with the options, ahead of any sweep
+    "verify conv --q 4 --seed -1": "error: argument --seed: must be >= 0, got -1",
+    # a split family checks q is a prime power, then q >= 4, then i
+    "conv --family short-parent --q 6 --i 1": "error: 6 is not a prime power",
+    "conv --family split --q 3": "error: need q >= 4, got 3",
+    "conv --family wider-head --q 4 --i 2": "error: need 1 <= i <= q-3, got i=2",
 }
 
 
@@ -473,7 +480,6 @@ USAGE_MESSAGES = {
     "conv --family wider-head --q 5",
     "conv --family short-parent --q 5",
     "css --family block-full --q 6",
-    "conv --family split --q 3",
     "css --family block --q 5 --c 9",
     "cosets 1 2",
     "cosets 31 5",
