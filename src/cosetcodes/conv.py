@@ -10,6 +10,8 @@ Free distance is handled by bounds only: a lower bound combining the
 run-based bounds of the split pieces, and an independent bounded search
 for low-degree dual codewords that upper-bounds the free distance.
 
+split_parity returns H0 and H1 as 2-D label arrays, an empty piece as a
+(0, n) array, and build_conv copies them into G's blocks as they are.
 PolyMatrix holds G as one read-only (memory + 1, kappa, n) label array.
 Row degrees, memory and degree come from one nonzero test on it and the
 leading matrix is one index into it; G(s) is gf's one Horner, _horner, on
@@ -71,10 +73,9 @@ class PolyMatrix:
         s = np.asarray(points, dtype=np.int64)[:, None, None]
         return gf._horner(self.field, self.blocks, s)
 
-    def leading_matrix(self) -> list[list[int]]:
+    def leading_matrix(self) -> np.ndarray:
         """Row i of the coefficient matrix of its own highest degree."""
-        degs = np.array(self.row_degrees, dtype=np.int64)
-        return self.blocks[degs, np.arange(self.kappa)].tolist()
+        return self.blocks[list(self.row_degrees), np.arange(self.kappa)]
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,7 @@ def split_parity(parent: CyclicCode, head_exponents, tail_exponents):
     if head_cosets | tail_cosets != parent_reps:
         raise ValueError("head and tail do not cover the parent defining set")
     h0 = cyclic.parity_check_matrix(parent, head)
-    h1 = cyclic.parity_check_matrix(parent, tail) if tail else []
+    h1 = cyclic.parity_check_matrix(parent, tail)
     if len(h0) < len(h1):
         raise ValueError(
             f"rank condition violated: rank H0 = {len(h0)} < rank H1 = {len(h1)}"
@@ -164,7 +165,7 @@ def build_conv(
     n = parent.n
     memory = 1 if tail.defining.size else 0
     blocks = np.zeros((1 + memory, kappa, n), np.int64)
-    blocks[0] = np.reshape(h0, (kappa, n))  # h0 may have no rows
+    blocks[0] = h0
     if memory:
         blocks[1, :gamma] = h1
     G = PolyMatrix(field=head.base, blocks=blocks)
@@ -324,7 +325,7 @@ def free_distance_upper(
     ctx = G.field
     stack = _sliding_check_stack(G, max_input_degree)
     kernel = gf.nullspace(ctx, stack)
-    if not kernel:
+    if not len(kernel):
         raise ValueError("no nonzero dual codewords at this degree")
     size = ctx.q ** len(kernel)
     if size <= bud.max_enumeration:

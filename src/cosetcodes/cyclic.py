@@ -134,7 +134,7 @@ def nested(outer: CyclicCode, inner: CyclicCode) -> bool:
     return set(outer.defining.exponents) <= set(inner.defining.exponents)
 
 
-def parity_check_matrix(code: CyclicCode, rows) -> list[list[int]]:
+def parity_check_matrix(code: CyclicCode, rows) -> np.ndarray:
     """Check matrix over GF(q) from the Vandermonde-style extension rows
     (1, alpha^i, alpha^(2i), ...) for each exponent i in `rows`, expanded
     over the polynomial basis, with linearly dependent rows removed (first
@@ -146,15 +146,14 @@ def parity_check_matrix(code: CyclicCode, rows) -> list[list[int]]:
         raise ValueError(f"exponent {bad[0]} out of range [0, {n})")
     raw = gf.expand_matrix(code.ext, code.base,
                            code.ext._np_exp[np.outer(rows, np.arange(n)) % n])
-    keep = gf.independent_rows(code.base, raw)
-    return [raw[i] for i in keep]
+    return raw[gf.independent_rows(code.base, raw)]
 
 
-def codeword_basis(code: CyclicCode) -> list[list[int]]:
+def codeword_basis(code: CyclicCode) -> np.ndarray:
     """The k cyclic shifts x^j g(x), j = 0..k-1, as length-n vectors: a
     GF(q)-basis of the code."""
     g = code.generator.coeffs
     rows = np.zeros((code.k, code.n), dtype=np.int64)
     shifts = np.arange(code.k)[:, None]
     rows[shifts, shifts + np.arange(len(g))] = g
-    return rows.tolist()
+    return rows

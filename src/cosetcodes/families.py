@@ -1,10 +1,11 @@
 """The registry of the paper's code families: one row per family.
 
 A row names the family as output prints it, says which of m, c and i its
-constructor takes besides q, gives the closed form the paper claims and
-lists the printed table rows.  The tables, the verify sweeps and the CLI
-all read their families from here.  Range checks stay in the constructors;
-the constructors are looked up in their modules at call time.
+constructor takes besides q, names that constructor, gives the closed form
+the paper claims and lists the printed table rows.  The tables, the verify
+sweeps and the CLI all read their families from here.  Range checks stay
+in the constructors; build looks a constructor up in its module at call
+time and returns it, so a constructor's warning names the caller's line.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import conv, css
 class Family:
     name: str                   # as output prints it, e.g. "css-block"
     params: tuple[str, ...]     # what the constructor takes besides q
-    build: Callable             # (q, *params) -> CssParams | ConvCode
+    constructor: str            # its name in the css or conv module
     # (n, q, *params) -> the claimed k (css) or (k, degree, dfree) (conv)
     closed_form: Callable
     table: int | None = None
@@ -29,6 +30,11 @@ class Family:
     def kind(self) -> str:
         return self.name.partition("-")[0]
 
+    @property
+    def build(self) -> Callable:
+        """The constructor, (q, *params) -> CssParams | ConvCode."""
+        return getattr(css if self.kind == "css" else conv, self.constructor)
+
 
 def length(args: dict[str, int]) -> int:
     """n = q^m - 1 of an instance; the families without an m have m = 2."""
@@ -37,11 +43,11 @@ def length(args: dict[str, int]) -> int:
 
 FAMILIES = (
     Family("css-block-full", (),
-           lambda q: css.family_block_full(q),
+           "family_block_full",
            lambda n, q: q * q - 4 * q + 5,
            1, ((5,), (7,), (9,), (11,), (13,))),
     Family("css-block", ("c",),
-           lambda q, c: css.family_block(q, c),
+           "family_block",
            lambda n, q, c: q * q - 4 * c + 5,
            1, ((5, 3),
                (7, 3), (7, 4), (7, 5), (7, 6),
@@ -50,7 +56,7 @@ FAMILIES = (
                (11, 3), (11, 5), (11, 7), (11, 9),
                (13, 3), (13, 5), (13, 7), (13, 9), (13, 11))),
     Family("css-block-even", ("m", "c"),
-           lambda q, m, c: css.family_block_even(q, m, c),
+           "family_block_even",
            lambda n, q, m, c: n - 2 * m * (c - 2) - m // 2 - 1,
            2, ((4, 2, 3), (4, 2, 4),
                (5, 2, 3), (5, 2, 4), (5, 2, 5),
@@ -58,35 +64,35 @@ FAMILIES = (
                (4, 4, 3), (4, 4, 4),
                (5, 4, 3), (5, 4, 4), (5, 4, 5))),
     Family("css-ladder", ("m", "c"),
-           lambda q, m, c: css.family_ladder(q, m, c),
+           "family_ladder",
            lambda n, q, m, c: n - m * (2 * c - 3) - 1,
            2, ((5, 3, 5),
                (7, 3, 5), (7, 3, 6), (7, 3, 7),
                (4, 4, 3), (4, 4, 4),
                (5, 4, 3), (5, 4, 4), (5, 4, 5))),
     Family("conv-split", (),
-           lambda q: conv.family_split(q),
+           "family_split",
            lambda n, q: (n - 2 * q + 1, 2 * q - 3, 2 * q + 1),
            3, ((4,), (5,), (7,), (8,), (9,), (11,), (13,), (16,))),
     Family("conv-wide-head", (),
-           lambda q: conv.family_split_wide_head(q),
+           "family_split_wide_head",
            lambda n, q: (n - 2 * q, 2 * q - 4, 2 * q + 1),
            3, ((4,), (5,), (11,), (13,), (16,))),
     Family("conv-wider-head", ("i",),
-           lambda q, i: conv.family_split_wider_head(q, i),
+           "family_split_wider_head",
            lambda n, q, i: (n - 2 * (q + i), 2 * (q - 2 - i), 2 * q + 1),
            3, ((4, 1),
                (5, 1), (5, 2),
                (7, 1), (7, 2), (7, 3), (7, 4),
                (16, 1), (16, 2), (16, 5), (16, 7), (16, 10), (16, 13))),
     Family("conv-short-parent", ("i",),
-           lambda q, i: conv.family_split_short_parent(q, i),
+           "family_split_short_parent",
            lambda n, q, i: (n - 2 * q + 1, 2 * i + 1, q + i + 3),
            3, ((4, 1),
                (5, 1), (5, 2),
                (7, 1), (7, 2), (7, 3), (7, 4))),
     Family("conv-singleton-tail", (),
-           lambda q: conv.family_split_singleton_tail(q),
+           "family_split_singleton_tail",
            lambda n, q: (n - 2 * q + 1, 1, q + 2)),
 )
 

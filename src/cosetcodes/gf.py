@@ -27,13 +27,16 @@ p = 2 or Zech logarithms, and log/exp multiplication), next to one digit
 codec, _digits and _labels.  The linear algebra has one elimination,
 rref, which clears a whole pivot column per step; rank, independent_rows,
 nullspace and expand_matrix's coordinate change (built once per field pair,
-in the cached SubfieldEmbedding) all read its result.
+in the cached SubfieldEmbedding) all read its result.  A matrix is a 2-D
+int label array: the linear algebra takes any 2-D sequence, and every
+matrix it or expand_matrix returns is an array, so an empty one keeps its
+width.
 Generator polynomials come from one root product, poly_with_roots: the
 product of (x - alpha^j) over a whole defining set, taken in the extension
-with the same kernel and lowered to the base field through the subfield
-embedding.  Poly's product and division are row operations on the same
-kernel; one Horner's rule, _horner, evaluates the embedding's root search
-and conv's polynomial matrices at arrays of points.
+with the same kernel and lowered to the base field by one lookup in the
+subfield embedding's inverse table.  Poly's product and division are row
+operations on the same kernel; one Horner's rule, _horner, evaluates the
+embedding's root search and conv's polynomial matrices at arrays of points.
 
 Every function in this module is a pure function of its inputs.
 """
@@ -381,14 +384,13 @@ class SubfieldEmbedding:
         if not roots.size:
             raise AssertionError("no root of base defining polynomial in extension")
         gamma_log = int(logs[roots[0]])
-        # lift(alpha_base^s) = gamma^s, and lower inverts it (-1 off the copy)
+        # _up takes alpha_base^s to gamma^s; _down inverts it (-1 off the copy)
         self._up = np.zeros(base.q, dtype=np.int64)
         self._up[base._np_exp] = ext._np_exp[gamma_log * np.arange(base.q - 1) % (ext.q - 1)]
         self._down = np.full(ext.q, -1, dtype=np.int32)
         self._down[self._up] = np.arange(base.q)
-        self.gamma = int(ext._np_exp[gamma_log])
         # expand_matrix's coordinate change over GF(p): column (j, t) of B
-        # holds the digits of lift(x^t) * alpha^j; its inverse is the right
+        # holds the digits of _up[x^t] * alpha^j; its inverse is the right
         # half of rref([B | I])
         p, em = ext.p, ext.e
         cols = _mul(ext, ext._np_exp[:self.m, None], self._up[list(base._powers)])
@@ -397,14 +399,6 @@ class SubfieldEmbedding:
         if pivots != list(range(em)):
             raise AssertionError("polynomial basis is dependent over the base field")
         self._to_basis = R[:, em:].T
-
-    def lift(self, x: int) -> int:
-        return int(self._up[x])
-
-    def lower(self, y: int) -> int:
-        if not 0 <= y < self.ext.q or self._down[y] < 0:
-            raise ValueError(f"{y} is not in the embedded subfield")
-        return int(self._down[y])
 
 
 @lru_cache(maxsize=None)
@@ -434,10 +428,13 @@ def poly_with_roots(ctx_ext: FieldContext, base_q: int, exponents) -> Poly:
         # g <- g * (x + c), c = -root: g[t] <- g[t - 1] + c * g[t]
         shifted = np.concatenate(([0], g[:d + 1]))
         g[:d + 2] = _add(ctx_ext, shifted, _mul(ctx_ext, g[:d + 2], c))
-    return Poly(emb.base, [emb.lower(int(c)) for c in g])
+    low = emb._down[g]
+    if (low < 0).any():
+        raise ValueError(f"{g[low.argmin()]} is not in the embedded subfield")
+    return Poly(emb.base, low.tolist())
 
 
-def expand_matrix(ctx_ext: FieldContext, base: FieldContext, rows):
+def expand_matrix(ctx_ext: FieldContext, base: FieldContext, rows) -> np.ndarray:
     """Expand a matrix over GF(q^m) into one over GF(q).
 
     Each extension-field row becomes m rows of base-field coordinates with
@@ -455,7 +452,7 @@ def expand_matrix(ctx_ext: FieldContext, base: FieldContext, rows):
     r, n = A.shape
     coords = (_digits(ctx_ext, A).reshape(-1, ctx_ext.e) @ emb._to_basis) % ctx_ext.p
     labels = _labels(base, coords.reshape(r, n, emb.m, base.e))  # (r, n, m)
-    return labels.transpose(0, 2, 1).reshape(r * emb.m, n).tolist()
+    return labels.transpose(0, 2, 1).reshape(r * emb.m, n)
 
 
 # ----------------------------------------------------------------------
@@ -516,16 +513,9 @@ def _horner(ctx: FieldContext, coeffs, s) -> np.ndarray:
 # linear algebra over GF(q)
 # ----------------------------------------------------------------------
 
-def _np_rows(ctx, rows) -> np.ndarray:
-    A = np.asarray(rows, dtype=np.int32)
-    if A.ndim == 1:
-        A = A[None, :]
-    return A
-
-
 def rref(ctx: FieldContext, rows) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot column list."""
-    A = _np_rows(ctx, rows).copy()
+    A = np.atleast_2d(rows).copy()
     nrows, ncols = A.shape
     pivots = []
     for c in range(ncols):
@@ -550,7 +540,7 @@ def rref(ctx: FieldContext, rows) -> tuple[np.ndarray, list[int]]:
 def independent_rows(ctx: FieldContext, rows) -> list[int]:
     """Indices of the first maximal linearly independent subset, in order:
     the pivot columns of the transpose's RREF."""
-    return rref(ctx, _np_rows(ctx, rows).T)[1]
+    return rref(ctx, np.atleast_2d(rows).T)[1]
 
 
 def rank(ctx: FieldContext, rows) -> int:
@@ -558,7 +548,7 @@ def rank(ctx: FieldContext, rows) -> int:
     return len(independent_rows(ctx, rows))
 
 
-def nullspace(ctx: FieldContext, rows) -> list[list[int]]:
+def nullspace(ctx: FieldContext, rows) -> np.ndarray:
     """Basis of { v : M v^T = 0 } over GF(q)."""
     R, pivots = rref(ctx, rows)
     ncols = R.shape[1]
@@ -566,15 +556,12 @@ def nullspace(ctx: FieldContext, rows) -> list[list[int]]:
     basis = np.zeros((len(free), ncols), dtype=np.int32)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = _mul(ctx, R[:len(pivots), free].T, ctx.p - 1)
-    return basis.tolist()
+    return basis
 
 
-def mat_vec(ctx: FieldContext, rows, v) -> list:
-    """M v^T over GF(q); for a 2-D v, one result list per row of v."""
-    V = np.asarray(v, dtype=np.int32)
-    prods = _mul(ctx, _np_rows(ctx, rows), np.atleast_2d(V)[:, None, :])
+def mat_vec(ctx: FieldContext, rows, V) -> np.ndarray:
+    """M v^T over GF(q) for each row v of V: one row of results per row."""
+    prods = _mul(ctx, np.atleast_2d(rows), np.asarray(V)[:, None, :])
     if ctx.p == 2:
-        sums = np.bitwise_xor.reduce(prods, axis=2)
-    else:
-        sums = _labels(ctx, _digits(ctx, prods).sum(axis=2) % ctx.p)
-    return sums.tolist() if V.ndim == 2 else sums[0].tolist()
+        return np.bitwise_xor.reduce(prods, axis=2)
+    return _labels(ctx, _digits(ctx, prods).sum(axis=2) % ctx.p)

@@ -229,7 +229,8 @@ def css_true_distance(pair, budget=None) -> int | None:
     return min(
         span_min_weight(
             code.base,
-            cyclic.codeword_basis(sub) + cyclic.codeword_basis(code)[:code.k - sub.k],
+            np.vstack([cyclic.codeword_basis(sub),
+                       cyclic.codeword_basis(code)[:code.k - sub.k]]),
             bud.max_enumeration,
             subcode_rows=sub.k,
         )

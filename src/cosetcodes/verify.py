@@ -43,8 +43,7 @@ def _code_identities(code) -> tuple[bool, str]:
     H = cyclic.parity_check_matrix(code, reps)
     if len(H) != n - code.k:
         return gh_ok, f"check rank {len(H)} != {n - code.k}"
-    basis = cyclic.codeword_basis(code)
-    if basis and any(map(any, gf.mat_vec(code.base, H, basis))):
+    if gf.mat_vec(code.base, H, cyclic.codeword_basis(code)).any():
         return gh_ok, "codeword fails parity checks"
     return gh_ok, ""
 

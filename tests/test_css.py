@@ -79,6 +79,12 @@ def test_block_at_c_equals_q_warns_and_matches_full():
     assert (at_edge.n, at_edge.k, at_edge.distance_lb) == (full.n, full.k, full.distance_lb)
 
 
+def test_registry_warning_names_the_callers_line():
+    with pytest.warns(UserWarning, match="c = q reproduces family_block_full") as record:
+        families.BY_NAME["css-block"].build(q=3, c=3)
+    assert [w.filename for w in record] == [__file__]
+
+
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_block_full_is_block_at_q(q):
     full = family_block_full(q)
