@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .cosets import (  # noqa: F401
     Coset,
     all_cosets,
-    complementary,
     coset_of,
     cosets_of,
     disjointness_range,

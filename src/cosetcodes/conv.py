@@ -308,7 +308,7 @@ def _sliding_check_stack(G: PolyMatrix, max_degree: int) -> np.ndarray:
 def free_distance_upper(
     code: ConvCode,
     max_input_degree: int,
-    budget=None,
+    budget=oracle.OracleBudget(),
     sample: int | None = None,
     seed: int = 0,
 ) -> int:
@@ -320,7 +320,6 @@ def free_distance_upper(
     """
     if max_input_degree < 0:
         raise ValueError("max_input_degree must be >= 0")
-    bud = oracle.OracleBudget.of(budget)
     G = code.generator
     ctx = G.field
     stack = _sliding_check_stack(G, max_input_degree)
@@ -328,11 +327,11 @@ def free_distance_upper(
     if not len(kernel):
         raise ValueError("no nonzero dual codewords at this degree")
     size = ctx.q ** len(kernel)
-    if size <= bud.max_enumeration:
-        return oracle.span_min_weight(ctx, kernel, bud.max_enumeration)
+    if size <= budget.max_enumeration:
+        return oracle.span_min_weight(ctx, kernel, budget.max_enumeration)
     if sample is None:
         raise oracle.BudgetError(
             f"kernel of dimension {len(kernel)} exceeds budget "
-            f"{bud.max_enumeration}; pass sample=N for a sampled bound"
+            f"{budget.max_enumeration}; pass sample=N for a sampled bound"
         )
     return oracle.sampled_min_weight(ctx, kernel, sample, seed)

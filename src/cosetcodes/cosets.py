@@ -6,12 +6,13 @@ MAX_MODULUS the partition into cosets is built once per (q, n), as numpy
 arrays, and every coset question is a lookup into it; cosets_of turns the
 exponents of a defining set into its cosets with one mask over the owner
 array.  Larger moduli walk the orbit instead.  The gap, parity and oplus
-structure exists only as whole-partition arrays.
+structure exists only as whole-partition arrays, each one expression over
+the full orbit rows of the partition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -62,10 +63,11 @@ class Partition:
     """All cosets modulo n = q^m - 1 as arrays, sorted by representative.
 
     owner[x] is the index of the coset containing residue x, and row i of
-    `elements` is reps[i] * q^j mod n for j < m, so the orbit of coset i is
-    its first cards[i] entries.  Coset objects are built on demand and
-    shared.  The complement of coset i is the single lookup
-    owner[(n - reps[i]) % n].
+    `elements` is reps[i] * q^j mod n for j < m: the orbit of coset i, its
+    first cards[i] entries, repeated m / cards[i] times.  A min, any or all
+    along a whole row is therefore the same as over the orbit, so every
+    whole-partition question reads the full rows.  The complement of coset
+    i is the single lookup owner[(n - reps[i]) % n].
     """
 
     q: int
@@ -74,15 +76,11 @@ class Partition:
     reps: np.ndarray
     cards: np.ndarray
     elements: np.ndarray
-    _built: dict = field(default_factory=dict, init=False, repr=False)
 
     def coset(self, i: int) -> Coset:
-        """Coset i, built on its first use."""
-        c = self._built.get(i)
-        if c is None:
-            els = tuple(self.elements[i, : self.cards[i]].tolist())
-            c = self._built[i] = Coset(n=self.n, q=self.q, rep=els[0], elements=els)
-        return c
+        """Coset i, built from row i of `elements`."""
+        els = tuple(self.elements[i, : self.cards[i]].tolist())
+        return Coset(n=self.n, q=self.q, rep=els[0], elements=els)
 
     def at(self, x: int) -> Coset:
         """The coset containing residue x, 0 <= x < n."""
@@ -98,31 +96,19 @@ class Partition:
         out[self.owner[xs]] = True
         return out
 
-    def classes(self):
-        """(indices, orbits) per cardinality k: the cosets with k elements
-        and their orbits as the k-column rows of `elements`."""
-        for k in np.flatnonzero(np.bincount(self.cards)).tolist():
-            idx = np.flatnonzero(self.cards == k)
-            yield idx, self.elements[idx, :k]
-
     def gaps(self) -> np.ndarray:
         """The gap per coset: the least difference between adjacent sorted
-        elements, 0 for singletons."""
-        out = np.zeros(len(self.reps), np.int64)
-        for idx, orbits in self.classes():
-            if orbits.shape[1] > 1:
-                out[idx] = np.diff(np.sort(orbits, axis=1), axis=1).min(axis=1)
-        return out
+        elements, 0 for singletons, whose rows hold no positive difference."""
+        d = np.diff(np.sort(self.elements, axis=1), axis=1)
+        return np.min(d, axis=1, where=d > 0, initial=self.n) % self.n
 
     def mixed(self) -> np.ndarray:
         """True for each coset with both even and odd elements."""
-        out = np.zeros(len(self.reps), bool)
-        for idx, orbits in self.classes():
-            out[idx] = (orbits % 2 != orbits[:, :1] % 2).any(axis=1)
-        return out
+        E = self.elements
+        return (E % 2 != E[:, :1] % 2).any(axis=1)
 
     def complements(self) -> np.ndarray:
-        """complementary per coset, as coset indices."""
+        """The complementary coset of each coset, as coset indices."""
         return self.owner[(self.n - self.reps) % self.n]
 
     def oplus(self, other: np.ndarray) -> np.ndarray:
@@ -130,13 +116,8 @@ class Partition:
         indices: the coset of reps[i] + w for the witness w of coset other[i]
         with reps[i] + w = 0 mod n; -1 where coset other[i] holds no
         witness."""
-        out = np.full(len(self.reps), -1)
-        sizes = self.cards[other]
-        for k in np.flatnonzero(np.bincount(sizes)).tolist():
-            idx = np.flatnonzero(sizes == k)
-            sums = (self.reps[idx, None] + self.elements[other[idx], :k]) % self.n
-            out[idx[(sums == 0).any(axis=1)]] = self.owner[0]
-        return out
+        sums = (self.reps[:, None] + self.elements[other]) % self.n
+        return np.where((sums == 0).any(axis=1), int(self.owner[0]), -1)
 
 
 @lru_cache(maxsize=None)
@@ -206,12 +187,6 @@ def all_cosets(q: int, m: int) -> list[Coset]:
     """Partition of {0, ..., n-1} into cosets, sorted by representative."""
     part = partition(q, m)
     return list(map(part.coset, range(len(part.reps))))
-
-
-def complementary(c: Coset) -> Coset:
-    """The unique coset containing n - rep."""
-    a = (c.n - c.rep) % c.n
-    return _coset_by_walk(c.q, c.n, a) if c.n > MAX_MODULUS else _partition(c.q, c.n).at(a)
 
 
 def disjointness_range(q: int, m: int) -> int:

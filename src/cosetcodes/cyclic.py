@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import gf
-from .cosets import Coset, complementary, cosets_of
+from .cosets import Coset, cosets_of
 from .gf import FieldContext, Poly
 
 
@@ -116,14 +116,15 @@ def dual_code(code: CyclicCode) -> CyclicCode:
 
 
 def contains_dual(code) -> bool:
-    """True iff the code contains its Euclidean dual, i.e. no member
-    coset's complementary coset is itself a member.  This is equivalent to
-    Z intersect -Z being empty; the verify sweep checks that the two
-    criteria agree.  Accepts a CyclicCode or a bare DefiningSet.
+    """True iff the code contains its Euclidean dual, i.e. Z intersect -Z
+    is empty, tested on the exponents as Python ints, so any modulus
+    works.  This is equivalent to no member coset's complementary coset
+    being itself a member; the verify sweep checks that the two criteria
+    agree.  Accepts a CyclicCode or a bare DefiningSet.
     """
     ds = code.defining if isinstance(code, CyclicCode) else code
-    reps = {c.rep for c in ds.cosets}
-    return not any(complementary(c).rep in reps for c in ds.cosets)
+    zs = set(ds.exponents)
+    return not any(-z % ds.n in zs for z in zs)
 
 
 def nested(outer: CyclicCode, inner: CyclicCode) -> bool:

@@ -50,16 +50,6 @@ class OracleBudget:
     max_enumeration: int = DEFAULT_MAX_ENUMERATION
     seed: int = 0
 
-    @classmethod
-    def of(cls, budget) -> OracleBudget:
-        """The budget that None (the default), an int (the enumeration cap)
-        or an OracleBudget names."""
-        if budget is None:
-            return cls()
-        if isinstance(budget, int):
-            return cls(max_enumeration=budget)
-        return budget
-
 
 # ----------------------------------------------------------------------
 # span enumeration over GF(p)
@@ -178,36 +168,35 @@ def sampled_min_weight(ctx: FieldContext, rows, sample: int, seed: int) -> int:
 # code distances
 # ----------------------------------------------------------------------
 
-def min_distance_bruteforce(code: CyclicCode, budget=None) -> int:
+def min_distance_bruteforce(code: CyclicCode, budget=OracleBudget()) -> int:
     """Exact minimum Hamming distance by enumerating all q^k codewords
     generated by g(x)."""
-    bud = OracleBudget.of(budget)
     if code.k == 0:
         raise ValueError("the zero code has no nonzero codewords")
     return span_min_weight(
-        code.base, cyclic.codeword_basis(code), bud.max_enumeration
+        code.base, cyclic.codeword_basis(code), budget.max_enumeration
     )
 
 
-def verify_min_distance_at_least(code: CyclicCode, bound: int, budget=None) -> bool:
+def verify_min_distance_at_least(code: CyclicCode, bound: int,
+                                 budget=OracleBudget()) -> bool:
     """True iff every nonzero codeword has weight >= bound."""
     return code.k == 0 or min_distance_bruteforce(code, budget) >= bound
 
 
-def css_distance_at_least(pair, bound: int, budget=None) -> bool | None:
+def css_distance_at_least(pair, bound: int, budget=OracleBudget()) -> bool | None:
     """Whether C1 and the dual of C2 both have minimum distance >= bound,
     so that the CSS pair reaches it; None when either enumeration is over
     budget (always at budget 0)."""
-    bud = OracleBudget.of(budget)
     outer, inner = pair.outer, pair.inner
     # the dual of C2 has dimension n - k2, so it is only built when it fits
-    if max(outer.q**outer.k, inner.q**(inner.n - inner.k)) > bud.max_enumeration:
+    if max(outer.q**outer.k, inner.q**(inner.n - inner.k)) > budget.max_enumeration:
         return None
-    return all(verify_min_distance_at_least(code, bound, bud)
+    return all(verify_min_distance_at_least(code, bound, budget)
                for code in (outer, cyclic.dual_code(inner)))
 
 
-def css_true_distance(pair, budget=None) -> int | None:
+def css_true_distance(pair, budget=OracleBudget()) -> int | None:
     """Exact CSS distance: the minimum weight over (C1 minus C2) union
     (C2-dual minus C1-dual).  Returns None for a degenerate pair (C1 = C2,
     both differences empty).
@@ -216,22 +205,21 @@ def css_true_distance(pair, budget=None) -> int | None:
     the subcode: the shifts of the subcode's generator, then the first
     k - k_sub shifts of the code's own (their leading degrees are all
     distinct), so the subcode's words are skipped by index."""
-    bud = OracleBudget.of(budget)
     if pair.k == 0:
         return None
     inner_dual = cyclic.dual_code(pair.inner)
     # C2 and C1-dual are subcodes of these two, so they are no larger
     for c in (pair.outer, inner_dual):
-        if c.q**c.k > bud.max_enumeration:
+        if c.q**c.k > budget.max_enumeration:
             raise BudgetError(
-                f"{c!r} has {c.q**c.k} codewords, over budget {bud.max_enumeration}")
+                f"{c!r} has {c.q**c.k} codewords, over budget {budget.max_enumeration}")
     sides = ((pair.outer, pair.inner), (inner_dual, cyclic.dual_code(pair.outer)))
     return min(
         span_min_weight(
             code.base,
             np.vstack([cyclic.codeword_basis(sub),
                        cyclic.codeword_basis(code)[:code.k - sub.k]]),
-            bud.max_enumeration,
+            budget.max_enumeration,
             subcode_rows=sub.k,
         )
         for code, sub in sides
@@ -275,10 +263,9 @@ class SweepReport:
 def _sweep_pair(report: SweepReport, q: int, m: int) -> None:
     n = q**m - 1
     part = cs.partition(q, m)
-    reps, cards = part.reps, part.cards
+    reps, cards, E = part.reps, part.cards, part.elements
     seen = np.zeros(n, bool)
-    for _, orbits in part.classes():
-        seen[orbits] = True
+    seen[E] = True
     report.add(q, m, "partition", int(cards.sum()) == n and bool(seen.all()))
 
     # parity structure (odd q only)
@@ -286,10 +273,8 @@ def _sweep_pair(report: SweepReport, q: int, m: int) -> None:
         bad = np.flatnonzero(part.mixed())[:3].tolist()
         report.add(q, m, "parity-uniform", not bad,
                    f"mixed-parity cosets: {list(map(part.coset, bad))}" if bad else "")
-        consec = np.zeros(len(reps), bool)
-        for idx, orbits in part.classes():
-            if orbits.shape[1] > 1:
-                consec[idx] = (part.owner[(orbits + 1) % n] == idx[:, None]).any(axis=1)
+        # a singleton {x} never holds x + 1, as n >= 2 for odd q
+        consec = (part.owner[(E + 1) % n] == np.arange(len(reps))[:, None]).any(axis=1)
         bad = np.flatnonzero(consec)[:3].tolist()
         report.add(q, m, "no-consecutive", not bad,
                    f"cosets with consecutive elements: {list(map(part.coset, bad))}"
@@ -319,9 +304,7 @@ def _sweep_pair(report: SweepReport, q: int, m: int) -> None:
     # complementary-coset properties; a failing check names its last failing
     # coset
     comp = part.complements()
-    unique = np.zeros(len(reps), bool)
-    for idx, orbits in part.classes():
-        unique[idx] = (part.owner[(n - orbits) % n] == comp[idx, None]).all(axis=1)
+    unique = (part.owner[(n - E) % n] == comp[:, None]).all(axis=1)
     failing = {
         "complement-unique": ~unique,
         "complement-cardinality": cards[comp] != cards,

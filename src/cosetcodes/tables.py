@@ -58,14 +58,13 @@ def _conv_row(code: conv.ConvCode) -> TableRow:
     )
 
 
-def build_table(which: int, budget=None) -> list[TableRow]:
+def build_table(which: int, budget=oracle.OracleBudget()) -> list[TableRow]:
     """The printed rows of table `which`: the CSS tables 1 and 2 (with the
     oracle status of each distance claim) and the convolutional table 3
     (dimensions and degrees from matrix ranks over the expanded field)."""
     entries = families.rows(which)
     if not entries:
         raise ValueError(f"no table {which}; choose 1, 2 or 3")
-    budget = oracle.OracleBudget.of(budget)
     out = []
     for fam, args in entries:
         built = fam.build(**args)

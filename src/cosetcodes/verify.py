@@ -48,17 +48,18 @@ def _code_identities(code) -> tuple[bool, str]:
     return gh_ok, ""
 
 
-def _criteria_disagreement(partition) -> str:
-    """A note naming the last union of one or two cosets of partition on
-    which the dual-containing criteria disagree; empty if there is none."""
-    n = partition[0].n
+def _criteria_disagreement(part, comp) -> str:
+    """A note naming the last union of one or two cosets of the partition
+    part on which the dual-containing criteria disagree, with comp[i] the
+    index of the complementary coset of coset i; empty if there is none."""
+    n = part.n
     # Bit x of a mask stands for residue x: a coset's elements, their
-    # negations, and its complementary coset (as cyclic.contains_dual has it).
+    # negations, and its complementary coset.
     masks = [(c.rep,
               sum(1 << x for x in c.elements),
               sum(1 << (-x % n) for x in c.elements),
-              sum(1 << x for x in cosets.complementary(c).elements))
-             for c in partition]
+              sum(1 << x for x in part.coset(j).elements))
+             for c, j in zip(map(part.coset, range(len(part.reps))), comp.tolist())]
     # A union Z meets -Z iff a member A meets -B for a member B, and holds the
     # complement of a member iff the complement of an A meets a B.  Both are
     # ORs over pairs, as (U A_i) & (U B_j) = U (A_i & B_j), so agreement on
@@ -77,22 +78,22 @@ def verify_cyclic_identities() -> SweepReport:
     designed-distance cap for admissible block defining sets."""
     report = SweepReport()
     for q, m in _identity_instances():
-        partition = cosets.all_cosets(q, m)
+        part = cosets.partition(q, m)
         ok_gh = ok_null = True
         detail_gh = detail_null = ""
-        for c in partition:
-            code = cyclic.code_from_cosets(q, m, [c.rep])
+        for rep in part.reps.tolist():
+            code = cyclic.code_from_cosets(q, m, [rep])
             gh_ok, note = _code_identities(code)
             if not gh_ok:
                 ok_gh = False
-                detail_gh = f"coset {c.rep}"
+                detail_gh = f"coset {rep}"
             if note:
                 ok_null = False
-                detail_null = f"coset {c.rep}: {note}"
+                detail_null = f"coset {rep}: {note}"
         report.add(q, m, "generator-times-check", ok_gh, detail_gh)
         report.add(q, m, "nullspace-equivalence", ok_null, detail_null)
 
-        detail_dc = _criteria_disagreement(partition)
+        detail_dc = _criteria_disagreement(part, part.complements())
         report.add(q, m, "dual-containing-criteria-agree", not detail_dc, detail_dc)
 
         # designed-distance cap for block defining sets
@@ -127,7 +128,8 @@ def verify_cyclic_identities() -> SweepReport:
     return report
 
 
-def verify_css_families(budget=None, only_q: int | None = None) -> SweepReport:
+def verify_css_families(budget=oracle.OracleBudget(),
+                        only_q: int | None = None) -> SweepReport:
     """Dimension formulas against the dimensions recomputed from coset
     cardinalities, nesting, distance bounds, and (within budget) brute-force
     distance checks, on every printed CSS instance.  With only_q, on the
@@ -172,12 +174,12 @@ def conv_sweep(qs):
                     yield fam, args
 
 
-def verify_conv_families(budget=None, only_q: int | None = None) -> SweepReport:
+def verify_conv_families(budget=oracle.OracleBudget(),
+                         only_q: int | None = None) -> SweepReport:
     """Closed forms against actual ranks, the rank hypothesis, the
     reduced/basic check and the bound sandwich for q in 4, 5, 7, 8 (or
     only_q), and a sampled dual-codeword consistency check at q = 4, seeded
     by the budget's seed."""
-    bud = oracle.OracleBudget.of(budget)
     qs = (4, 5, 7, 8) if only_q is None else (only_q,)
     report = SweepReport()
     for fam, args in conv_sweep(qs):
@@ -197,9 +199,9 @@ def verify_conv_families(budget=None, only_q: int | None = None) -> SweepReport:
                    f"parent {code.d_parent_lb}")
     if 4 in qs:
         code = conv.family_split(4)
-        if bud.max_enumeration > 0:
-            found = conv.free_distance_upper(code, 2, budget=bud,
-                                             sample=2000, seed=bud.seed)
+        if budget.max_enumeration > 0:
+            found = conv.free_distance_upper(code, 2, budget=budget,
+                                             sample=2000, seed=budget.seed)
             report.add(4, 2, "conv-split-dual-search", found >= code.dfree_lb,
                        f"best sampled weight {found} vs claimed {code.dfree_lb}")
         else:

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from cosetcodes import cli
 from cosetcodes.cosets import (
     all_cosets,
-    complementary,
     coset_of,
     disjointness_range,
     ladder_cosets,
     partition,
 )
+
+from test_partition import _ref_complementary
 
 SMALL_GRID = [(q, m) for q in (3, 5, 7, 9) for m in (2, 3)]
 
@@ -163,30 +164,33 @@ def test_gap_matches_pairwise_reference(qm, a):
 # ---------------------------------------------------------------
 
 def test_complementary_examples():
-    c19 = complementary(coset_of(5, 2, 1))
+    c19 = _ref_complementary(coset_of(5, 2, 1))
     assert c19.rep == 19 and set(c19.elements) == {19, 23}
     zero = coset_of(5, 2, 0)
-    assert complementary(zero) == zero
+    assert _ref_complementary(zero) == zero
     c2 = coset_of(7, 2, 2)
-    assert complementary(complementary(c2)) == c2
+    assert _ref_complementary(_ref_complementary(c2)) == c2
 
 
 @pytest.mark.parametrize("q,m", SMALL_GRID)
 def test_complementary_properties(q, m):
     n = q**m - 1
+    part = partition(q, m)
+    assert part.reps[part.complements()].tolist() == [
+        _ref_complementary(c).rep for c in all_cosets(q, m)]
     for c in all_cosets(q, m):
-        comp = complementary(c)
+        comp = _ref_complementary(c)
         # unique: every element's negation lands in the same coset
         assert {coset_of(q, m, n - x).rep for x in c.elements} == {comp.rep}
         assert comp.cardinality == c.cardinality
         assert _gap(q, m, comp.rep) == _gap(q, m, c.rep)
-        assert complementary(comp) == c
+        assert _ref_complementary(comp) == c
 
 
 def test_coset_oplus_annihilates_complementary_pair():
-    assert _oplus(5, 2, 1, complementary(coset_of(5, 2, 1)).rep).elements == (0,)
+    assert _oplus(5, 2, 1, _ref_complementary(coset_of(5, 2, 1)).rep).elements == (0,)
     assert _oplus(5, 2, 0, 0).elements == (0,)
-    assert _oplus(3, 2, 2, complementary(coset_of(3, 2, 2)).rep).elements == (0,)
+    assert _oplus(3, 2, 2, _ref_complementary(coset_of(3, 2, 2)).rep).elements == (0,)
 
 
 def test_coset_oplus_reports_failed_congruence():

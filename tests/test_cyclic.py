@@ -1,7 +1,7 @@
 import itertools
 import re
-from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,6 +21,7 @@ from cosetcodes.cyclic import (
 from cosetcodes.gf import Poly, field_for, make_field, subfield_embedding
 
 from test_gf import _tables
+from test_partition import _ref_complementary
 
 
 # ---------------------------------------------------------------
@@ -314,16 +315,17 @@ def test_designed_distance_cap_for_block_sets():
 # the dual-containing criteria in the identity sweep
 # ---------------------------------------------------------------
 
-def _ref_union_scan(partition):
+def _ref_union_scan(partition, comp):
     """Both dual-containing criteria on every union of up to four cosets,
-    one union at a time: the note naming the last union where they
-    disagree, or empty."""
+    one union at a time, with partition[comp[i]] standing as the complement
+    of partition[i]: the note naming the last union where they disagree,
+    or empty."""
     n = partition[0].n
     masks = [(c.rep,
               sum(1 << x for x in c.elements),
               sum(1 << (-x % n) for x in c.elements),
-              sum(1 << x for x in cosets.complementary(c).elements))
-             for c in partition]
+              sum(1 << x for x in partition[j].elements))
+             for c, j in zip(partition, comp)]
     detail = ""
     for r in range(1, 5):
         for combo in itertools.combinations(masks, r):
@@ -358,27 +360,26 @@ def test_criteria_pair_scan_matches_the_four_coset_scan(case):
     q, m, kind, order = case
     partition = cosets.all_cosets(q, m)
     n = partition[0].n
-    comp = {c: cosets.complementary(c) for c in partition}
-    if kind == "identity":
-        comp = {c: c for c in partition}
-    elif kind == "involution":
-        # the true map's fixed points, the other cosets paired off at random
-        moved = [partition[i] for i in order if comp[partition[i]] != partition[i]]
-        comp = {c: c for c in partition}
+    index = {c.rep: i for i, c in enumerate(partition)}
+    comp = np.array([index[_ref_complementary(c).rep] for c in partition])
+    if kind != "true":
+        # the identity map; for an involution, the true map's fixed points
+        # with the other cosets paired off at random
+        moved = [i for i in order if comp[i] != i] if kind == "involution" else []
+        comp = np.arange(len(partition))
         for a, b in zip(moved[::2], moved[1::2]):
             comp[a], comp[b] = b, a
-    with mock.patch.object(cosets, "complementary", comp.__getitem__):
-        detail = verify._criteria_disagreement(partition)
-        assert bool(detail) == bool(_ref_union_scan(partition))
+    detail = verify._criteria_disagreement(cosets.partition(q, m), comp)
+    assert bool(detail) == bool(_ref_union_scan(partition, comp.tolist()))
     if detail:
         match = re.fullmatch(
             r"criteria disagree on the union of cosets \[([\d, ]+)\] mod (\d+)",
             detail)
         assert match and int(match.group(2)) == n
         reps = {int(x) for x in match.group(1).split(", ")}
-        members = [c for c in partition if c.rep in reps]
+        members = [index[rep] for rep in reps if rep in index]
         assert len(members) == len(reps) <= 2
-        z = {x for c in members for x in c.elements}
+        z = {x for i in members for x in partition[i].elements}
         meets_negation = any(-x % n in z for x in z)
-        complement_is_member = any(comp[c] in members for c in members)
+        complement_is_member = any(comp[i] in members for i in members)
         assert meets_negation != complement_is_member

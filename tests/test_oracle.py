@@ -344,6 +344,16 @@ def test_sweep_records_match_the_recorded_sweep(capsys):
         r for r in expected if 3 <= r[0] <= 9 and r[1] >= 2]
 
 
+def test_sweep_records_match_the_recorded_short_coset_sweep():
+    # m = 4, 5 and 6 hold cosets of 1, 2 and 3 elements below m, whose rows
+    # in the partition repeat their orbits; recorded from the sweep that
+    # sliced each row to its coset's cardinality
+    path = Path(__file__).parent / "data" / "coset_sweep_short_cosets.json"
+    expected = [tuple(r) for r in json.loads(path.read_text())]
+    assert [astuple(r) for r in
+            coset_theorem_sweep([2, 3, 4, 5, 7], [4, 5, 6]).records] == expected
+
+
 def _corrupted_partition(q, m, swaps, rotations):
     """The partition mod q^m - 1 with the owners of each pair of residues
     in swaps exchanged, and each coset whose representative is in rotations

@@ -12,7 +12,6 @@ from cosetcodes.cosets import (
     _coset_by_walk,
     _orbit,
     all_cosets,
-    complementary,
     coset_of,
     cosets_of,
 )
@@ -31,6 +30,11 @@ def _ref_parity_class(c):
     parities = {x % 2 for x in c.elements}
     assert c.q % 2 == 1 and len(parities) == 1, f"mixed parity in {c!r}"
     return "even" if parities == {0} else "odd"
+
+
+def _ref_complementary(c):
+    """The coset of n - rep(c), by walking its orbit."""
+    return _coset_by_walk(c.q, c.n, c.n - c.rep)
 
 
 def _ref_coset_oplus(c1, c2bar):
@@ -72,9 +76,8 @@ def test_all_cosets_matches_orbit_walk(qm):
 @given(q_m(), st.integers(-10**6, 10**6))
 def test_complementary_matches_orbit_walk(qm, a):
     q, m = qm
-    n = q**m - 1
     c = coset_of(q, m, a)
-    assert complementary(c) == _coset_by_walk(q, n, n - c.rep)
+    assert coset_of(q, m, -c.rep) == _ref_complementary(c)
 
 
 @settings(max_examples=60, deadline=None)
@@ -102,6 +105,8 @@ def test_partition_arrays_match_orbit_walk(qm):
 @given(q_m(), st.integers(0, 10**6))
 @example((2, 1), 0).via("n = 1")
 @example((5, 1), 1).via("m = 1")
+@example((3, 4), 0).via("cosets of 1 and 2 elements below m = 4")
+@example((2, 6), 0).via("cosets of 1, 2 and 3 elements below m = 6")
 def test_partition_properties_match_scalar_functions(qm, shift):
     q, m = qm
     n = q**m - 1
@@ -113,7 +118,7 @@ def test_partition_properties_match_scalar_functions(qm, shift):
         assert [("odd" if r % 2 else "even") for r in part.reps.tolist()] == list(
             map(_ref_parity_class, walked))
     comp = part.complements()
-    assert part.reps[comp].tolist() == [complementary(c).rep for c in walked]
+    assert part.reps[comp].tolist() == [_ref_complementary(c).rep for c in walked]
     # oplus with the complements, and with an arbitrary pairing that may
     # hold no witness
     for other in (comp, (comp + shift) % len(walked)):
@@ -123,10 +128,10 @@ def test_partition_properties_match_scalar_functions(qm, shift):
         assert [None if i < 0 else int(part.reps[i]) for i in got] == expect
 
 
-def test_all_cosets_returns_a_fresh_list_of_shared_cosets():
+def test_all_cosets_returns_a_fresh_list_of_equal_cosets():
     first, second = all_cosets(5, 2), all_cosets(5, 2)
     assert first is not second
-    assert all(a is b for a, b in zip(first, second))
+    assert first == second
     first.clear()
     assert len(all_cosets(5, 2)) == len(second)
 
@@ -140,7 +145,7 @@ def test_moduli_over_the_cap_walk_the_orbit(monkeypatch):
     assert n > cosets.MAX_MODULUS
     c = coset_of(2, 20, -3)
     assert c == _coset_by_walk(2, n, n - 3)
-    assert complementary(c) == _coset_by_walk(2, n, 3)
+    assert coset_of(2, 20, 3) == _coset_by_walk(2, n, 3)
     walked = {_coset_by_walk(2, n, a) for a in (6, -3, 3, 2 * n + 3, 1)}
     assert cosets_of(2, 20, [6, -3, 3, 2 * n + 3, 1]) == sorted(walked, key=lambda c: c.rep)
     # past int64 the walk keeps Python ints: residues >= 2^63 reduce exactly
@@ -148,6 +153,10 @@ def test_moduli_over_the_cap_walk_the_orbit(monkeypatch):
     assert coset_of(2, 70, -1) == _coset_by_walk(2, n, n - 1)
     assert cosets_of(2, 70, [-1, 2**69, n + 2**69]) == [
         _coset_by_walk(2, n, 1), _coset_by_walk(2, n, n - 1)]
+    # and so does the dual-containing test, with no array over the residues
+    assert contains_dual(DefiningSet.from_exponents(2, 70, [1, 3]))
+    assert not contains_dual(DefiningSet.from_exponents(2, 70, [1, -1]))
+    assert not contains_dual(DefiningSet.from_exponents(2, 70, [0]))
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cosetcodes import __version__, cli, cosets, cyclic, gf
@@ -70,7 +71,7 @@ TABLE3_ROWS = [
 
 
 def test_table1_rows_exact():
-    rows = build_table(1, budget=None)
+    rows = build_table(1)
     assert [r.text for r in rows] == TABLE1_ROWS
 
 
@@ -388,9 +389,8 @@ def test_cli_verify_cyclic_catches_a_wrong_complement(monkeypatch, capsys):
     # a complement lookup that answers with the coset itself breaks the
     # complement criterion, while the negation criterion still holds on
     # every union that is disjoint from its negation
-    from cosetcodes import cosets
-
-    monkeypatch.setattr(cosets, "complementary", lambda c: c)
+    monkeypatch.setattr(cosets.Partition, "complements",
+                        lambda self: np.arange(len(self.reps)))
     assert cli.main(["verify", "cyclic", "--format", "json"]) == 1
     records = json.loads(capsys.readouterr().out)["discrepancies"]
     failed = [r for r in records if r["check"] == "dual-containing-criteria-agree"]
