@@ -10,10 +10,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import itertools
 import json
 import sys
 import warnings
+
+import numpy as np
 
 from . import __version__, conv, cosets, cyclic, families, oracle, tables, verify
 from .oracle import OracleBudget, SweepReport
@@ -22,58 +25,33 @@ from .oracle import OracleBudget, SweepReport
 # output plumbing
 # ----------------------------------------------------------------------
 
-class _Rows(list):
-    """A non-empty row list that json's encoder walks lazily: iterating it
-    draws the rows from an iterator, so the rows are never all held."""
-
-    def __init__(self, rows):
-        super().__init__()
-        self.rows = rows
-
-    def __iter__(self):
-        return self.rows
-
-    def __bool__(self):
-        return True
+def _output(args):
+    """args.out opened for writing, or stdout; a file that cannot be opened
+    is a usage error."""
+    try:
+        out = open(args.out, "w", encoding="utf-8") if args.out else None
+    except OSError as exc:
+        args.parser.error(f"cannot write output file: {exc}")
+    return out or contextlib.nullcontext(sys.stdout)
 
 
 def _emit(args, command: str, rows, discrepancies, text_lines) -> None:
-    r"""Write the output in args.format to args.out, or to stdout; a file
-    that cannot be opened is a usage error.  Text lines and JSON and CSV
-    rows (any iterables) are streamed, so the output is never one string;
-    text goes out 4096 lines per write.  Every output ends in one newline,
-    except that CSV on stdout keeps a newline after the writer's final
-    \r\n."""
-    fmt, out_path = args.format, args.out
-    try:
-        out = open(out_path, "w", encoding="utf-8") if out_path else None
-    except OSError as exc:
-        args.parser.error(f"cannot write output file: {exc}")
-    with out or contextlib.nullcontext(sys.stdout) as fh:
-        if fmt == "text":
-            lines = iter(text_lines)
-            while chunk := list(itertools.islice(lines, 4096)):
-                fh.write("\n".join(chunk) + "\n")
-            return
-        rows = iter(rows)
-        first = next(rows, None)
-        if first is not None:
-            rows = itertools.chain([first], rows)
-        if fmt == "json":
-            payload = {
-                "tool_version": __version__,
-                "command": command,
-                "rows": [] if first is None else _Rows(rows),
-                "discrepancies": discrepancies,
-            }
-            parts = json.JSONEncoder(indent=2).iterencode(payload)
-            while chunk := list(itertools.islice(parts, 4096)):
-                fh.write("".join(chunk))
-        elif first is not None:
-            writer = csv.DictWriter(fh, fieldnames=list(first.keys()))
+    r"""Write the row and line lists in args.format to args.out, or to
+    stdout, through the standard writers; the coset listing, which alone
+    runs to hundreds of thousands of rows, formats its own (cmd_cosets).
+    Every output ends in one newline, except that CSV on stdout keeps a
+    newline after the writer's final \r\n."""
+    with _output(args) as fh:
+        if args.format == "text":
+            fh.write("\n".join(text_lines))
+        elif args.format == "json":
+            fh.write(json.dumps({"tool_version": __version__, "command": command,
+                                 "rows": rows, "discrepancies": discrepancies}, indent=2))
+        elif rows:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
-        if not (out_path and fmt == "csv" and first is not None):
+        if not (args.out and args.format == "csv" and rows):
             fh.write("\n")
 
 
@@ -145,48 +123,66 @@ def _family_instance(args):
 # subcommands
 # ----------------------------------------------------------------------
 
+def _coset_layout(args, part) -> tuple[str, np.ndarray, str, str]:
+    """The head, row templates, row separator and tail of the coset listing in
+    args.format.  templates[k, g, o] lays out a coset of cardinality k, with a
+    gap if g and an odd representative if o, as a %-template taking its rep,
+    its k elements, its gap if any and its complement's rep, in that order.
+    json.dumps and csv.DictWriter lay out the JSON and CSV rows themselves."""
+    q, m, fmt, props = part.q, args.m, args.format, args.properties
+    templates = np.empty((m + 1, 2, 2), object)
+    for k, g, o in itertools.product(range(1, m + 1), (0, 1), (0, 1)):
+        row = {"rep": "%d", "cardinality": k, "elements": ["%d"] * k}
+        if props:
+            row |= {"gap": "%d" if g else None, "complement": "%d"}
+            if q % 2 == 1:
+                row["parity"] = "odd" if o else "even"
+        elements = ", ".join(row["elements"])
+        if fmt == "text":
+            line = f"C_%d = {{{elements}}}"
+            if props:
+                line += f"  gap={row['gap'] or '-'}  complement=C_%d"
+                line += f"  parity={row['parity']}" if "parity" in row else ""
+        elif fmt == "json":
+            line = json.dumps(row, indent=2).replace('"%d"', "%d").replace("\n", "\n    ")
+        else:
+            buf = io.StringIO()
+            writer = csv.DictWriter(buf, fieldnames=list(row))
+            writer.writeheader()
+            writer.writerow({**row, "elements": f"[{elements}]"})
+            header, line, _ = buf.getvalue().split("\r\n")
+        templates[k, g, o] = line
+    if fmt == "text":
+        return f"q={q}, m={m}, n={part.n}: {len(part.reps)} cosets\n", templates, "\n", "\n"
+    if fmt == "csv":
+        return header + "\r\n", templates, "\r\n", "\r\n" + "\n" * (not args.out)
+    head, _, tail = json.dumps({"tool_version": __version__, "command": f"cosets {q} {m}",
+                                "rows": [None], "discrepancies": []}, indent=2).rpartition("null")
+    return head, templates, ",\n    ", tail + "\n"
+
+
 def cmd_cosets(args, cfg) -> int:
+    """List the cosets, streamed 4096 rows per write: each block is one
+    %-format call on its rows' templates (231,135 rows at the modulus cap)."""
     q, m = args.q, args.m
     with _usage_errors(args):
         part = cosets.partition(q, m)
-    props = args.properties
-    if props:
-        gaps = part.gaps()
-        comps = part.reps[part.complements()]
+    # the template fields per coset as columns, -1 where a row has none
+    columns = [part.reps, np.where(np.arange(m) < part.cards[:, None], part.elements, -1)]
+    gaps = part.gaps() if args.properties else np.zeros_like(part.reps)
+    if args.properties:
+        columns += [np.where(gaps > 0, gaps, -1), part.reps[part.complements()]]
         if q % 2 == 1 and (mixed := part.mixed()).any():
             raise AssertionError(f"mixed parity in {part.coset(int(mixed.argmax()))!r}")
-
-    # rows and lines are built from slices of 4096 cosets: at 31^4 a list of
-    # either would hold every coset
-    def records():
+    head, templates, sep, tail = _coset_layout(args, part)
+    rows = templates[part.cards, np.minimum(gaps, 1), part.reps % 2]
+    with _output(args) as fh:
+        fh.write(head)
         for a in range(0, len(part.reps), 4096):
-            cut = slice(a, a + 4096)
-            yield from zip(part.reps[cut].tolist(), part.cards[cut].tolist(),
-                           part.elements[cut].tolist(),
-                           *([gaps[cut].tolist(), comps[cut].tolist()] if props
-                             else [itertools.repeat(None)] * 2))
-
-    def rows():
-        for rep, k, els, gap, comp in records():
-            row = {"rep": rep, "cardinality": k, "elements": els[:k]}
-            if props:
-                row["gap"] = gap or None
-                row["complement"] = comp
-                if q % 2 == 1:
-                    row["parity"] = "odd" if rep % 2 else "even"
-            yield row
-
-    def lines():
-        yield f"q={q}, m={m}, n={part.n}: {len(part.reps)} cosets"
-        for rep, k, els, gap, comp in records():
-            line = f"C_{rep} = {{{', '.join(map(str, els[:k]))}}}"
-            if props:
-                line += f"  gap={gap or '-'}  complement=C_{comp}"
-                if q % 2 == 1:
-                    line += f"  parity={'odd' if rep % 2 else 'even'}"
-            yield line
-
-    _emit(args, f"cosets {q} {m}", rows(), [], lines())
+            vals = np.column_stack([col[a:a + 4096] for col in columns])
+            block = sep.join(rows[a:a + 4096].tolist()) % tuple(vals[vals >= 0].tolist())
+            fh.write(sep * (a > 0) + block)
+        fh.write(tail)
     return 0
 
 

@@ -151,6 +151,9 @@ def partition(q: int, m: int) -> Partition:
     """The partition of {0, ..., n-1} into cosets modulo n = q^m - 1."""
     if q < 2 or m < 1:
         raise ValueError("need q >= 2 and m >= 1")
+    # n >= 2^m - 1 and n >= q - 1 are past the cap; n may have millions of digits
+    if m >= 20 or q - 1 > MAX_MODULUS:
+        raise ValueError(f"modulus {q}^{m} - 1 exceeds cap {MAX_MODULUS}")
     n = q**m - 1
     if n > MAX_MODULUS:
         raise ValueError(f"modulus {n} exceeds cap {MAX_MODULUS}")

@@ -126,6 +126,7 @@ def family_ladder(q: int, m: int, c: int) -> CssParams:
     require_prime_power(q, 3)
     if not 2 <= c <= q:
         raise ValueError(f"need 2 <= c <= q, got c={c}")
+    cyclic.code_from_cosets(q, m, range(c - 1))  # checks m and GF(q^m) ahead of the orbit walks
     # checks the ladder hypothesis (c-1)q+1 < q^ceil(m/2) - 1 and structure
     ladder = ladder_cosets(q, m, c - 1)
     return _pair_excluding(q, m, c, [lc.rep for lc in ladder], "css-ladder")

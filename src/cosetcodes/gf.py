@@ -245,7 +245,7 @@ def make_field(p: int, e: int) -> FieldContext:
         raise ValueError(f"p={p} is not prime")
     if e < 1:
         raise ValueError(f"e={e} must be >= 1")
-    if p**e > MAX_FIELD_SIZE:
+    if e > 20 or p**e > MAX_FIELD_SIZE:  # 2^21 is past the cap: no huge power is built
         raise ValueError(f"field size {p}^{e} exceeds cap {MAX_FIELD_SIZE}")
     for f in _candidate_polys(p, e):
         if _is_primitive(f, p, e):

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -6,16 +7,20 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cosetcodes import __version__, cli, cosets, cyclic, gf
 from cosetcodes.cosets import _coset_by_walk
 from cosetcodes.tables import TableRow, build_table
 
-from test_partition import _ref_gap_stat, _ref_parity_class
+from test_partition import _ref_gap_stat, _ref_parity_class, q_m
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -201,6 +206,19 @@ def _render_cosets(q, m, properties, fmt, to_file):
     return "\n".join(lines) + "\n"
 
 
+def _check_cosets_bytes(q, m, properties, fmt):
+    """`cosets q m` prints, and writes with --out, the scalar renderer's bytes."""
+    argv = ["cosets", str(q), str(m), "--format", fmt] + ["--properties"] * properties
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert cli.main(argv) == 0
+    assert stdout.getvalue() == _render_cosets(q, m, properties, fmt, to_file=False)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes().decode() == _render_cosets(
+            q, m, properties, fmt, to_file=True)
+
+
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 @pytest.mark.parametrize("q,m,properties", [
     (7, 2, True),    # odd q: a parity column
@@ -209,15 +227,20 @@ def _render_cosets(q, m, properties, fmt, to_file):
     (2, 1, True),    # n = 1
     (3, 3, False),
 ])
-def test_cli_cosets_bytes_match_scalar_renderer(q, m, properties, fmt, tmp_path,
-                                                capsysbinary):
-    argv = ["cosets", str(q), str(m), "--format", fmt] + ["--properties"] * properties
-    assert cli.main(argv) == 0
-    assert capsysbinary.readouterr().out.decode() == _render_cosets(
-        q, m, properties, fmt, to_file=False)
-    out = tmp_path / "out"
-    assert cli.main(argv + ["--out", str(out)]) == 0
-    assert out.read_bytes().decode() == _render_cosets(q, m, properties, fmt, to_file=True)
+def test_cli_cosets_bytes_match_scalar_renderer(q, m, properties, fmt):
+    _check_cosets_bytes(q, m, properties, fmt)
+
+
+# the listing formats blocks of rows from templates: on random (q, m), q not
+# necessarily a prime power, it prints what the scalar renderer prints
+@settings(max_examples=60, deadline=None)
+@given(q_m(), st.booleans(), st.sampled_from(["text", "json", "csv"]))
+@example((6, 4), True, "text")
+@example((10, 3), True, "json")
+@example((15, 2), True, "csv")
+@example((2, 10), False, "csv")
+def test_cli_cosets_bytes_match_scalar_renderer_on_random_inputs(qm, properties, fmt):
+    _check_cosets_bytes(*qm, properties, fmt)
 
 
 # Runs its arguments as a child process and prints the child's wall time and
@@ -242,21 +265,25 @@ def _run_fresh(argv):
     return float(elapsed), int(peak_kb) / 1024
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_cli_cosets_at_the_cap(fmt, tmp_path):
+# SHA-256 of each listing's --out file, recorded from the per-row generators
+# and the standard writers that the block formatter replaced
+@pytest.mark.parametrize("options,digest", [
+    pytest.param(["--properties"],
+                 "0e4e69a68734a23393c548c0158ed08be1456808ac9aebfafeb09ab94606b487", id="text"),
+    pytest.param([],
+                 "bd545cdbe858844b6f370799ad3f90ede6706c2510156d30211bd0f05888d93a",
+                 id="text-without-properties"),
+    pytest.param(["--properties", "--format", "json"],
+                 "d63899051278ab6fbabf24dd29b560413f807e7c44d96c623341f758b420c0fd", id="json"),
+    pytest.param(["--properties", "--format", "csv"],
+                 "e034da37f0b384b33405b497de44e7cf12759a9d59d6813b87d9a277f234c398", id="csv"),
+])
+def test_cli_cosets_at_the_cap(options, digest, tmp_path):
     out = tmp_path / "out"
-    elapsed, peak_mb = _run_fresh(["cosets", "31", "4", "--properties",
-                                   "--format", fmt, "--out", str(out)])
-    assert elapsed < 5.0, f"cosets 31 4 --format {fmt} took {elapsed:.2f}s"
-    if fmt == "text":
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "0e4e69a68734a23393c548c0158ed08be1456808ac9aebfafeb09ab94606b487")
-    else:
-        assert peak_mb < 150, f"cosets 31 4 --format json peaked at {peak_mb:.0f} MB"
-        with open(out, "rb") as fh:
-            assert fh.read(40).startswith(b'{\n  "tool_version"')
-            fh.seek(-30, os.SEEK_END)
-            assert fh.read().endswith(b'  ],\n  "discrepancies": []\n}\n')
+    elapsed, peak_mb = _run_fresh(["cosets", "31", "4", *options, "--out", str(out)])
+    assert elapsed < 5.0, f"cosets 31 4 {' '.join(options)} took {elapsed:.2f}s"
+    assert peak_mb < 150, f"cosets 31 4 {' '.join(options)} peaked at {peak_mb:.0f} MB"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_cli_code_at_the_field_cap(tmp_path):
@@ -461,6 +488,14 @@ USAGE_MESSAGES = {
     "verify cyclic --q 5": "error: --q restricts only css/conv, not verify cyclic",
     # the CSS families need the partition, capped at n = 10^6
     "css --family block-even --q 4 --m 10 --c 3": "error: modulus 1048575 exceeds cap 1000000",
+    # far past a cap (see PAST_THE_CAPS): a modulus of thousands of digits is
+    # named by its power, and a ladder builds the field before its orbit walks
+    "cosets 3 1000000": "error: modulus 3^1000000 - 1 exceeds cap 1000000",
+    "cosets 3 5000": "error: modulus 3^5000 - 1 exceeds cap 1000000",
+    "css --family ladder --q 3 --m 100000 --c 2": "error: field size 3^100000 exceeds cap 1048576",
+    "css --family ladder --q 3 --m 1000000 --c 2":
+        "error: field size 3^1000000 exceeds cap 1048576",
+    "code 2 100000000 1": "error: field size 2^100000000 exceeds cap 1048576",
     # an output file that cannot be opened: a directory, a missing directory
     "cosets 4 2 --out .": "error: cannot write output file: ",
     "table 1 --out /nonexistent/x.json": "error: cannot write output file: ",
@@ -471,6 +506,11 @@ USAGE_MESSAGES = {
     "conv --family split --q 3": "error: need q >= 4, got 3",
     "conv --family wider-head --q 4 --i 2": "error: need 1 <= i <= q-3, got i=2",
 }
+
+# inputs far past a cap are rejected within 1 s, before the work the cap bounds
+PAST_THE_CAPS = ("cosets 3 1000000", "cosets 3 5000",
+                 "css --family ladder --q 3 --m 100000 --c 2",
+                 "css --family ladder --q 3 --m 1000000 --c 2", "code 2 100000000 1")
 
 
 @pytest.mark.parametrize("argv", [
@@ -490,9 +530,12 @@ USAGE_MESSAGES = {
     *USAGE_MESSAGES,
 ])
 def test_cli_bad_input_is_one_line_usage_error(argv, capsys):
+    t0 = time.perf_counter()
     with pytest.raises(SystemExit) as exc:
         cli.main(argv.split())
+    elapsed = time.perf_counter() - t0
     assert exc.value.code == 2
+    assert argv not in PAST_THE_CAPS or elapsed < 1.0, f"{argv} took {elapsed:.2f}s"
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "error: " in err
     assert "Traceback" not in err
