@@ -8,9 +8,9 @@ from .cosets import (  # noqa: F401
     Coset,
     all_cosets,
     coset_of,
-    cosets_of,
     disjointness_range,
     ladder_cosets,
+    union_of,
 )
 from .cyclic import (  # noqa: F401
     CyclicCode,

@@ -10,8 +10,9 @@ Free distance is handled by bounds only: a lower bound combining the
 run-based bounds of the split pieces, and an independent bounded search
 for low-degree dual codewords that upper-bounds the free distance.
 
-split_parity returns H0 and H1 as 2-D label arrays, an empty piece as a
-(0, n) array, and build_conv copies them into G's blocks as they are.
+split_parity checks the split on coset representatives, as ints, and
+returns H0 and H1 as 2-D label arrays, an empty piece as a (0, n) array;
+build_conv copies them into G's blocks as they are.
 PolyMatrix holds G as one read-only (memory + 1, kappa, n) label array.
 Row degrees, memory and degree come from one nonzero test on it and the
 leading matrix is one index into it; G(s) is gf's one Horner, _horner, on
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cyclic, gf, oracle
-from .cosets import cosets_of
+from .cosets import union_of
 from .cyclic import CyclicCode
 from .gf import FieldContext
 
@@ -125,12 +126,11 @@ def split_parity(parent: CyclicCode, head_exponents, tail_exponents):
     """
     head = list(head_exponents)
     tail = list(tail_exponents)
-    head_cosets = {c.rep for c in cosets_of(parent.q, parent.m, head)}
-    tail_cosets = {c.rep for c in cosets_of(parent.q, parent.m, tail)}
-    parent_reps = {c.rep for c in parent.defining.cosets}
-    if head_cosets & tail_cosets:
+    head_reps = set(union_of(parent.q, parent.m, head)[0])
+    tail_reps = set(union_of(parent.q, parent.m, tail)[0])
+    if head_reps & tail_reps:
         raise ValueError("head and tail exponent sets overlap")
-    if head_cosets | tail_cosets != parent_reps:
+    if head_reps | tail_reps != set(parent.defining.reps):
         raise ValueError("head and tail do not cover the parent defining set")
     h0 = cyclic.parity_check_matrix(parent, head)
     h1 = cyclic.parity_check_matrix(parent, tail)
@@ -157,9 +157,7 @@ def build_conv(
         head.q, head.m,
         list(head.defining.exponents) + list(tail.defining.exponents),
     )
-    head_reps = [c.rep for c in head.defining.cosets]
-    tail_reps = [c.rep for c in tail.defining.cosets]
-    h0, h1 = split_parity(parent, head_reps, tail_reps)
+    h0, h1 = split_parity(parent, head.defining.reps, tail.defining.reps)
     kappa = len(h0)
     gamma = len(h1)
     n = parent.n

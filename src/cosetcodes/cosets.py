@@ -3,11 +3,11 @@
 Everything here is plain modular arithmetic; no field tables are involved.
 All values are immutable and all functions are pure.  For n up to
 MAX_MODULUS the partition into cosets is built once per (q, n), as numpy
-arrays, and every coset question is a lookup into it; cosets_of turns the
-exponents of a defining set into its cosets with one mask over the owner
-array.  Larger moduli walk the orbit instead.  The gap, parity and oplus
-structure exists only as whole-partition arrays, each one expression over
-the full orbit rows of the partition.
+arrays, and every coset question is a lookup into it; union_of turns the
+exponents of a defining set into its coset representatives and elements, as
+ints, with one mask over the owner array, and Coset objects are left to
+inspection.  Larger moduli walk the orbit instead.  The gap, parity and
+oplus structure exists only as whole-partition arrays over the orbit rows.
 """
 
 from __future__ import annotations
@@ -174,16 +174,17 @@ def coset_of(q: int, m: int, a: int) -> Coset:
     return _coset_by_walk(q, n, a) if n > MAX_MODULUS else _partition(q, n).at(a % n)
 
 
-def cosets_of(q: int, m: int, exponents) -> list[Coset]:
-    """The distinct cosets of the exponents modulo q^m - 1, sorted by
-    representative (each exponent is reduced first): one Partition.hit mask,
-    or an orbit walk per exponent above MAX_MODULUS."""
+def union_of(q: int, m: int, exponents) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The sorted coset representatives and sorted elements of the union of
+    the cosets of the exponents modulo q^m - 1 (each reduced first): one
+    Partition.hit mask, or an orbit walk per exponent above MAX_MODULUS."""
     n = _modulus(q, m)
     if n > MAX_MODULUS:
-        by_rep = {c.rep: c for c in (_coset_by_walk(q, n, int(a)) for a in exponents)}
-        return [by_rep[rep] for rep in sorted(by_rep)]
+        orbits = {min(o): o for o in (_orbit(q, n, int(a)) for a in exponents)}
+        return tuple(sorted(orbits)), tuple(sorted(x for o in orbits.values() for x in o))
     part = _partition(q, n)
-    return list(map(part.coset, np.flatnonzero(part.hit(exponents)).tolist()))
+    hit = part.hit(exponents)
+    return tuple(part.reps[hit].tolist()), tuple(np.flatnonzero(hit[part.owner]).tolist())
 
 
 def all_cosets(q: int, m: int) -> list[Coset]:

@@ -2,13 +2,13 @@
 
 A nested pair C2 in C1 yields an [[n, k1 - k2, D]] qudit code whose distance
 is at least the smaller of the two run-based bounds, for C1 and for the dual
-of C2.  Four parameter families are provided; each one checks its range
-and makes one call to _pair_excluding, which looks the cosets up in the
-memoised partition, rebuilds both codes and returns the family's
-parameters with its c as the design.  An inner code's defining set is
-every coset of the partition but the excluded ones, picked by one mask
-over the coset indices; above MAX_MODULUS there is no partition and the
-families are refused.
+of C2.  Each of the four parameter families checks its range, builds its
+outer code from the cosets of 0..c-2 (checking m and GF(q^m) before any
+excluded coset is computed) and calls _pair_excluding, which returns the
+family's parameters with its c as the design.  The inner code's defining
+set is every coset of the memoised partition but the excluded ones, picked
+by one mask over the coset indices; above MAX_MODULUS there is no
+partition and the families are refused.
 """
 
 from __future__ import annotations
@@ -77,12 +77,11 @@ def css_from_pair(
     )
 
 
-def _pair_excluding(q: int, m: int, c: int, excluded_exponents, family: str) -> CssParams:
-    """The pair with design c: outer from the cosets of 0..c-2; inner from
-    every coset except those of the given exponents."""
-    outer = cyclic.code_from_cosets(q, m, range(c - 1))
-    part = partition(q, m)  # raises above MAX_MODULUS
-    inner = cyclic.code_from_cosets(q, m, part.reps[~part.hit(excluded_exponents)])
+def _pair_excluding(outer: CyclicCode, c: int, excluded_exponents, family: str) -> CssParams:
+    """The pair with design c: the given outer code, from the cosets of
+    0..c-2; inner from every coset except those of the given exponents."""
+    part = partition(outer.q, outer.m)  # raises above MAX_MODULUS
+    inner = cyclic.code_from_cosets(outer.q, outer.m, part.reps[~part.hit(excluded_exponents)])
     return css_from_pair(outer, inner, designed_distance=c, family=family)
 
 
@@ -90,7 +89,8 @@ def family_block_full(q: int) -> CssParams:
     """[[q^2-1, q^2-4q+5, d >= q]]: length q^2-1, the widest mirrored-block
     defining sets."""
     require_prime_power(q, 3)
-    return _pair_excluding(q, 2, q, range(q + 1, 2 * q), "css-block-full")
+    outer = cyclic.code_from_cosets(q, 2, range(q - 1))
+    return _pair_excluding(outer, q, range(q + 1, 2 * q), "css-block-full")
 
 
 def family_block(q: int, c: int) -> CssParams:
@@ -104,7 +104,8 @@ def family_block(q: int, c: int) -> CssParams:
             "c = q reproduces family_block_full; the stated range is c < q",
             stacklevel=2,
         )
-    return _pair_excluding(q, 2, c, range(q + 1, q + c), "css-block")
+    outer = cyclic.code_from_cosets(q, 2, range(c - 1))
+    return _pair_excluding(outer, c, range(q + 1, q + c), "css-block")
 
 
 def family_block_even(q: int, m: int, c: int) -> CssParams:
@@ -115,8 +116,9 @@ def family_block_even(q: int, m: int, c: int) -> CssParams:
         raise ValueError(f"need even m >= 2, got m={m}")
     if not 2 <= c <= q:
         raise ValueError(f"need 2 <= c <= q, got c={c}")
+    outer = cyclic.code_from_cosets(q, m, range(c - 1))
     half = q ** (m // 2)
-    return _pair_excluding(q, m, c, range(half + 1, half + c), "css-block-even")
+    return _pair_excluding(outer, c, range(half + 1, half + c), "css-block-even")
 
 
 def family_ladder(q: int, m: int, c: int) -> CssParams:
@@ -126,7 +128,7 @@ def family_ladder(q: int, m: int, c: int) -> CssParams:
     require_prime_power(q, 3)
     if not 2 <= c <= q:
         raise ValueError(f"need 2 <= c <= q, got c={c}")
-    cyclic.code_from_cosets(q, m, range(c - 1))  # checks m and GF(q^m) ahead of the orbit walks
+    outer = cyclic.code_from_cosets(q, m, range(c - 1))
     # checks the ladder hypothesis (c-1)q+1 < q^ceil(m/2) - 1 and structure
     ladder = ladder_cosets(q, m, c - 1)
-    return _pair_excluding(q, m, c, [lc.rep for lc in ladder], "css-ladder")
+    return _pair_excluding(outer, c, [lc.rep for lc in ladder], "css-ladder")

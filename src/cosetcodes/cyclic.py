@@ -1,7 +1,8 @@
 """Cyclic and BCH-style codes of length q^m - 1 over GF(q), built from
 defining sets of cyclotomic cosets.
 
-A code is a value object: defining set and dimension, with the generator
+A defining set holds its coset representatives and exponents as ints.  A
+code is a value object: defining set and dimension, with the generator
 polynomial built on first read.  The run-based designed-distance bound,
 duals, the dual-containing test and parity-check matrices (expanded over
 the base field) all live here.
@@ -9,32 +10,30 @@ the base field) all live here.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import gf
-from .cosets import Coset, cosets_of
+from .cosets import union_of
 from .gf import FieldContext, Poly
 
 
 @dataclass(frozen=True)
 class DefiningSet:
-    """A union of cyclotomic cosets with its flattened sorted exponent list."""
+    """A union of cyclotomic cosets: its sorted coset representatives and exponents."""
 
     n: int
     q: int
-    cosets: tuple[Coset, ...]
+    reps: tuple[int, ...]
     exponents: tuple[int, ...]
 
     @classmethod
     def from_exponents(cls, q: int, m: int, exponents) -> "DefiningSet":
         """The union of the cosets of the exponents (each reduced mod n)."""
-        cosets = tuple(cosets_of(q, m, exponents))
-        flat = sorted(itertools.chain.from_iterable(c.elements for c in cosets))
-        return cls(n=q**m - 1, q=q, cosets=cosets, exponents=tuple(flat))
+        reps, flat = union_of(q, m, exponents)
+        return cls(n=q**m - 1, q=q, reps=reps, exponents=flat)
 
     @property
     def size(self) -> int:
@@ -112,7 +111,7 @@ def dual_defining_set(code: CyclicCode) -> DefiningSet:
 
 
 def dual_code(code: CyclicCode) -> CyclicCode:
-    return code_from_cosets(code.q, code.m, dual_defining_set(code).exponents)
+    return code_from_cosets(code.q, code.m, dual_defining_set(code).reps)
 
 
 def contains_dual(code) -> bool:

@@ -366,11 +366,11 @@ def coset_theorem_sweep(q_list: Iterable[int], m_list: Iterable[int]) -> SweepRe
     report records, never exceptions.  Pairs whose modulus q^m - 1 is over
     cosets.MAX_MODULUS get one skipped record each, ahead of the rest."""
     pairs = sorted((q, m) for q in set(q_list) for m in set(m_list))
-    over = [(q, m) for q, m in pairs if q**m - 1 > cs.MAX_MODULUS]
+    # q >= 2 and m >= 20 is past the cap, as in cosets.partition: q^m is not built
+    over = [(q, m) for q, m in pairs if q >= 2 and m >= 20 or q**m - 1 > cs.MAX_MODULUS]
     report = SweepReport()
     for q, m in over:
         report.add(q, m, "all", None, f"modulus over cap {cs.MAX_MODULUS}")
-    for q, m in pairs:
-        if (q, m) not in over:
-            _sweep_pair(report, q, m)
+    for q, m in sorted(set(pairs).difference(over)):
+        _sweep_pair(report, q, m)
     return report

@@ -39,8 +39,7 @@ def _code_identities(code) -> tuple[bool, str]:
     xn1 = cyclic.Poly.x_pow_minus_one(code.base, n)
     h, rem = xn1.divmod(code.generator)
     gh_ok = rem.is_zero and code.generator * h == xn1
-    reps = [c.rep for c in code.defining.cosets]
-    H = cyclic.parity_check_matrix(code, reps)
+    H = cyclic.parity_check_matrix(code, code.defining.reps)
     if len(H) != n - code.k:
         return gh_ok, f"check rank {len(H)} != {n - code.k}"
     if gf.mat_vec(code.base, H, cyclic.codeword_basis(code)).any():

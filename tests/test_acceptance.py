@@ -65,8 +65,7 @@ def test_criterion_3_table3_regeneration():
     # k and degree derive from ranks of the expanded matrices
     sample = conv.family_split(16)
     assert sample.kappa == len(
-        cyclic.parity_check_matrix(sample.parent,
-                                   [c.rep for c in sample.head.defining.cosets]))
+        cyclic.parity_check_matrix(sample.parent, sample.head.defining.reps))
     assert sample.k == sample.n - sample.kappa
     assert elapsed < 60.0, f"table 3 took {elapsed:.2f}s"
     _report(3, f"all {len(rows)} rows exact in {elapsed:.2f}s")

@@ -21,7 +21,7 @@ from cosetcodes.cyclic import (
 from cosetcodes.gf import Poly, field_for, make_field, subfield_embedding
 
 from test_gf import _tables
-from test_partition import _ref_complementary
+from test_partition import _ref_complementary, _ref_from_exponents
 
 
 # ---------------------------------------------------------------
@@ -186,18 +186,6 @@ def test_self_reciprocal_dual_is_complement():
     assert set(dual.exponents) == set(range(24)) - set(code.defining.exponents)
 
 
-def _ref_from_exponents(q, m, exponents):
-    """The defining set the slow way: one orbit walk per exponent."""
-    n = q**m - 1
-    by_rep = {}
-    for a in exponents:
-        c = cosets._coset_by_walk(q, n, a)
-        by_rep[c.rep] = c
-    members = tuple(sorted(by_rep.values(), key=lambda c: c.rep))
-    flat = sorted(x for c in members for x in c.elements)
-    return DefiningSet(n=n, q=q, cosets=members, exponents=tuple(flat))
-
-
 def _ref_dual_defining_set(code):
     """{0..n-1} minus -Z, residue by residue."""
     n = code.n
@@ -277,8 +265,7 @@ def test_check_matrix_rejects_bad_exponent():
 ])
 def test_codewords_lie_in_check_matrix_nullspace(q, m, exps):
     code = code_from_cosets(q, m, exps)
-    reps = [c.rep for c in code.defining.cosets]
-    H = parity_check_matrix(code, reps)
+    H = parity_check_matrix(code, code.defining.reps)
     assert len(H) == code.n - code.k
     assert not gf.mat_vec(code.base, H, codeword_basis(code)).any()
 

@@ -1,4 +1,5 @@
 import json
+import time
 from dataclasses import astuple, replace
 from itertools import product
 from pathlib import Path
@@ -420,6 +421,26 @@ def test_sweep_respects_modulus_cap():
     assert report.records == [
         oracle.CheckRecord(3, 13, "all", "skipped", "modulus over cap 1000000")
     ]
+
+
+def test_sweep_decides_each_pair_once():
+    # 20,000 pairs, all but eleven over the cap: each pair is classified once,
+    # and no q^m is built for m >= 20
+    t0 = time.perf_counter()
+    report = coset_theorem_sweep([3], range(2, 20001))
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0, f"the sweep took {elapsed:.2f}s"
+    # the skipped pairs come first, then the checked ones, each in order of m
+    over = [oracle.CheckRecord(3, m, "all", "skipped", "modulus over cap 1000000")
+            for m in range(13, 20001)]
+    assert report.records[:len(over)] == over
+    assert report.records[len(over):] == coset_theorem_sweep([3], range(2, 13)).records
+
+
+def test_sweep_refuses_an_invalid_q():
+    # q = 1 puts no modulus over the cap, so it reaches the partition, which raises
+    with pytest.raises(ValueError, match="need q >= 2"):
+        coset_theorem_sweep([1, 3], [2, 25])
 
 
 def test_sweep_report_status_rule():

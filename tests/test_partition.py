@@ -13,7 +13,7 @@ from cosetcodes.cosets import (
     _orbit,
     all_cosets,
     coset_of,
-    cosets_of,
+    union_of,
 )
 from cosetcodes.cyclic import DefiningSet, contains_dual
 
@@ -35,6 +35,18 @@ def _ref_parity_class(c):
 def _ref_complementary(c):
     """The coset of n - rep(c), by walking its orbit."""
     return _coset_by_walk(c.q, c.n, c.n - c.rep)
+
+
+def _ref_from_exponents(q, m, exponents):
+    """The defining set the slow way: one orbit walk per exponent."""
+    n = q**m - 1
+    by_rep = {}
+    for a in exponents:
+        c = _coset_by_walk(q, n, a)
+        by_rep[c.rep] = c
+    members = tuple(sorted(by_rep.values(), key=lambda c: c.rep))
+    flat = sorted(x for c in members for x in c.elements)
+    return DefiningSet(n=n, q=q, reps=tuple(c.rep for c in members), exponents=tuple(flat))
 
 
 def _ref_coset_oplus(c1, c2bar):
@@ -146,13 +158,18 @@ def test_moduli_over_the_cap_walk_the_orbit(monkeypatch):
     c = coset_of(2, 20, -3)
     assert c == _coset_by_walk(2, n, n - 3)
     assert coset_of(2, 20, 3) == _coset_by_walk(2, n, 3)
-    walked = {_coset_by_walk(2, n, a) for a in (6, -3, 3, 2 * n + 3, 1)}
-    assert cosets_of(2, 20, [6, -3, 3, 2 * n + 3, 1]) == sorted(walked, key=lambda c: c.rep)
+    exponents = [6, -3, 3, 2 * n + 3, 1]
+    walked = {_coset_by_walk(2, n, a) for a in exponents}
+    assert union_of(2, 20, exponents) == (
+        tuple(sorted(c.rep for c in walked)),
+        tuple(sorted(x for c in walked for x in c.elements)))
+    assert DefiningSet.from_exponents(2, 20, exponents) == _ref_from_exponents(2, 20, exponents)
     # past int64 the walk keeps Python ints: residues >= 2^63 reduce exactly
     n = 2**70 - 1
     assert coset_of(2, 70, -1) == _coset_by_walk(2, n, n - 1)
-    assert cosets_of(2, 70, [-1, 2**69, n + 2**69]) == [
-        _coset_by_walk(2, n, 1), _coset_by_walk(2, n, n - 1)]
+    walked = [_coset_by_walk(2, n, 1), _coset_by_walk(2, n, n - 1)]
+    assert union_of(2, 70, [-1, 2**69, n + 2**69]) == (
+        tuple(c.rep for c in walked), tuple(sorted(walked[0].elements + walked[1].elements)))
     # and so does the dual-containing test, with no array over the residues
     assert contains_dual(DefiningSet.from_exponents(2, 70, [1, 3]))
     assert not contains_dual(DefiningSet.from_exponents(2, 70, [1, -1]))

@@ -496,6 +496,12 @@ USAGE_MESSAGES = {
     "css --family ladder --q 3 --m 1000000 --c 2":
         "error: field size 3^1000000 exceeds cap 1048576",
     "code 2 100000000 1": "error: field size 2^100000000 exceeds cap 1048576",
+    # block-even builds its outer code, and so the field, before q^(m/2);
+    # its own range check on m comes first
+    "css --family block-even --q 3 --m 20000000 --c 3":
+        "error: field size 3^20000000 exceeds cap 1048576",
+    "css --family block-even --q 3 --m -4 --c 3": "error: need even m >= 2, got m=-4",
+    "css --family block-even --q 3 --m 0 --c 3": "error: need even m >= 2, got m=0",
     # an output file that cannot be opened: a directory, a missing directory
     "cosets 4 2 --out .": "error: cannot write output file: ",
     "table 1 --out /nonexistent/x.json": "error: cannot write output file: ",
@@ -510,7 +516,8 @@ USAGE_MESSAGES = {
 # inputs far past a cap are rejected within 1 s, before the work the cap bounds
 PAST_THE_CAPS = ("cosets 3 1000000", "cosets 3 5000",
                  "css --family ladder --q 3 --m 100000 --c 2",
-                 "css --family ladder --q 3 --m 1000000 --c 2", "code 2 100000000 1")
+                 "css --family ladder --q 3 --m 1000000 --c 2", "code 2 100000000 1",
+                 "css --family block-even --q 3 --m 20000000 --c 3")
 
 
 @pytest.mark.parametrize("argv", [
