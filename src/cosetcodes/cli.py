@@ -250,13 +250,18 @@ def cmd_table(args, cfg) -> int:
 def cmd_verify(args, cfg) -> int:
     if args.q is not None and args.scope in ("cosets", "cyclic"):
         args.parser.error(f"--q restricts only css/conv, not verify {args.scope}")
+    for flag in ("qmax", "mmax"):
+        if vars(args)[flag] is not None and args.scope not in ("cosets", "all"):
+            args.parser.error(f"--{flag} sizes only the coset grid, not verify {args.scope}")
     bud = _budget_from(args, cfg)
     report = SweepReport()
     if args.scope in ("cosets", "all"):
-        qs, ms = verify.coset_grid(args.qmax, args.mmax)
+        qmax = 9 if args.qmax is None else args.qmax
+        mmax = 3 if args.mmax is None else args.mmax
+        qs, ms = verify.coset_grid(qmax, mmax)
         if not qs or not ms:
             args.parser.error(f"empty coset grid (prime powers 3 <= q <= "
-                              f"{args.qmax}, 2 <= m <= {args.mmax})")
+                              f"{qmax}, 2 <= m <= {mmax})")
         report.records.extend(oracle.coset_theorem_sweep(qs, ms).records)
     if args.scope in ("cyclic", "all"):
         report.records.extend(verify.verify_cyclic_identities().records)
@@ -356,8 +361,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="run verification sweeps")
     p.add_argument("scope", choices=["cosets", "cyclic", "css", "conv", "all"])
-    p.add_argument("--qmax", type=int, default=9)
-    p.add_argument("--mmax", type=int, default=3)
+    p.add_argument("--qmax", type=int, default=None,
+                   help="coset grid of verify cosets/all: largest q (default 9)")
+    p.add_argument("--mmax", type=int, default=None,
+                   help="coset grid of verify cosets/all: largest m (default 3)")
     p.add_argument("--q", type=int, default=None,
                    help="restrict css/conv family checks to one alphabet")
     _add_common(p)

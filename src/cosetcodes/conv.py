@@ -16,7 +16,9 @@ build_conv copies them into G's blocks as they are.
 PolyMatrix holds G as one read-only (memory + 1, kappa, n) label array.
 Row degrees, memory and degree come from one nonzero test on it and the
 leading matrix is one index into it; G(s) is gf's one Horner, _horner, on
-the whole array, so the basicness check evaluates all q points in one pass.
+the whole array, so the basicness check evaluates all q points in one pass
+and ranks the constant block, the q values and the leading matrix in one
+stacked gf.rank call.
 The sliding check stack places whole coefficient blocks.  The five
 families are one builder, _split_family, called with their cosets.
 """
@@ -271,18 +273,18 @@ class BasicnessReport:
 def check_reduced_basic(G: PolyMatrix) -> BasicnessReport:
     """Verify the rank hypothesis (a full-rank constant block; no other
     block can exceed it, as every block has kappa rows) and the
-    evaluation-rank basicness criterion."""
+    evaluation-rank basicness criterion.  The constant block, the q
+    evaluations and the leading matrix are ranked as one stack."""
     ctx = G.field
     kappa = G.kappa
-    rank_h0 = gf.rank(ctx, G.blocks[0])
-    values = G.evaluate(range(ctx.q))
-    failed = [s for s in range(ctx.q) if gf.rank(ctx, values[s]) != kappa]
-    lead_rank = gf.rank(ctx, G.leading_matrix())
+    stack = np.concatenate([G.blocks[:1], G.evaluate(range(ctx.q)),
+                            G.leading_matrix()[None]])
+    rank_h0, *evaluated, lead_rank = gf.rank(ctx, stack)
     return BasicnessReport(
         kappa=kappa,
         rank_h0=rank_h0,
         rank_condition_ok=rank_h0 == kappa,
-        failed_evaluations=tuple(failed),
+        failed_evaluations=tuple(s for s, r in enumerate(evaluated) if r != kappa),
         leading_rank=lead_rank,
         leading_ok=lead_rank == kappa,
     )

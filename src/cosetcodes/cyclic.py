@@ -5,7 +5,7 @@ A defining set holds its coset representatives and exponents as ints.  A
 code is a value object: defining set and dimension, with the generator
 polynomial built on first read.  The run-based designed-distance bound,
 duals, the dual-containing test and parity-check matrices (expanded over
-the base field) all live here.
+the base field, and reduced coset by coset) all live here.
 """
 
 from __future__ import annotations
@@ -138,15 +138,31 @@ def parity_check_matrix(code: CyclicCode, rows) -> np.ndarray:
     """Check matrix over GF(q) from the Vandermonde-style extension rows
     (1, alpha^i, alpha^(2i), ...) for each exponent i in `rows`, expanded
     over the polynomial basis, with linearly dependent rows removed (first
-    maximal independent subset, in row order)."""
-    n = code.n
+    maximal independent subset, in row order).
+
+    The selection is made coset by coset.  The m expanded rows of an
+    exponent span the minimal ideal of its cyclotomic coset, and since
+    gcd(n, q) = 1 the ideals of distinct cosets form a direct sum
+    (MacWilliams & Sloane, ch. 8).  So a later exponent of a coset already
+    listed adds no row, and is dropped before expansion; each remaining
+    block keeps the rows it would keep on its own, and all blocks are
+    reduced in one stacked elimination of m column steps."""
+    n, q, m = code.n, code.q, code.m
     rows = np.asarray(list(rows), dtype=np.int64)
     bad = rows[(rows < 0) | (rows >= n)]
     if bad.size:
         raise ValueError(f"exponent {bad[0]} out of range [0, {n})")
+    # keep the first exponent of each coset, keyed by its least element;
+    # rows * q^j < n^2 <= 2^40, and no partition is needed at any modulus
+    least = (rows[:, None] * q ** np.arange(m) % n).min(axis=1)
+    first = {}
+    for i, x in enumerate(least.tolist()):
+        first.setdefault(x, i)
+    rows = rows[list(first.values())]
     raw = gf.expand_matrix(code.ext, code.base,
                            code.ext._np_exp[np.outer(rows, np.arange(n)) % n])
-    return raw[gf.independent_rows(code.base, raw)]
+    blocks = raw.reshape(len(rows), m, n)
+    return blocks[gf.independent_rows(code.base, blocks)]
 
 
 def codeword_basis(code: CyclicCode) -> np.ndarray:

@@ -24,13 +24,16 @@ label exactly once.
 Array arithmetic goes through one elementwise kernel, _add and _mul on
 broadcasting label arrays (table lookups for q <= 512; above that XOR for
 p = 2 or Zech logarithms, and log/exp multiplication), next to one digit
-codec, _digits and _labels.  The linear algebra has one elimination,
-rref, which clears a whole pivot column per step; rank, independent_rows,
-nullspace and expand_matrix's coordinate change (built once per field pair,
-in the cached SubfieldEmbedding) all read its result.  A matrix is a 2-D
-int label array: the linear algebra takes any 2-D sequence, and every
-matrix it or expand_matrix returns is an array, so an empty one keeps its
-width.
+codec, _digits and _labels.  The linear algebra has one elimination loop,
+_eliminate, over a (B, r, c) stack of matrices: each step clears one
+pivot column in every matrix that has a pivot there, so a whole stack
+takes c steps.  rref, rank, independent_rows, nullspace and
+expand_matrix's coordinate change (built once per field pair, in the
+cached SubfieldEmbedding) are views on it; rank and independent_rows also
+take a stack, and return the B ranks or a (B, r) mask of the kept rows.
+A matrix is a 2-D int label array: the linear algebra takes any 2-D
+sequence, and every matrix it or expand_matrix returns is an array, so an
+empty one keeps its width.
 Generator polynomials come from one root product, poly_with_roots: the
 product of (x - alpha^j) over a whole defining set, taken in the extension
 with the same kernel and lowered to the base field by one lookup in the
@@ -513,39 +516,61 @@ def _horner(ctx: FieldContext, coeffs, s) -> np.ndarray:
 # linear algebra over GF(q)
 # ----------------------------------------------------------------------
 
+def _eliminate(ctx: FieldContext, stack) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jordan elimination on every matrix of a (B, r, c) stack at
+    once: the stack of their reduced row echelon forms and the (B, c) mask
+    of their pivot columns.  Step c pivots, in every matrix that has a
+    nonzero at or below its next pivot row, on the first such row, and
+    clears column c in all its other rows; so a stack takes c steps."""
+    A = np.array(stack)
+    B, nrows, ncols = A.shape
+    mask = np.zeros((B, ncols), dtype=bool)
+    filled = np.zeros(B, dtype=np.int64)  # pivots found so far, per matrix
+    below = np.arange(nrows)
+    for c in range(ncols):
+        if (filled == nrows).all():
+            break
+        cand = (A[:, :, c] != 0) & (below >= filled[:, None])
+        bs = np.flatnonzero(cand.any(axis=1))
+        if not bs.size:
+            continue
+        r, piv = filled[bs], cand[bs].argmax(axis=1)
+        A[bs, r], A[bs, piv] = A[bs, piv], A[bs, r]
+        # rows from r down are 0 left of column c, so only columns c: change
+        inv = ctx._np_exp[-ctx._np_log[A[bs, r, c]] % (ctx.q - 1)]
+        A[bs, r, c:] = _mul(ctx, A[bs, r, c:], inv[:, None])
+        # every other row += (-row[c]) * pivot row
+        factor = A[bs, :, c]
+        factor[np.arange(bs.size), r] = 0
+        minus = _mul(ctx, A[bs, r, c:], ctx.p - 1)
+        A[bs, :, c:] = _add(ctx, A[bs, :, c:], _mul(ctx, factor[:, :, None], minus[:, None]))
+        mask[bs, c] = True
+        filled[bs] += 1
+    return A, mask
+
+
 def rref(ctx: FieldContext, rows) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot column list."""
-    A = np.atleast_2d(rows).copy()
-    nrows, ncols = A.shape
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        below = np.flatnonzero(A[r:, c])
-        if not below.size:
-            continue
-        piv = r + int(below[0])
-        A[[r, piv]] = A[[piv, r]]
-        A[r] = _mul(ctx, A[r], ctx.inv(int(A[r, c])))
-        # clear column c in every other row at once: row += (-row[c]) * A[r]
-        hit = np.flatnonzero(A[:, c])
-        hit = hit[hit != r]
-        minus_r = _mul(ctx, A[r], ctx.p - 1)
-        A[hit] = _add(ctx, A[hit], _mul(ctx, A[hit, c][:, None], minus_r))
-        pivots.append(c)
-    return A, pivots
+    R, mask = _eliminate(ctx, np.atleast_2d(rows)[None])
+    return R[0], np.flatnonzero(mask[0]).tolist()
 
 
-def independent_rows(ctx: FieldContext, rows) -> list[int]:
+def independent_rows(ctx: FieldContext, rows):
     """Indices of the first maximal linearly independent subset, in order:
-    the pivot columns of the transpose's RREF."""
-    return rref(ctx, np.atleast_2d(rows).T)[1]
+    the pivot columns of the transpose's RREF.  On a (B, r, c) stack, the
+    (B, r) mask of the rows that each matrix keeps."""
+    A = np.asarray(rows)
+    if A.ndim == 3:
+        return _eliminate(ctx, A.swapaxes(1, 2))[1]
+    return rref(ctx, np.atleast_2d(A).T)[1]
 
 
-def rank(ctx: FieldContext, rows) -> int:
-    """Row rank over GF(q)."""
-    return len(independent_rows(ctx, rows))
+def rank(ctx: FieldContext, rows):
+    """Row rank over GF(q); on a (B, r, c) stack, the list of the B ranks."""
+    A = np.asarray(rows)
+    if A.ndim == 3:
+        return independent_rows(ctx, A).sum(axis=1).tolist()
+    return len(independent_rows(ctx, A))
 
 
 def nullspace(ctx: FieldContext, rows) -> np.ndarray:

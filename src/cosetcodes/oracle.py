@@ -27,7 +27,7 @@ cosets.MAX_MODULUS.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -239,7 +239,8 @@ class CheckRecord:
     detail: str = ""
 
     def to_dict(self):
-        return asdict(self)
+        # the fields in order; asdict would deep-copy these ints and strs
+        return dict(vars(self))
 
 
 @dataclass

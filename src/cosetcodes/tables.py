@@ -9,7 +9,7 @@ oracle budget allows.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import conv, css, families, oracle
 
@@ -32,7 +32,8 @@ class TableRow:
     status: str        # "formula-match" | "oracle-verified" | "oracle-skipped"
 
     def to_dict(self):
-        return asdict(self)
+        # the fields in order; asdict would deep-copy these ints and strs
+        return dict(vars(self))
 
 
 def _css_row(table: int, params: css.CssParams, budget) -> TableRow:

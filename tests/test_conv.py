@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cosetcodes import conv, cyclic, gf, oracle
@@ -343,6 +343,37 @@ def test_array_paths_match_scalar_references(G, max_degree):
     stack = conv._sliding_check_stack(G, max_degree)
     assert _same_row_space(ctx, stack, _ref_sliding_check_stack(G, max_degree),
                            G.n * (max_degree + 1))
+
+
+def _ref_check_reduced_basic(G):
+    """The report from q + 2 separate rank calls: the constant block, each
+    evaluation G(s), and the leading matrix."""
+    ctx, kappa = G.field, G.kappa
+    rank_h0 = gf.rank(ctx, G.blocks[0])
+    failed = tuple(s for s in range(ctx.q)
+                   if gf.rank(ctx, _ref_evaluate(G, s)) != kappa)
+    lead_rank = gf.rank(ctx, _ref_leading_matrix(G))
+    return conv.BasicnessReport(
+        kappa=kappa, rank_h0=rank_h0, rank_condition_ok=rank_h0 == kappa,
+        failed_evaluations=failed, leading_rank=lead_rank,
+        leading_ok=lead_rank == kappa)
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_matrices())
+@example(PolyMatrix(field=field_for(4), blocks=np.zeros((2, 0, 3), dtype=np.int64)))
+def test_batched_basicness_check_matches_separate_ranks(G):
+    rep = check_reduced_basic(G)
+    assert rep == _ref_check_reduced_basic(G)
+    assert all(type(x) is int for x in (rep.rank_h0, rep.leading_rank,
+                                        *rep.failed_evaluations))
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_batched_basicness_check_on_the_families(q):
+    for build in (family_split, family_split_wide_head, family_split_singleton_tail):
+        G = build(q).generator
+        assert check_reduced_basic(G) == _ref_check_reduced_basic(G)
 
 
 @pytest.mark.parametrize("max_degree", [0, 2])

@@ -270,6 +270,47 @@ def test_codewords_lie_in_check_matrix_nullspace(q, m, exps):
     assert not gf.mat_vec(code.base, H, codeword_basis(code)).any()
 
 
+def _ref_parity_check_matrix(code, rows):
+    """The whole-matrix form: every exponent's row expanded, then the first
+    maximal independent subset of all the expanded rows."""
+    n = code.n
+    rows = np.array(rows, dtype=np.int64)
+    raw = gf.expand_matrix(code.ext, code.base,
+                           code.ext._np_exp[np.outer(rows, np.arange(n)) % n])
+    return raw[gf.independent_rows(code.base, raw)]
+
+
+# small lengths: q^m - 1 <= 255
+CHECK_MATRIX_GRID = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3),
+                     (4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (8, 1), (8, 2), (9, 1),
+                     (9, 2), (16, 1), (16, 2)]
+
+
+@st.composite
+def check_matrix_rows(draw):
+    """(q, m, exponents) with plain repeats and same-coset pairs
+    (a, a q^j mod n) mixed in anywhere."""
+    q, m = draw(st.sampled_from(CHECK_MATRIX_GRID))
+    n = q**m - 1
+    rows = draw(st.lists(st.integers(0, n - 1), max_size=8))
+    for a in draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else ():
+        rows.insert(draw(st.integers(0, len(rows))),
+                    a * q ** draw(st.integers(0, m - 1)) % n)
+    return q, m, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(check_matrix_rows())
+@example((4, 2, [1, 4]))
+@example((9, 2, [1, 9, 1, 0, 0]))
+@example((2, 4, []))
+def test_check_matrix_matches_whole_matrix_selection(case):
+    q, m, rows = case
+    code = code_from_cosets(q, m, rows)
+    assert parity_check_matrix(code, rows).tolist() == \
+        _ref_parity_check_matrix(code, rows).tolist()
+
+
 # ---------------------------------------------------------------
 # algebraic identities (small sample; the full sweep runs in acceptance)
 # ---------------------------------------------------------------

@@ -617,6 +617,49 @@ def test_linear_algebra_matches_scalar_gauss_jordan(case, data):
                                                  for u in V]
 
 
+@st.composite
+def field_stacks(draw):
+    """A field and a (B, r, c) stack over it whose matrices have mixed
+    ranks: zero rows and multiples of earlier rows are mixed in, and B, r
+    and c may each be 0."""
+    ctx = make_field(*draw(st.sampled_from(REFERENCE_FIELDS)))
+    count, nrows, ncols = (draw(st.integers(0, 4)), draw(st.integers(0, 5)),
+                           draw(st.integers(0, 6)))
+    entry = st.one_of(st.sampled_from([0, 1]), st.integers(0, ctx.q - 1))
+    stack = []
+    for _ in range(count):
+        rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+        for i in range(1, nrows):
+            if draw(st.booleans()):
+                a = draw(st.integers(0, ctx.q - 1))
+                rows[i] = [ctx.mul(a, x) for x in rows[draw(st.integers(0, i - 1))]]
+        stack.append(rows)
+    return ctx, np.array(stack, dtype=np.int64).reshape(count, nrows, ncols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_stacks())
+@example((make_field(3, 1), np.zeros((2, 0, 3), dtype=np.int64)))
+@example((make_field(2, 2), np.ones((3, 2, 0), dtype=np.int64)))
+@example((make_field(2, 10), np.zeros((0, 2, 2), dtype=np.int64)))
+def test_stacked_elimination_matches_scalar_gauss_jordan(case):
+    ctx, stack = case
+    R, mask = gf._eliminate(ctx, stack)
+    assert R.shape == stack.shape and mask.shape == (len(stack), stack.shape[2])
+    ranks, keep = [], []
+    for b, rows in enumerate(stack.tolist()):
+        ref_R, ref_pivots = _ref_rref(ctx, rows) if rows else ([], [])
+        assert R[b].tolist() == ref_R
+        assert np.flatnonzero(mask[b]).tolist() == ref_pivots
+        ranks.append(len(ref_pivots))
+        keep.append(_ref_independent_rows(ctx, rows))
+    assert gf.rank(ctx, stack) == ranks
+    assert all(type(r) is int for r in gf.rank(ctx, stack))
+    rows_mask = gf.independent_rows(ctx, stack)
+    assert rows_mask.shape == stack.shape[:2]
+    assert [np.flatnonzero(m).tolist() for m in rows_mask] == keep
+
+
 def _digitwise(p, e, a, b, sign=1):
     """a + sign * b in GF(p^e), one base-p digit at a time."""
     return sum(((a // p**t + sign * (b // p**t)) % p) * p**t for t in range(e))

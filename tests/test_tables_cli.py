@@ -446,6 +446,17 @@ def test_cli_verify_empty_grid_is_an_error(capsys):
         assert len(err.splitlines()) == 1 and "error: empty coset grid" in err
 
 
+def test_cli_coset_grid_defaults_are_9_and_3(capsys):
+    assert cli.main(["verify", "cosets", "--format", "json"]) == 0
+    default = capsys.readouterr().out
+    assert cli.main(["verify", "cosets", "--qmax", "9", "--mmax", "3",
+                     "--format", "json"]) == 0
+    assert capsys.readouterr().out == default
+    assert cli.main(["verify", "cosets", "--qmax", "9", "--mmax", "2",
+                     "--format", "json"]) == 0
+    assert capsys.readouterr().out != default
+
+
 def test_cli_rejects_negative_budget(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["table", "1", "--budget", "-5"])
@@ -505,6 +516,12 @@ USAGE_MESSAGES = {
     # an output file that cannot be opened: a directory, a missing directory
     "cosets 4 2 --out .": "error: cannot write output file: ",
     "table 1 --out /nonexistent/x.json": "error: cannot write output file: ",
+    # --qmax and --mmax size the coset grid, which only verify cosets and
+    # verify all run; elsewhere they would be ignored
+    "verify conv --qmax 3": "error: --qmax sizes only the coset grid, not verify conv",
+    "verify css --mmax 2": "error: --mmax sizes only the coset grid, not verify css",
+    "verify cyclic --qmax 9 --mmax 3":
+        "error: --qmax sizes only the coset grid, not verify cyclic",
     # a seed is checked with the options, ahead of any sweep
     "verify conv --q 4 --seed -1": "error: argument --seed: must be >= 0, got -1",
     # a split family checks q is a prime power, then q >= 4, then i
