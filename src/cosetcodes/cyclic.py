@@ -5,7 +5,7 @@ A defining set holds its coset representatives and exponents as ints.  A
 code is a value object: defining set and dimension, with the generator
 polynomial built on first read.  The run-based designed-distance bound,
 duals, the dual-containing test and parity-check matrices (expanded over
-the base field, and reduced coset by coset) all live here.
+the base field, and cut from blocks reduced coset by coset) all live here.
 """
 
 from __future__ import annotations
@@ -134,19 +134,15 @@ def nested(outer: CyclicCode, inner: CyclicCode) -> bool:
     return set(outer.defining.exponents) <= set(inner.defining.exponents)
 
 
-def parity_check_matrix(code: CyclicCode, rows) -> np.ndarray:
-    """Check matrix over GF(q) from the Vandermonde-style extension rows
-    (1, alpha^i, alpha^(2i), ...) for each exponent i in `rows`, expanded
-    over the polynomial basis, with linearly dependent rows removed (first
-    maximal independent subset, in row order).
-
-    The selection is made coset by coset.  The m expanded rows of an
-    exponent span the minimal ideal of its cyclotomic coset, and since
-    gcd(n, q) = 1 the ideals of distinct cosets form a direct sum
-    (MacWilliams & Sloane, ch. 8).  So a later exponent of a coset already
-    listed adds no row, and is dropped before expansion; each remaining
-    block keeps the rows it would keep on its own, and all blocks are
-    reduced in one stacked elimination of m column steps."""
+def check_matrix_blocks(code: CyclicCode, rows) -> tuple[np.ndarray, np.ndarray]:
+    """parity_check_matrix's (R, m, n) stack of expanded blocks, one for the
+    first exponent of each coset in `rows`, and the (R, m) mask of the rows
+    that one stacked independent_rows call keeps.  The m rows of a block
+    span the minimal ideal of its coset, and since gcd(n, q) = 1 the ideals
+    of distinct cosets form a direct sum (MacWilliams & Sloane, ch. 8): a
+    later exponent of a coset adds no row, each block keeps what it would
+    keep alone, and any ordered subset of the blocks, cut by their masks,
+    is the check matrix of its exponents."""
     n, q, m = code.n, code.q, code.m
     rows = np.asarray(list(rows), dtype=np.int64)
     bad = rows[(rows < 0) | (rows >= n)]
@@ -162,7 +158,16 @@ def parity_check_matrix(code: CyclicCode, rows) -> np.ndarray:
     raw = gf.expand_matrix(code.ext, code.base,
                            code.ext._np_exp[np.outer(rows, np.arange(n)) % n])
     blocks = raw.reshape(len(rows), m, n)
-    return blocks[gf.independent_rows(code.base, blocks)]
+    return blocks, gf.independent_rows(code.base, blocks)
+
+
+def parity_check_matrix(code: CyclicCode, rows) -> np.ndarray:
+    """Check matrix over GF(q) from the Vandermonde-style extension rows
+    (1, alpha^i, alpha^(2i), ...) for each exponent i in `rows`, expanded
+    over the polynomial basis, with linearly dependent rows removed (first
+    maximal independent subset, in row order), made coset by coset."""
+    blocks, keep = check_matrix_blocks(code, rows)
+    return blocks[keep]
 
 
 def codeword_basis(code: CyclicCode) -> np.ndarray:

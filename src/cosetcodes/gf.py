@@ -39,7 +39,8 @@ product of (x - alpha^j) over a whole defining set, taken in the extension
 with the same kernel and lowered to the base field by one lookup in the
 subfield embedding's inverse table.  Poly's product and division are row
 operations on the same kernel; one Horner's rule, _horner, evaluates the
-embedding's root search and conv's polynomial matrices at arrays of points.
+embedding's root search, conv's polynomial matrices and the identity
+sweep's generators at arrays of points.
 
 Every function in this module is a pure function of its inputs.
 """
@@ -302,13 +303,6 @@ class Poly:
     def zero(cls, ctx):
         return cls(ctx, ())
 
-    @classmethod
-    def x_pow_minus_one(cls, ctx, n: int):
-        coeffs = [0] * (n + 1)
-        coeffs[0] = ctx.neg(1)
-        coeffs[n] = 1
-        return cls(ctx, coeffs)
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -543,7 +537,8 @@ def _eliminate(ctx: FieldContext, stack) -> tuple[np.ndarray, np.ndarray]:
         factor = A[bs, :, c]
         factor[np.arange(bs.size), r] = 0
         minus = _mul(ctx, A[bs, r, c:], ctx.p - 1)
-        A[bs, :, c:] = _add(ctx, A[bs, :, c:], _mul(ctx, factor[:, :, None], minus[:, None]))
+        sel = slice(None) if bs.size == B else bs  # a view when all pivot
+        A[sel, :, c:] = _add(ctx, A[sel, :, c:], _mul(ctx, factor[:, :, None], minus[:, None]))
         mask[bs, c] = True
         filled[bs] += 1
     return A, mask

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from . import conv, cosets, cyclic, families, gf, oracle
 from .oracle import SweepReport
 
@@ -29,68 +31,94 @@ def _identity_instances():
             if q**m - 1 <= _N_CAP]
 
 
-def _code_identities(code) -> tuple[bool, str]:
-    """(g*h = x^n - 1 holds, null-space failure note or empty).
+def _generators_match(codes) -> np.ndarray:
+    """For codes over one field pair, True where g is monic of degree |Z|
+    and vanishes at alpha^j exactly for j in Z, so g = prod (x - alpha^z)
+    divides x^n - 1: one Horner pass over every g, lifted into the
+    extension as a zero-padded column."""
+    ext, n = codes[0].ext, codes[0].n
+    gens = [code.generator.coeffs for code in codes]
+    G = np.zeros((max(map(len, gens)), len(codes)), dtype=np.int64)
+    Z = np.zeros((n, len(codes)), dtype=bool)
+    for i, (g, code) in enumerate(zip(gens, codes)):
+        G[:len(g), i] = g
+        Z[list(code.defining.exponents), i] = True
+    lifted = gf.subfield_embedding(ext, codes[0].base)._up[G]
+    zeros = gf._horner(ext, lifted[:, None], ext._np_exp[:n, None]) == 0
+    monic = [len(g) == code.defining.size + 1 and g[-1] == 1 for g, code in zip(gens, codes)]
+    return np.array(monic, dtype=bool) & (zeros == Z).all(axis=0)
 
-    Null-space equivalence is exact: the check matrix has rank n - k and
-    every basis codeword satisfies it, so its null space is the code.
-    """
-    n = code.n
-    xn1 = cyclic.Poly.x_pow_minus_one(code.base, n)
-    h, rem = xn1.divmod(code.generator)
-    gh_ok = rem.is_zero and code.generator * h == xn1
-    H = cyclic.parity_check_matrix(code, code.defining.reps)
-    if len(H) != n - code.k:
-        return gh_ok, f"check rank {len(H)} != {n - code.k}"
-    if gf.mat_vec(code.base, H, cyclic.codeword_basis(code)).any():
-        return gh_ok, "codeword fails parity checks"
-    return gh_ok, ""
+
+def _check_matrices(part, codes):
+    """Each code's check matrix, cut from one check_matrix_blocks call on
+    every coset representative of the partition part."""
+    blocks, keep = cyclic.check_matrix_blocks(codes[0], part.reps)
+    for code in codes:
+        hit = part.hit(code.defining.reps)
+        yield blocks[hit][keep[hit]]
 
 
 def _criteria_disagreement(part, comp) -> str:
     """A note naming the last union of one or two cosets of the partition
     part on which the dual-containing criteria disagree, with comp[i] the
     index of the complementary coset of coset i; empty if there is none."""
-    n = part.n
-    # Bit x of a mask stands for residue x: a coset's elements, their
-    # negations, and its complementary coset.
-    masks = [(c.rep,
-              sum(1 << x for x in c.elements),
-              sum(1 << (-x % n) for x in c.elements),
-              sum(1 << x for x in part.coset(j).elements))
-             for c, j in zip(map(part.coset, range(len(part.reps))), comp.tolist())]
+    n, count = part.n, len(part.reps)
+    rows = np.eye(count, dtype=np.int64)[:, part.owner]  # one-hot coset rows
     # A union Z meets -Z iff a member A meets -B for a member B, and holds the
     # complement of a member iff the complement of an A meets a B.  Both are
-    # ORs over pairs, as (U A_i) & (U B_j) = U (A_i & B_j), so agreement on
+    # ORs over pairs: the union of cosets a and b reads the entries [a, a],
+    # [a, b], [b, a] and [b, b] of Z (-Z)^T or Z Z[comp]^T, and agreement on
     # the unions of one or two cosets is agreement on every union.
-    bad = [sorted({ra, rb}) for (ra, za, na, ca), (rb, zb, nb, cb)
-           in itertools.combinations_with_replacement(masks, 2)
-           if ((za | zb) & (na | nb) == 0) != ((za | zb) & (ca | cb) == 0)]
-    return f"criteria disagree on the union of cosets {bad[-1]} mod {n}" if bad else ""
+    unions = []
+    for meets in (rows @ rows[:, -np.arange(n) % n].T > 0, rows @ rows[comp].T > 0):
+        own = np.diagonal(meets)
+        unions.append(meets | meets.T | own[:, None] | own)
+    bad = np.flatnonzero(np.triu(unions[0] != unions[1]))
+    if not bad.size:
+        return ""
+    a, b = divmod(int(bad[-1]), count)  # the last pair a <= b in row-major order
+    reps = sorted({int(part.reps[a]), int(part.reps[b])})
+    return f"criteria disagree on the union of cosets {reps} mod {n}"
 
 
 def verify_cyclic_identities() -> SweepReport:
     """Algebraic identities on small instances: g*h = x^n - 1 and check-matrix
     null-space equivalence for every single-coset code and every family
-    code of length <= _N_CAP, the two dual-containing criteria on every
-    union of cosets (through the unions of one or two cosets), and the
-    designed-distance cap for admissible block defining sets."""
+    code of length <= _N_CAP, in one batched pass per (q, m); the two
+    dual-containing criteria on every union of cosets (through the unions
+    of one or two cosets); and the designed-distance cap for admissible
+    block defining sets."""
     report = SweepReport()
+    # the codes by (q, m): each instance's single-coset codes in coset order,
+    # then both sides of the printed CSS rows of length <= _N_CAP
+    groups = {(q, m): [cyclic.code_from_cosets(q, m, [rep])
+                       for rep in cosets.partition(q, m).reps.tolist()]
+              for q, m in _identity_instances()}
+    sides = [(params, side, code)
+             for params in (fam.build(**args) for fam, args in families.rows(1, 2)
+                            if families.length(args) <= _N_CAP)
+             for side, code in (("outer", params.outer), ("inner", params.inner))]
+    for _, _, code in sides:
+        groups.setdefault((code.q, code.m), []).append(code)
+    results = {}  # code -> (g*h = x^n - 1 holds, null-space failure note or "")
+    for (q, m), codes in groups.items():
+        for code, gh_ok, H in zip(codes, _generators_match(codes),
+                                  _check_matrices(cosets.partition(q, m), codes)):
+            # exact: H has rank n - k and every basis codeword satisfies it
+            note = ""
+            if len(H) != code.n - code.k:
+                note = f"check rank {len(H)} != {code.n - code.k}"
+            elif gf.mat_vec(code.base, H, cyclic.codeword_basis(code)).any():
+                note = "codeword fails parity checks"
+            results[code] = bool(gh_ok), note
     for q, m in _identity_instances():
         part = cosets.partition(q, m)
-        ok_gh = ok_null = True
-        detail_gh = detail_null = ""
-        for rep in part.reps.tolist():
-            code = cyclic.code_from_cosets(q, m, [rep])
-            gh_ok, note = _code_identities(code)
-            if not gh_ok:
-                ok_gh = False
-                detail_gh = f"coset {rep}"
-            if note:
-                ok_null = False
-                detail_null = f"coset {rep}: {note}"
-        report.add(q, m, "generator-times-check", ok_gh, detail_gh)
-        report.add(q, m, "nullspace-equivalence", ok_null, detail_null)
+        # the last failing coset names each failure
+        singles = [(rep, *results[code]) for rep, code in zip(part.reps.tolist(), groups[q, m])]
+        bad_gh = [f"coset {rep}" for rep, gh_ok, _ in singles if not gh_ok]
+        bad_null = [f"coset {rep}: {note}" for rep, _, note in singles if note]
+        report.add(q, m, "generator-times-check", not bad_gh, bad_gh[-1] if bad_gh else "")
+        report.add(q, m, "nullspace-equivalence", not bad_null, bad_null[-1] if bad_null else "")
 
         detail_dc = _criteria_disagreement(part, part.complements())
         report.add(q, m, "dual-containing-criteria-agree", not detail_dc, detail_dc)
@@ -113,17 +141,12 @@ def verify_cyclic_identities() -> SweepReport:
             report.add(q, m, "designed-distance-cap", ok_cap, detail_cap)
 
     # identity checks on both codes of every printed CSS instance at this scale
-    for fam, args in families.rows(1, 2):
-        if families.length(args) > _N_CAP:
-            continue
-        params = fam.build(**args)
-        for side, code in (("outer", params.outer), ("inner", params.inner)):
-            gh_ok, note = _code_identities(code)
-            ok = gh_ok and not note
-            detail = f"c={params.designed_distance}"
-            if not ok:
-                detail += f": {note or 'g*h mismatch'}"
-            report.add(params.q, params.m, f"family-identities-{side}", ok, detail)
+    for params, side, code in sides:
+        gh_ok, note = results[code]
+        detail = f"c={params.designed_distance}"
+        if not gh_ok or note:
+            detail += f": {note or 'g*h mismatch'}"
+        report.add(params.q, params.m, f"family-identities-{side}", gh_ok and not note, detail)
     return report
 
 

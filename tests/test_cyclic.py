@@ -20,7 +20,7 @@ from cosetcodes.cyclic import (
 )
 from cosetcodes.gf import Poly, field_for, make_field, subfield_embedding
 
-from test_gf import _tables
+from test_gf import _ref_x_pow_minus_one, _tables
 from test_partition import _ref_complementary, _ref_from_exponents
 
 
@@ -128,7 +128,7 @@ def test_generator_matches_per_coset_reference(qm, data):
     exponents = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
     code = code_from_cosets(q, m, exponents)
     assert code.generator == _reference_generator(q, m, exponents)
-    assert Poly.x_pow_minus_one(code.base, n).divmod(code.generator)[1].is_zero
+    assert _ref_x_pow_minus_one(code.base, n).divmod(code.generator)[1].is_zero
 
 
 # ---------------------------------------------------------------
@@ -322,9 +322,124 @@ def test_check_matrix_matches_whole_matrix_selection(case):
 def test_generator_times_check_poly_is_xn_minus_one(q, m, exps):
     code = code_from_cosets(q, m, exps)
     g = code.generator
-    h, rem = Poly.x_pow_minus_one(code.base, code.n).divmod(g)
+    h, rem = _ref_x_pow_minus_one(code.base, code.n).divmod(g)
     assert rem.is_zero
-    assert g * h == Poly.x_pow_minus_one(code.base, code.n)
+    assert g * h == _ref_x_pow_minus_one(code.base, code.n)
+
+
+def _ref_is_generator(code, g):
+    """g generates the code, by polynomial division alone: g*h = x^n - 1
+    for the quotient h of Poly.divmod, g is monic of degree |Z|, and
+    x - alpha^z divides g, lifted into the extension, for each z in Z."""
+    xn1 = _ref_x_pow_minus_one(code.base, code.n)
+    if g.is_zero:
+        return False
+    h, rem = xn1.divmod(g)
+    if not (rem.is_zero and g * h == xn1):
+        return False
+    if g.degree != code.defining.size or g.coeffs[-1] != 1:
+        return False
+    ext, up = code.ext, subfield_embedding(code.ext, code.base)._up
+    lifted = Poly(ext, [int(up[c]) for c in g.coeffs])
+    return all(lifted.divmod(Poly(ext, [ext.neg(int(ext._np_exp[z])), 1]))[1].is_zero
+               for z in code.defining.exponents)
+
+
+@st.composite
+def generator_candidates(draw):
+    """Codes over one identity-sweep field pair, each a random union of up
+    to four cosets, each with a candidate generator: its own, that of
+    another random union, or its own with one coefficient changed."""
+    q, m = draw(st.sampled_from(verify._identity_instances()))
+    reps = cosets.partition(q, m).reps.tolist()
+    unions = st.lists(st.sampled_from(reps), max_size=4)
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        code = code_from_cosets(q, m, draw(unions))
+        kind = draw(st.sampled_from(["own", "other", "changed"]))
+        g = list(code.generator.coeffs)
+        if kind == "other":
+            g = list(code_from_cosets(q, m, draw(unions)).generator.coeffs)
+        elif kind == "changed":
+            i = draw(st.integers(0, len(g) - 1))
+            g[i] = (g[i] + draw(st.integers(1, q - 1))) % q  # another label
+        # a cached_property reads the instance dict first
+        code.__dict__["generator"] = Poly(code.base, g)
+        out.append(code)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_candidates())
+def test_batched_root_test_matches_division_reference(codes):
+    verdicts = verify._generators_match(codes)
+    assert verdicts.tolist() == [_ref_is_generator(code, code.generator) for code in codes]
+
+
+def test_every_sweep_check_matrix_is_cut_from_the_shared_blocks(monkeypatch):
+    cut = []
+    exact = verify._check_matrices
+
+    def recorded(part, codes):
+        matrices = list(exact(part, codes))
+        cut.extend(zip(codes, matrices))
+        return iter(matrices)
+
+    monkeypatch.setattr(verify, "_check_matrices", recorded)
+    assert verify.verify_cyclic_identities().passed
+    # the 190 single-coset codes and both sides of the 25 CSS rows with n <= 80
+    assert len(cut) == 240
+    for code, H in cut:
+        assert H.tolist() == parity_check_matrix(code, code.defining.reps).tolist()
+
+
+def _failures(report):
+    return {(r.q, r.m, r.check): r.detail for r in report.records if r.status == "fail"}
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_identity_sweep_fails_on_a_changed_generator_coefficient(monkeypatch, index):
+    # the generator of the coset {2, 10} mod 24, (x - alpha^2)(x - alpha^10)
+    q, m, rep = 5, 2, 2
+    exact = gf.poly_with_roots
+
+    def changed(ext, base_q, exponents):
+        g = exact(ext, base_q, exponents)
+        if (ext.q, base_q) == (q**m, q) and sorted(exponents) == [2, 10]:
+            coeffs = list(g.coeffs)
+            coeffs[index] = (coeffs[index] + 1) % q
+            return Poly(g.ctx, coeffs)
+        return g
+
+    monkeypatch.setattr(gf, "poly_with_roots", changed)
+    # the changed g no longer vanishes on its coset, so its shifts fail the
+    # check matrix too
+    assert _failures(verify.verify_cyclic_identities()) == {
+        (q, m, "generator-times-check"): f"coset {rep}",
+        (q, m, "nullspace-equivalence"): f"coset {rep}: codeword fails parity checks"}
+
+
+def test_identity_sweep_fails_on_a_dropped_check_row(monkeypatch):
+    q, m, rep = 5, 2, 1
+    exact = cyclic.check_matrix_blocks
+
+    def dropped(code, rows):
+        blocks, keep = exact(code, rows)
+        if (code.q, code.m) == (q, m):
+            i = list(rows).index(rep)
+            keep = keep.copy()
+            keep[i, np.flatnonzero(keep[i])[0]] = False
+        return blocks, keep
+
+    monkeypatch.setattr(cyclic, "check_matrix_blocks", dropped)
+    failed = _failures(verify.verify_cyclic_identities())
+    assert failed.pop((q, m, "nullspace-equivalence")) == f"coset {rep}: check rank 1 != 2"
+    # the family sides over GF(5) whose defining sets hold the coset of 1
+    assert failed
+    assert {check for _, _, check in failed} <= {"family-identities-outer",
+                                                 "family-identities-inner"}
+    assert all(key[:2] == (q, m) and ": check rank " in detail
+               for key, detail in failed.items())
 
 
 def test_designed_distance_cap_for_block_sets():
@@ -368,6 +483,22 @@ def _ref_union_scan(partition, comp):
     return detail
 
 
+def _ref_pair_scan(partition, comp):
+    """The unions of one or two cosets, as bitmasks over the Coset objects,
+    in combinations_with_replacement order: the note naming the last union
+    on which the criteria disagree, or empty."""
+    n = partition[0].n
+    masks = [(c.rep,
+              sum(1 << x for x in c.elements),
+              sum(1 << (-x % n) for x in c.elements),
+              sum(1 << x for x in partition[j].elements))
+             for c, j in zip(partition, comp)]
+    bad = [sorted({ra, rb}) for (ra, za, na, ca), (rb, zb, nb, cb)
+           in itertools.combinations_with_replacement(masks, 2)
+           if ((za | zb) & (na | nb) == 0) != ((za | zb) & (ca | cb) == 0)]
+    return f"criteria disagree on the union of cosets {bad[-1]} mod {n}" if bad else ""
+
+
 @st.composite
 def complement_maps(draw):
     """An identity-sweep instance (q, m), a kind of complement map and a
@@ -399,6 +530,7 @@ def test_criteria_pair_scan_matches_the_four_coset_scan(case):
             comp[a], comp[b] = b, a
     detail = verify._criteria_disagreement(cosets.partition(q, m), comp)
     assert bool(detail) == bool(_ref_union_scan(partition, comp.tolist()))
+    assert detail == _ref_pair_scan(partition, comp.tolist())
     if detail:
         match = re.fullmatch(
             r"criteria disagree on the union of cosets \[([\d, ]+)\] mod (\d+)",
