@@ -8,8 +8,8 @@ polynomial.  Multiplication goes through log/antilog tables indexed by the
 chosen primitive element; addition is XOR for p = 2 and, for odd p, goes
 through the Zech logarithms Z(k) = log(1 + alpha^k), one int32 table of
 q - 1 entries.  The context stores each table once, as an int32 array.
-For q <= 512 the context also holds full q x q addition and
-multiplication tables, built by the same XOR and Zech paths.
+For q <= 512 the context also holds a full q x q multiplication table
+and, for odd p, an addition table built by the Zech path.
 
 make_field searches the monic polynomials in lexicographic order for the
 first primitive one, skipping every constant term that no primitive
@@ -22,15 +22,18 @@ block.  The construction checks that the powers of alpha hit every nonzero
 label exactly once.
 
 Array arithmetic goes through one elementwise kernel, _add and _mul on
-broadcasting label arrays (table lookups for q <= 512; above that XOR for
-p = 2 or Zech logarithms, and log/exp multiplication), next to one digit
-codec, _digits and _labels.  The linear algebra has one elimination loop,
-_eliminate, over a (B, r, c) stack of matrices: each step clears one
-pivot column in every matrix that has a pivot there, so a whole stack
-takes c steps.  rref, rank, independent_rows, nullspace and
-expand_matrix's coordinate change (built once per field pair, in the
-cached SubfieldEmbedding) are views on it; rank and independent_rows also
-take a stack, and return the B ranks or a (B, r) mask of the kept rows.
+broadcasting label arrays (XOR for p = 2 at every size; for odd p, table
+lookups for q <= 512, and above that Zech logarithms and log/exp
+multiplication), next to one digit codec, _digits and _labels.  For odd
+p, mat_vec is one integer matrix product over GF(p): each entry acts on
+digit rows as its e x e matrix, the regular representation of GF(p^e).
+The linear algebra has one elimination loop, _eliminate, over a
+(B, r, c) stack of matrices: each step clears one pivot column in every
+matrix that has a pivot there, so a whole stack takes c steps.  rref,
+rank, independent_rows, nullspace and expand_matrix's coordinate change
+(built once per field pair, in the cached SubfieldEmbedding) are views
+on it; rank and independent_rows also take a stack, and return the B
+ranks or a (B, r) mask of the kept rows.
 A matrix is a 2-D int label array: the linear algebra takes any 2-D
 sequence, and every matrix it or expand_matrix returns is an array, so an
 empty one keeps its width.
@@ -207,12 +210,12 @@ class FieldContext:
     # -- construction internals ----------------------------------------
 
     def _build_tables(self):
-        # the kernel's table-free paths, run before either table exists
+        # the kernel's table-free paths, run before either table exists; p = 2
+        # adds by XOR, so it has no add table
         idx = np.arange(self.q)
-        add = _add(self, idx[:, None], idx[None, :])
-        mul = _mul(self, idx[:, None], idx[None, :])
-        self._add_table = add.astype(np.int32)
-        self._mul_table = mul
+        if self.p > 2:
+            self._add_table = _add(self, idx[:, None], idx[None, :]).astype(np.int32)
+        self._mul_table = _mul(self, idx[:, None], idx[None, :])
 
     # -- arithmetic ------------------------------------------------------
 
@@ -467,13 +470,13 @@ def _labels(ctx: FieldContext, D) -> np.ndarray:
 
 
 def _add(ctx: FieldContext, A, B) -> np.ndarray:
-    """A + B elementwise over GF(q), broadcasting.  Without a table, XOR
-    for p = 2; for odd p, a + b = alpha^(log a + Z(log b - log a)) by the
-    Zech logarithms Z."""
-    if ctx._add_table is not None:
-        return ctx._add_table[A, B]
+    """A + B elementwise over GF(q), broadcasting.  XOR for p = 2 at every
+    size; for odd p, the table for q <= 512 and above that
+    a + b = alpha^(log a + Z(log b - log a)) by the Zech logarithms Z."""
     if ctx.p == 2:
         return np.bitwise_xor(A, B)
+    if ctx._add_table is not None:
+        return ctx._add_table[A, B]
     exp, log, order = ctx._np_exp, ctx._np_log, ctx.q - 1
     A, B = np.broadcast_arrays(A, B)
     out = np.where(A == 0, B, A)
@@ -580,8 +583,15 @@ def nullspace(ctx: FieldContext, rows) -> np.ndarray:
 
 
 def mat_vec(ctx: FieldContext, rows, V) -> np.ndarray:
-    """M v^T over GF(q) for each row v of V: one row of results per row."""
-    prods = _mul(ctx, np.atleast_2d(rows), np.asarray(V)[:, None, :])
+    """M v^T over GF(q) for each row v of V: one row of results per row.
+
+    For p = 2 the products are XOR-reduced.  For odd p it is one int64
+    product over GF(p), whose right factor holds at row (j, t), column
+    (i, s) digit s of M[i, j] * x^t; a sum has n * e terms <= (p - 1)^2."""
+    M, V = np.atleast_2d(rows), np.asarray(V)
     if ctx.p == 2:
-        return np.bitwise_xor.reduce(prods, axis=2)
-    return _labels(ctx, _digits(ctx, prods).sum(axis=2) % ctx.p)
+        return np.bitwise_xor.reduce(_mul(ctx, M, V[:, None, :]), axis=2)
+    (r, n), e = M.shape, ctx.e
+    acts = _digits(ctx, _mul(ctx, M.T[:, None], np.array(ctx._powers)[:, None]))
+    sums = _digits(ctx, V).reshape(len(V), n * e) @ acts.reshape(n * e, r * e)
+    return _labels(ctx, (sums % ctx.p).reshape(len(V), r, e))

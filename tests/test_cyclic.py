@@ -442,6 +442,26 @@ def test_identity_sweep_fails_on_a_dropped_check_row(monkeypatch):
                for key, detail in failed.items())
 
 
+def test_identity_sweep_fails_on_a_changed_gf9_check_entry(monkeypatch):
+    # GF(9) is the sweep's one odd-p base field with e > 1: the change steps
+    # only the entry's x digit, which mat_vec reads through its digit matrix
+    q, m, rep = 9, 2, 1
+    exact = verify._check_matrices
+
+    def changed(part, codes):
+        matrices = list(exact(part, codes))
+        if (part.q, part.n) == (q, q**m - 1):
+            # the single-coset codes come first, in coset order
+            i = part.reps.tolist().index(rep)
+            H = matrices[i] = matrices[i].copy()
+            H[-1, 3] = H[-1, 3] % 3 + 3 * ((H[-1, 3] // 3 + 1) % 3)
+        return iter(matrices)
+
+    monkeypatch.setattr(verify, "_check_matrices", changed)
+    assert _failures(verify.verify_cyclic_identities()) == {
+        (q, m, "nullspace-equivalence"): f"coset {rep}: codeword fails parity checks"}
+
+
 def test_designed_distance_cap_for_block_sets():
     # defining set = cosets of s+1..s+c with s+c <= q-2 caps the bound at c+2
     for q in (5, 7, 9, 11, 13):

@@ -571,9 +571,10 @@ def _ref_nullspace(ctx, rows):
     return basis
 
 
-# tables (q <= 512), the XOR path (GF(2^10)) and the digit path (GF(3^7))
-REFERENCE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4),
-                    (2, 10), (3, 7)]
+# tables (q <= 512, with GF(9) and GF(25) as odd extensions), the XOR path
+# without a table (GF(2^10)) and the Zech path (GF(3^7))
+REFERENCE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (5, 2),
+                    (2, 4), (2, 10), (3, 7)]
 
 
 @st.composite
@@ -615,6 +616,37 @@ def test_linear_algebra_matches_scalar_gauss_jordan(case, data):
     V = [v] + data.draw(st.lists(vector, max_size=4))
     assert gf.mat_vec(ctx, rows, V).tolist() == [[_ref_dot(ctx, row, u) for row in rows]
                                                  for u in V]
+
+
+def _ref_mat_vec(ctx, rows, V):
+    """M v^T by elementwise products and a digit sum over the row, for
+    every p."""
+    prods = gf._mul(ctx, np.atleast_2d(rows), np.asarray(V)[:, None, :])
+    return gf._labels(ctx, gf._digits(ctx, prods).sum(axis=2) % ctx.p)
+
+
+# the odd-p fields of the identity sweep, GF(25) and GF(27), the table-less
+# GF(3^7), and GF(4) and GF(8) for the XOR path
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (3, 7),
+                        (2, 2), (2, 3)]),
+       st.integers(0, 80), st.integers(0, 80), st.integers(0, 80),
+       st.integers(0, 2**32 - 1))
+@example((3, 2), 80, 80, 80, 0)
+@example((3, 7), 80, 80, 80, 1)
+@example((5, 2), 0, 5, 3, 2)
+@example((3, 3), 4, 0, 3, 3)
+@example((7, 1), 4, 6, 0, 4)
+def test_mat_vec_matches_digit_sum_reference(pe, nrows, ncols, nvecs, seed):
+    # the check matrices and codeword bases of the identity sweep: n <= 80,
+    # up to 80 rows each; some entries are 0 or 1, as in check matrices
+    ctx = make_field(*pe)
+    rng = np.random.default_rng(seed)
+    M, V = (np.where(rng.random((rows, ncols)) < 0.3, rng.integers(0, 2, (rows, ncols)),
+                     rng.integers(0, ctx.q, (rows, ncols))) for rows in (nrows, nvecs))
+    got = gf.mat_vec(ctx, M, V)
+    assert got.shape == (nvecs, nrows)
+    assert got.tolist() == _ref_mat_vec(ctx, M, V).tolist()
 
 
 @st.composite
@@ -667,12 +699,14 @@ def _digitwise(p, e, a, b, sign=1):
 
 @pytest.mark.parametrize("q", [q for q in range(2, 65) if len(gf.prime_factors(q)) == 1])
 def test_tables_match_scalar_arithmetic(q):
+    # p = 2 adds by XOR at every size, so only odd p has an add table
     f = gf.field_for(q)
     p = f.p
+    assert (f._add_table is None) == (p == 2)
     for a in range(q):
         for b in range(q):
             assert f._mul_table[a, b] == f.mul(a, b)
-            assert f._add_table[a, b] == _digitwise(p, f.e, a, b)
+            assert gf._add(f, a, b) == _digitwise(p, f.e, a, b)
 
 
 @settings(max_examples=300, deadline=None)
