@@ -46,7 +46,6 @@ from .css import (  # noqa: F401
 )
 from .gf import (  # noqa: F401
     FieldContext,
-    Poly,
     expand_matrix,
     field_for,
     make_field,

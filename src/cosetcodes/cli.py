@@ -193,13 +193,13 @@ def cmd_code(args, cfg) -> int:
     row = {
         "n": code.n, "q": code.q, "k": code.k, "bch_bound": delta,
         "defining": list(code.defining.exponents),
-        "generator": list(code.generator.coeffs),
+        "generator": code.generator.tolist(),
         "contains_dual": cyclic.contains_dual(code),
     }
     lines = [
         f"[{code.n}, {code.k}, d >= {delta}]_{code.q}",
         f"defining set ({code.defining.size}): {list(code.defining.exponents)}",
-        f"generator coefficients (low to high): {list(code.generator.coeffs)}",
+        f"generator coefficients (low to high): {row['generator']}",
         f"contains its dual: {row['contains_dual']}",
     ]
     _emit(args, "code", [row], [], lines)

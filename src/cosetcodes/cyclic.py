@@ -3,9 +3,10 @@ defining sets of cyclotomic cosets.
 
 A defining set holds its coset representatives and exponents as ints.  A
 code is a value object: defining set and dimension, with the generator
-polynomial built on first read.  The run-based designed-distance bound,
-duals, the dual-containing test and parity-check matrices (expanded over
-the base field, and cut from blocks reduced coset by coset) all live here.
+polynomial built on first read as a read-only label array.  The run-based
+designed-distance bound, duals, the dual-containing test and parity-check
+matrices (expanded over the base field, and cut from blocks reduced coset
+by coset) all live here.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import gf
 from .cosets import union_of
-from .gf import FieldContext, Poly
+from .gf import FieldContext
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,8 @@ class CyclicCode:
     """Cyclic code over GF(q) of length n = q^m - 1 with defining set Z.
 
     g divides x^n - 1, its roots are exactly alpha^z for z in Z, and
-    k = n - |Z|.  g is built on first read; codes compare and hash without it.
+    k = n - |Z|.  g is a read-only label array, constant term first, built
+    on first read; codes compare and hash without it.
     """
 
     base: FieldContext
@@ -57,7 +59,7 @@ class CyclicCode:
     k: int
 
     @cached_property
-    def generator(self) -> Poly:
+    def generator(self) -> np.ndarray:
         return gf.poly_with_roots(self.ext, self.q, self.defining.exponents)
 
     def __repr__(self):
@@ -173,7 +175,7 @@ def parity_check_matrix(code: CyclicCode, rows) -> np.ndarray:
 def codeword_basis(code: CyclicCode) -> np.ndarray:
     """The k cyclic shifts x^j g(x), j = 0..k-1, as length-n vectors: a
     GF(q)-basis of the code."""
-    g = code.generator.coeffs
+    g = code.generator
     rows = np.zeros((code.k, code.n), dtype=np.int64)
     shifts = np.arange(code.k)[:, None]
     rows[shifts, shifts + np.arange(len(g))] = g

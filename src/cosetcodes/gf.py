@@ -40,8 +40,8 @@ empty one keeps its width.
 Generator polynomials come from one root product, poly_with_roots: the
 product of (x - alpha^j) over a whole defining set, taken in the extension
 with the same kernel and lowered to the base field by one lookup in the
-subfield embedding's inverse table.  Poly's product and division are row
-operations on the same kernel; one Horner's rule, _horner, evaluates the
+subfield embedding's inverse table, and returned as a read-only label
+array, constant term first.  One Horner's rule, _horner, evaluates the
 embedding's root search, conv's polynomial matrices and the identity
 sweep's generators at arrays of points.
 
@@ -217,25 +217,6 @@ class FieldContext:
             self._add_table = _add(self, idx[:, None], idx[None, :]).astype(np.int32)
         self._mul_table = _mul(self, idx[:, None], idx[None, :])
 
-    # -- arithmetic ------------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return int(_add(self, a, b))
-
-    def neg(self, a: int) -> int:
-        # the label p - 1 is -1 in every GF(p^e)
-        return self.mul(a, self.p - 1)
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self._np_exp[(self._np_log[a] + self._np_log[b]) % (self.q - 1)])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return int(self._np_exp[-self._np_log[a] % (self.q - 1)])
-
     def __repr__(self):
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
 
@@ -290,6 +271,7 @@ def field_for(q: int) -> FieldContext:
 # polynomials over a field context
 # ----------------------------------------------------------------------
 
+# a test reference only (ROADMAP aim 3), kept here as perfbench/spans.py wraps Poly.__mul__
 class Poly:
     """Dense polynomial over a FieldContext, coefficients lowest degree first."""
 
@@ -340,9 +322,9 @@ class Poly:
         d = other.degree
         if self.degree < d:
             return Poly.zero(ctx), self
-        inv_lead = ctx.inv(other.coeffs[-1])
+        inv_lead = ctx._np_exp[-ctx._np_log[other.coeffs[-1]] % (ctx.q - 1)]
         # -other / lead: adding rem[i] times it clears rem[i]
-        step = _mul(ctx, np.array(other.coeffs, dtype=np.int64), ctx.neg(inv_lead))
+        step = _mul(ctx, np.array(other.coeffs, dtype=np.int64), _mul(ctx, inv_lead, ctx.p - 1))
         rem = np.array(self.coeffs, dtype=np.int64)
         quot = np.zeros(self.degree - d + 1, dtype=np.int64)
         for i in range(self.degree, d - 1, -1):
@@ -406,9 +388,10 @@ def subfield_embedding(ext: FieldContext, base: FieldContext) -> SubfieldEmbeddi
     return SubfieldEmbedding(ext, base)
 
 
-def poly_with_roots(ctx_ext: FieldContext, base_q: int, exponents) -> Poly:
+def poly_with_roots(ctx_ext: FieldContext, base_q: int, exponents) -> np.ndarray:
     """Monic polynomial over GF(base_q) whose roots are alpha^j, one linear
-    factor for each exponent j (0 <= j < ctx_ext.q - 1).
+    factor for each exponent j (0 <= j < ctx_ext.q - 1), as a read-only 1-D
+    label array of its coefficients, constant term first.
 
     The product is taken in the extension and then lowered to GF(base_q),
     which succeeds iff the exponents are a union of base_q-cyclotomic cosets
@@ -431,7 +414,8 @@ def poly_with_roots(ctx_ext: FieldContext, base_q: int, exponents) -> Poly:
     low = emb._down[g]
     if (low < 0).any():
         raise ValueError(f"{g[low.argmin()]} is not in the embedded subfield")
-    return Poly(emb.base, low.tolist())
+    low.flags.writeable = False
+    return low
 
 
 def expand_matrix(ctx_ext: FieldContext, base: FieldContext, rows) -> np.ndarray:

@@ -37,7 +37,7 @@ def _generators_match(codes) -> np.ndarray:
     divides x^n - 1: one Horner pass over every g, lifted into the
     extension as a zero-padded column."""
     ext, n = codes[0].ext, codes[0].n
-    gens = [code.generator.coeffs for code in codes]
+    gens = [code.generator for code in codes]
     G = np.zeros((max(map(len, gens)), len(codes)), dtype=np.int64)
     Z = np.zeros((n, len(codes)), dtype=bool)
     for i, (g, code) in enumerate(zip(gens, codes)):

@@ -18,6 +18,8 @@ from cosetcodes.conv import (
 )
 from cosetcodes.gf import field_for, make_field
 
+from test_gf import _ref_add, _ref_mul
+
 
 # ---------------------------------------------------------------
 # splitting
@@ -277,9 +279,9 @@ def _ref_evaluate(G, s):
     out, *rest = G.blocks.tolist()
     power = 1
     for mat in rest:
-        power = ctx.mul(power, s) if power else 0
+        power = _ref_mul(ctx, power, s)
         for i, row in enumerate(mat):
-            out[i] = [ctx.add(a, ctx.mul(b, power)) for a, b in zip(out[i], row)]
+            out[i] = [_ref_add(ctx, a, _ref_mul(ctx, b, power)) for a, b in zip(out[i], row)]
     return out
 
 

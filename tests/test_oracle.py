@@ -23,6 +23,8 @@ from cosetcodes.oracle import (
     verify_min_distance_at_least,
 )
 
+from test_gf import _ref_add, _ref_mul
+
 
 # ---------------------------------------------------------------
 # exact minimum distances
@@ -88,14 +90,14 @@ def test_span_min_weight_rejects_overbudget():
 def _reference_generators(ctx, rows):
     """row * x^s for every row and s < e, the GF(p)-generators in index
     order, in plain Python."""
-    return [[ctx.mul(ctx.p**s, v) for v in row] for row in rows for s in range(ctx.e)]
+    return [[_ref_mul(ctx, ctx.p**s, v) for v in row] for row in rows for s in range(ctx.e)]
 
 
 def _reference_weight(ctx, gens, coefs):
     """Symbol weight of the GF(p)-combination sum_t coefs[t] * gens[t]."""
     word = [0] * len(gens[0])
     for c, g in zip(coefs, gens):
-        word = [ctx.add(w, ctx.mul(int(c), x)) for w, x in zip(word, g)]
+        word = [_ref_add(ctx, w, _ref_mul(ctx, int(c), x)) for w, x in zip(word, g)]
     return sum(1 for w in word if w)
 
 
@@ -280,10 +282,10 @@ def _nested_pairs(q, m, cap):
 def _reference_span(code):
     """Every GF(q)-combination of the codeword basis, in plain Python."""
     ctx = code.base
-    add = [[ctx.add(a, b) for b in range(ctx.q)] for a in range(ctx.q)]
+    add = [[_ref_add(ctx, a, b) for b in range(ctx.q)] for a in range(ctx.q)]
     words = {(0,) * code.n}
     for row in cyclic.codeword_basis(code):
-        multiples = [[ctx.mul(c, b) for b in row] for c in range(ctx.q)]
+        multiples = [[_ref_mul(ctx, c, b) for b in row] for c in range(ctx.q)]
         words = {tuple(add[a][b] for a, b in zip(w, mult))
                  for w in words for mult in multiples}
     return words

@@ -150,6 +150,20 @@ def test_cli_code(capsys):
     assert "[24, 17, d >= 5]_5" in out
 
 
+def test_cli_code_prints_the_generator_as_plain_ints(capsys):
+    # x^2 + x + 2 over GF(3), the minimal polynomial of alpha in GF(9)
+    outputs = {}
+    for fmt in ("text", "json", "csv"):
+        assert cli.main(["code", "3", "2", "1", "--format", fmt]) == 0
+        outputs[fmt] = capsys.readouterr().out
+    assert "generator coefficients (low to high): [2, 1, 1]\n" in outputs["text"]
+    assert json.loads(outputs["json"])["rows"][0]["generator"] == [2, 1, 1]
+    assert ',"[2, 1, 1]",' in outputs["csv"]
+    code = cyclic.code_from_cosets(3, 2, [1])
+    with pytest.raises(ValueError):
+        code.generator[0] = 1
+
+
 @pytest.mark.parametrize("argv,fmt", [
     (["cosets", "7", "2"], "text"),
     (["cosets", "7", "2"], "json"),
