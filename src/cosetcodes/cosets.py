@@ -3,11 +3,14 @@
 Everything here is plain modular arithmetic; no field tables are involved.
 All values are immutable and all functions are pure.  For n up to
 MAX_MODULUS the partition into cosets is built once per (q, n), as numpy
-arrays, and every coset question is a lookup into it; union_of turns the
-exponents of a defining set into its coset representatives and elements, as
-ints, with one mask over the owner array, and Coset objects are left to
-inspection.  Larger moduli walk the orbit instead.  The gap, parity and
-oplus structure exists only as whole-partition arrays over the orbit rows.
+int32 arrays, and every coset question is a lookup into it.  Multiplying by
+q modulo q^m - 1 rotates the m base-q digits of a residue, so the build
+needs no division: each image of the whole residue range is one broadcast
+add (_rotation).  union_of turns the exponents of a defining set into its
+coset representatives and elements, as ints, with one mask over the owner
+array, and Coset objects are left to inspection.  Larger moduli walk the
+orbit instead.  The gap, parity and oplus structure exists only as
+whole-partition arrays over the orbit rows.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ class Partition:
 
     q: int
     n: int
-    owner: np.ndarray  # int32
+    owner: np.ndarray  # all four int32
     reps: np.ndarray
     cards: np.ndarray
     elements: np.ndarray
@@ -120,31 +123,42 @@ class Partition:
         return np.where((sums == 0).any(axis=1), int(self.owner[0]), -1)
 
 
+def _rotation(q: int, m: int, j: int) -> np.ndarray:
+    """x * q^j mod n for every x < n = q^m - 1, as int32: a rotation of the
+    m base-q digits of x.  With x = a q^(m-j) + b and b < q^(m-j), it is
+    b q^j + a, since q^m = 1 mod n.  That is entry (a, b) of a q^j x q^(m-j)
+    grid built by one broadcast add, so the flattened grid lists the images
+    of x = 0, 1, ..., n in order, and the last one, of x = n, is cut."""
+    qj = q**j
+    grid = np.arange(0, q**m, qj, dtype=np.int32) + np.arange(qj, dtype=np.int32)[:, None]
+    return grid.ravel()[:-1]
+
+
 @lru_cache(maxsize=None)
 def _partition(q: int, n: int) -> Partition:
     m = 1  # n = q^m - 1
     while q**m <= n:
         m += 1
-    # The least element of each orbit is the running minimum of its m images
-    # x * q^j mod n; no n x m array is built.  The products q * x reach about
-    # 10^12, so they are int64.
-    x = np.arange(n, dtype=np.int64)
-    least, image = x.copy(), x
-    for _ in range(m - 1):
-        image = image * q % n
-        np.minimum(least, image, out=least)
-    reps = np.flatnonzero(least == x)
+    # The least element of each orbit is the running minimum of its m digit
+    # rotations; no n x m array is built, and every value stays below
+    # q^m <= MAX_MODULUS + 1, so every array is int32.
+    least = np.arange(n, dtype=np.int32)
+    for j in range(1, m):
+        np.minimum(least, _rotation(q, m, j), out=least)
+    reps = np.flatnonzero(least == np.arange(n, dtype=np.int32)).astype(np.int32)
     index = np.empty(n, np.int32)
     index[reps] = np.arange(len(reps), dtype=np.int32)
     owner = index[least]
-    elements = np.empty((len(reps), m), np.int64)
+    elements = np.empty((len(reps), m), np.int32)
     elements[:, 0] = reps
+    step = _rotation(q, m, 1)  # x -> x q mod n
     for j in range(1, m):
-        elements[:, j] = elements[:, j - 1] * q % n
-    arrays = owner, reps, np.bincount(owner, minlength=len(reps)), elements
-    for a in arrays:  # shared by every caller through the cache
+        elements[:, j] = step[elements[:, j - 1]]
+    # an orbit of k elements meets its rep m / k times along its row
+    cards = m // (elements == reps[:, None]).sum(axis=1, dtype=np.int32)
+    for a in (owner, reps, cards, elements):  # shared by every caller through the cache
         a.flags.writeable = False
-    return Partition(q, n, *arrays)
+    return Partition(q, n, owner, reps, cards, elements)
 
 
 def partition(q: int, m: int) -> Partition:

@@ -524,8 +524,12 @@ def _eliminate(ctx: FieldContext, stack) -> tuple[np.ndarray, np.ndarray]:
         factor = A[bs, :, c]
         factor[np.arange(bs.size), r] = 0
         minus = _mul(ctx, A[bs, r, c:], ctx.p - 1)
+        step = _mul(ctx, factor[:, :, None], minus[:, None])
         sel = slice(None) if bs.size == B else bs  # a view when all pivot
-        A[sel, :, c:] = _add(ctx, A[sel, :, c:], _mul(ctx, factor[:, :, None], minus[:, None]))
+        if ctx.p == 2 and bs.size == B:  # XOR into the view, with no sum array
+            np.bitwise_xor(A[:, :, c:], step, out=A[:, :, c:])
+        else:
+            A[sel, :, c:] = _add(ctx, A[sel, :, c:], step)
         mask[bs, c] = True
         filled[bs] += 1
     return A, mask
@@ -570,11 +574,14 @@ def mat_vec(ctx: FieldContext, rows, V) -> np.ndarray:
     """M v^T over GF(q) for each row v of V: one row of results per row.
 
     For p = 2 the products are XOR-reduced.  For odd p it is one int64
-    product over GF(p), whose right factor holds at row (j, t), column
-    (i, s) digit s of M[i, j] * x^t; a sum has n * e terms <= (p - 1)^2."""
+    product over GF(p): for prime q the labels are the digits, and for
+    e > 1 its right factor holds at row (j, t), column (i, s) digit s of
+    M[i, j] * x^t; a sum has n * e terms <= (p - 1)^2."""
     M, V = np.atleast_2d(rows), np.asarray(V)
     if ctx.p == 2:
         return np.bitwise_xor.reduce(_mul(ctx, M, V[:, None, :]), axis=2)
+    if ctx.e == 1:
+        return V.astype(np.int64) @ M.T % ctx.p
     (r, n), e = M.shape, ctx.e
     acts = _digits(ctx, _mul(ctx, M.T[:, None], np.array(ctx._powers)[:, None]))
     sums = _digits(ctx, V).reshape(len(V), n * e) @ acts.reshape(n * e, r * e)

@@ -2,8 +2,10 @@
 and the production dual-containing test against both criteria."""
 
 import operator
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -55,6 +57,29 @@ def _ref_coset_oplus(c1, c2bar):
     n = c1.n
     return next((_coset_by_walk(c1.q, n, c1.rep + w) for w in c2bar.elements
                  if (c1.rep + w) % n == 0), None)
+
+
+def _ref_partition(q, n):
+    """owner, reps, cards and elements of the partition modulo n = q^m - 1
+    by int64 products x * q mod n: the slow reference for the digit
+    rotations of cosets._partition."""
+    m = 1
+    while q**m <= n:
+        m += 1
+    x = np.arange(n, dtype=np.int64)
+    least, image = x.copy(), x
+    for _ in range(m - 1):
+        image = image * q % n
+        np.minimum(least, image, out=least)
+    reps = np.flatnonzero(least == x)
+    index = np.empty(n, np.int64)
+    index[reps] = np.arange(len(reps))
+    owner = index[least]
+    elements = np.empty((len(reps), m), np.int64)
+    elements[:, 0] = reps
+    for j in range(1, m):
+        elements[:, j] = elements[:, j - 1] * q % n
+    return owner, reps, np.bincount(owner, minlength=len(reps)), elements
 
 
 @st.composite
@@ -111,6 +136,37 @@ def test_partition_arrays_match_orbit_walk(qm):
         assert k == c.cardinality
         assert row == [rep * q**j % n for j in range(m)]
         assert tuple(row[:k]) == c.elements
+
+
+@pytest.mark.parametrize("q,m", [
+    (2, 1),  # n = 1
+    (9, 1),  # m = 1
+    (2, 19),
+    (31, 4),  # the listing's cap
+    (1000, 2),  # n = 999,999: q^m = 10^6, the largest rotation grid under the cap
+])
+def test_partition_matches_int64_reference(q, m):
+    n = q**m - 1
+    part = cosets._partition.__wrapped__(q, n)  # a fresh build, not the cache's
+    names = ("owner", "reps", "cards", "elements")
+    for name, ref in zip(names, _ref_partition(q, n)):
+        got = getattr(part, name)
+        assert got.dtype == np.int32, name
+        assert not got.flags.writeable, name
+        assert np.array_equal(got, ref), name
+
+
+def test_partition_at_the_cap_peaks_below_25_mb():
+    # the running minimum, index, owner, elements and the x -> x q
+    # rotation, 3.7 MB each at n = 923,520: about 21.3 MB; the int64
+    # products of _ref_partition peak at 48.0 MB
+    tracemalloc.start()
+    try:
+        cosets._partition.__wrapped__(31, 923520)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
 
 
 @settings(max_examples=60, deadline=None)
