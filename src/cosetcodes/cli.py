@@ -13,6 +13,7 @@ import csv
 import io
 import itertools
 import json
+import os
 import sys
 import warnings
 
@@ -375,7 +376,13 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     cfg = _config_defaults(args)
-    return args.func(args, cfg)
+    try:
+        status = args.func(args, cfg)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return status
+    except BrokenPipeError:  # as after `| head`: the flush at exit is silenced
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

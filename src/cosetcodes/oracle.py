@@ -13,10 +13,10 @@ columns.  For p = 2 they are bit planes: digit t of 64 consecutive
 symbols is one uint64, a block is one XOR per plane, and a weight is the
 popcount of the OR of a word's e planes, summed over its ceil(n/64)
 words.  For odd p each digit is one byte (wider for p > 128), and the
-nonzero symbols are counted in the least dtype that holds n.  A CSS side
-(C minus its subcode S) is the span of a basis of C whose first rows span
-S: S's words are exactly the lowest indices, so the walk starts above
-them and no word is tested for membership.
+nonzero symbols are counted in the least dtype that holds n.  Scaling
+keeps a weight, so the walk takes one word per GF(q)-line.  A CSS side,
+C minus its subcode S, is walked on a basis of C whose first rows span
+S: its words are the lowest indices, skipped without a membership test.
 
 Results produced within budget are exact; over-budget requests raise
 BudgetError (css_distance_at_least answers None) rather than approximating
@@ -125,10 +125,12 @@ def span_min_weight(
     default 0, over the nonzero words).
 
     The indices below p^(e * subcode_rows) are exactly the subcode's words,
-    so the walk starts above them.  The low a generators, p^a <= _BLOCK,
-    span a table L of p^a words and the rest a table H, both in index order;
-    block h is L plus column h of H.  H holds total / p^a words: for p = 2
-    at most 2^23 / 2^16 = 128 within the default budget of 10^7.  It
+    so the walk starts above them; of each GF(q)-line it takes the word with
+    top nonzero coefficient c_j = 1, index in [q^j, 2 q^j).  The low a
+    generators, p^a <= _BLOCK, span a table L of p^a words and the rest a
+    table H, both in index order; block h is L plus column h of H.  H holds
+    total / p^a words, about 1 / (q - 1) of them walked: for p = 2 at most
+    2^23 / 2^16 = 128 within the budget of 10^7, which counts all q^k.  It
     outgrows L only for spans larger than p^(2a): 4.3e9 words for p = 2,
     2.4e8 for p = 5.
     """
@@ -142,8 +144,9 @@ def span_min_weight(
     a = max(t for t in range(G.shape[1] + 1) if p**t <= _BLOCK)
     L, H = _combinations(p, G[:, :a]), _combinations(p, G[:, a:])
     size = p**a
-    blocks = (_add_mod(p, L[:, max(first - h * size, 0):], H[:, h:h + 1])
-              for h in range(first // size, H.shape[1]))
+    tops = [ctx.q**j for j in range(subcode_rows, len(rows)) if ctx.q**j >= size]
+    walk = [0] * (first < size) + [h for t in tops for h in range(t // size, 2 * t // size)]
+    blocks = (_add_mod(p, L[:, max(first - h * size, 0):], H[:, h:h + 1]) for h in walk)
     best = min(int(_weights(ctx, block).min()) for block in blocks)
     if best == 0:
         raise AssertionError("generators are linearly dependent")

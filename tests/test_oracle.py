@@ -160,6 +160,17 @@ LAST_129 = [[0] * 128 + [6], [3] * 128 + [5]]
 @example(((2, 2), LAST_65, 0, oracle._BLOCK))
 @example(((2, 3), LAST_129, 0, 4))
 @example(((2, 3), LAST_129, 1, oracle._BLOCK))
+# one word per GF(q)-line: q^subcode_rows >= 4 skips block 0, and each
+# range [q^j, 2 q^j) starts on a block edge; the least weight lies only in
+# the second half of the top range
+@example(((5, 1), [[0, 4, 0, 4], [4, 0, 1, 4], [4, 3, 2, 0]], 1, 4))
+@example(((5, 1), [[1, 3, 3, 0, 0], [2, 0, 0, 0, 0], [1, 0, 4, 3, 3], [1, 3, 0, 3, 1]], 2, 4))
+@example(((2, 3), [[2, 1, 0, 0], [1, 1, 2, 2], [3, 5, 5, 1]], 1, 4))
+@example(((3, 2), [[0, 3, 0, 5], [3, 5, 7, 3], [4, 5, 2, 4]], 1, 4))
+# one least-weight line, r0 + a r1 with a = x (label 2) in GF(4): the walk
+# meets it only as r1 + a^2 r0, and in GF(9) only as r1 + x r0 (label 3)
+@example(((2, 2), [[2, 1, 1, 2], [1, 0, 2, 1]], 0, oracle._BLOCK))
+@example(((3, 2), [[8, 1, 5, 6], [5, 3, 8, 7]], 0, 4))
 # minimum weights above 255, the largest an 8-bit count holds
 @example(((3, 1), [[1] * 300], 0, oracle._BLOCK))
 @example(((2, 1), [[1] * 300], 0, oracle._BLOCK))
@@ -193,6 +204,28 @@ def test_span_min_weight_does_not_depend_on_the_split():
                 got[subcode_rows].add(span_min_weight(
                     code.base, rows, code.q**code.k, subcode_rows=subcode_rows))
     assert got[0] == {4} and len(got[3]) == 1
+
+
+@pytest.mark.parametrize("p,e,k", [(2, 2, 5), (5, 1, 4), (2, 3, 3), (3, 2, 3)])
+def test_span_min_weight_walks_one_word_per_line(p, e, k):
+    # with one word per block, the walk weighs exactly the words whose top
+    # nonzero coefficient is 1: (q^k - q^s) / (q - 1) of the q^k - q^s
+    # outside the subcode (GF(4), k = 5, s = 0: 341, not 1023)
+    ctx = make_field(p, e)
+    q, weights = ctx.q, oracle._weights
+    for subcode_rows in range(k):
+        weighed = []
+
+        def counting(ctx, words):
+            weighed.append(words.shape[1])
+            return weights(ctx, words)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_BLOCK", 1)
+            mp.setattr(oracle, "_weights", counting)
+            assert span_min_weight(ctx, np.eye(k, dtype=np.int64), q**k,
+                                   subcode_rows=subcode_rows) == 1
+        assert sum(weighed) == (q**k - q**subcode_rows) // (q - 1)
 
 
 def test_span_min_weight_rejects_a_span_inside_its_subcode():

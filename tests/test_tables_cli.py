@@ -267,11 +267,19 @@ print(time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_CHILDREN).ru_
 """
 
 
+def _fresh_env():
+    """The environment with src/ on PYTHONPATH and stdout block-buffered,
+    as in a shell pipeline."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 def _run_fresh(argv):
     """Wall seconds and peak RSS in MB of `cosetcodes argv` in a fresh
     interpreter."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env = _fresh_env()
     done = subprocess.run([sys.executable, "-c", _MEASURE, sys.executable, "-m",
                            "cosetcodes.cli", *argv],
                           env=env, capture_output=True, text=True, check=True, timeout=120)
@@ -308,6 +316,34 @@ def test_cli_code_at_the_field_cap(tmp_path):
     assert peak_mb < 100, f"code 2 20 1 peaked at {peak_mb:.0f} MB"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "c7379e4bda19268b602c23fdd62661274d27cf3fdd40261d91ca47e3e7c96bcd")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_closed_pipe_exits_quietly(fmt):
+    # `cosetcodes cosets 31 4 | head -n 1`: the reader takes one line of the
+    # 231,135-row listing and closes the pipe
+    proc = subprocess.Popen([sys.executable, "-m", "cosetcodes.cli", "cosets", "31", "4",
+                             "--format", fmt], env=_fresh_env(), text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert first and err == "", err  # no traceback, nor any other line
+
+
+def test_cli_closed_pipe_fails_quietly_at_the_final_flush():
+    # a pipe closed before the first write: the three lines of `code` sit in
+    # the stdout buffer until the flush after the command
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "cosetcodes.cli", "code", "3", "2", "1"],
+                              env=_fresh_env(), stdout=write, stderr=subprocess.PIPE,
+                              text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert done.returncode == 1 and done.stderr == ""
 
 
 def test_cli_verify_cosets_up_to_27_4(tmp_path):
