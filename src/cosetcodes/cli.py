@@ -124,14 +124,40 @@ def _family_instance(args):
 # subcommands
 # ----------------------------------------------------------------------
 
-def _coset_layout(args, part) -> tuple[str, np.ndarray, str, str]:
-    """The head, row templates, row separator and tail of the coset listing in
-    args.format.  templates[k, g, o] lays out a coset of cardinality k, with a
-    gap if g and an odd representative if o, as a %-template taking its rep,
-    its k elements, its gap if any and its complement's rep, in that order.
-    json.dumps and csv.DictWriter lay out the JSON and CSV rows themselves."""
+# base-100 digit pairs as uint16 for _decimal: index d < 100 writes d without
+# its leading zeros, 100 + d both digits, and the last index, -1, two 0 bytes;
+# _LOW_PAIRS writes 0 as "0", _PAIRS as nothing
+_PAIRS, _LOW_PAIRS = (np.frombuffer("".join(
+    [zero] + [f"{d:2d}" for d in range(1, 100)] + [f"{d:02d}" for d in range(100)] + ["  "]
+).replace(" ", "\0").encode(), np.uint16) for zero in ("  ", " 0"))
+
+
+def _decimal(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The decimal digits of each value in 0..999,999 as three uint16 pairs of
+    bytes, highest first, right-aligned behind 0 bytes; -1 gives only 0 bytes.
+    The pair at 100^j is read at min(x, x - 100 h + 100), with
+    x = vals // 100^j and h = x // 100: at x while no higher digit is set
+    (h = 0), else at 100 + x mod 100.  -1 floors to -1 at every j, and
+    min(-1, 199) = -1."""
+    hi, mid = vals // 10000, vals // 100
+    return (_PAIRS.take(hi), _PAIRS.take(np.minimum(mid, mid - 100 * hi + 100)),
+            _LOW_PAIRS.take(np.minimum(vals, vals - 100 * mid + 100)))
+
+
+def _coset_layout(args, part) -> tuple[str, np.ndarray, np.ndarray, str, str]:
+    """The head, row images, field columns, row separator and tail of the
+    coset listing in args.format.  A coset of cardinality k, with a gap if g
+    and an odd representative if o, is laid out by a %-template taking its
+    rep, its k elements, its gap if any and its complement's rep, in that
+    order; json.dumps and csv.DictWriter lay out the JSON and CSV rows
+    themselves.  Split at %d, the template, after the row separator, is the
+    byte image images[(2 k + g) * 2 + o]: each of the fields rep, m elements
+    and, with properties, gap and complement has 6 bytes, three uint16 pairs
+    from columns[field] on, after a piece of text that is empty for a field
+    the row lacks.  Every image is padded with 0 bytes, dropped on output."""
     q, m, fmt, props = part.q, args.m, args.format, args.properties
-    templates = np.empty((m + 1, 2, 2), object)
+    last = m + 1 + 2 * props  # the slot of the text after the last field
+    pieces = np.full((4 * m + 4, last + 1), b"", object)
     for k, g, o in itertools.product(range(1, m + 1), (0, 1), (0, 1)):
         row = {"rep": "%d", "cardinality": k, "elements": ["%d"] * k}
         if props:
@@ -140,11 +166,12 @@ def _coset_layout(args, part) -> tuple[str, np.ndarray, str, str]:
                 row["parity"] = "odd" if o else "even"
         elements = ", ".join(row["elements"])
         if fmt == "text":
-            line = f"C_%d = {{{elements}}}"
+            sep, line = "\n", f"C_%d = {{{elements}}}"
             if props:
                 line += f"  gap={row['gap'] or '-'}  complement=C_%d"
                 line += f"  parity={row['parity']}" if "parity" in row else ""
         elif fmt == "json":
+            sep = ",\n    "
             line = json.dumps(row, indent=2).replace('"%d"', "%d").replace("\n", "\n    ")
         else:
             buf = io.StringIO()
@@ -152,37 +179,57 @@ def _coset_layout(args, part) -> tuple[str, np.ndarray, str, str]:
             writer.writeheader()
             writer.writerow({**row, "elements": f"[{elements}]"})
             header, line, _ = buf.getvalue().split("\r\n")
-        templates[k, g, o] = line
+            sep = "\r\n"
+        # the slots of the pieces: rep, k elements, gap, complement, the end
+        present = [*range(k + 1), *[m + 1] * (props and g), *[m + 2] * props, last]
+        for s, piece in zip(present, (sep + line).encode().split(b"%d")):
+            pieces[(2 * k + g) * 2 + o, s] = piece
+    # slot s is its longest piece, padded to even length, then field s, which
+    # ends at ends[s]
+    lengths = np.vectorize(len)(pieces).max(axis=0)
+    ends = np.cumsum(lengths + lengths % 2 + 6)
+    images = np.zeros((len(pieces), ends[-1] - 6), np.uint8)
+    for (t, s), piece in np.ndenumerate(pieces):
+        images[t, ends[s] - 6 - len(piece):ends[s] - 6] = np.frombuffer(piece, np.uint8)
     if fmt == "text":
-        return f"q={q}, m={m}, n={part.n}: {len(part.reps)} cosets\n", templates, "\n", "\n"
-    if fmt == "csv":
-        return header + "\r\n", templates, "\r\n", "\r\n" + "\n" * (not args.out)
-    head, _, tail = json.dumps({"tool_version": __version__, "command": f"cosets {q} {m}",
-                                "rows": [None], "discrepancies": []}, indent=2).rpartition("null")
-    return head, templates, ",\n    ", tail + "\n"
+        head, tail = f"q={q}, m={m}, n={part.n}: {len(part.reps)} cosets\n", "\n"
+    elif fmt == "csv":
+        head, tail = header + "\r\n", "\r\n" + "\n" * (not args.out)
+    else:
+        head, _, tail = json.dumps({"tool_version": __version__, "command": f"cosets {q} {m}",
+                                    "rows": [None], "discrepancies": []}, indent=2).rpartition("null")
+        tail += "\n"
+    return head, images, (ends[:-1] - 6) // 2, sep, tail
 
 
 def cmd_cosets(args, cfg) -> int:
-    """List the cosets, streamed 4096 rows per write: each block is one
-    %-format call on its rows' templates (231,135 rows at the modulus cap)."""
+    """List the cosets, streamed 4096 rows per write (231,135 rows at the
+    modulus cap): numpy gathers each block's row images, writes every
+    field's digits into them (_decimal) and keeps the bytes that are not 0,
+    so no value is formatted in Python."""
     q, m = args.q, args.m
     with _usage_errors(args):
         part = cosets.partition(q, m)
-    # the template fields per coset as columns, -1 where a row has none
-    columns = [part.reps, np.where(np.arange(m) < part.cards[:, None], part.elements, -1)]
+    if args.properties and q % 2 == 1 and (mixed := part.mixed()).any():
+        raise AssertionError(f"mixed parity in {part.coset(int(mixed.argmax()))!r}")
     gaps = part.gaps() if args.properties else np.zeros_like(part.reps)
+    # the fields per coset as columns, built after the n x m temporaries of
+    # mixed() and gaps() are freed; -1 marks a field that a row lacks
+    fields = [part.reps, part.elements]
     if args.properties:
-        columns += [np.where(gaps > 0, gaps, -1), part.reps[part.complements()]]
-        if q % 2 == 1 and (mixed := part.mixed()).any():
-            raise AssertionError(f"mixed parity in {part.coset(int(mixed.argmax()))!r}")
-    head, templates, sep, tail = _coset_layout(args, part)
-    rows = templates[part.cards, np.minimum(gaps, 1), part.reps % 2]
+        fields += [np.where(gaps > 0, gaps, -1), part.reps[part.complements()]]
+    head, images, columns, sep, tail = _coset_layout(args, part)
+    rows = (2 * part.cards + np.minimum(gaps, 1)) * 2 + part.reps % 2
     with _output(args) as fh:
         fh.write(head)
         for a in range(0, len(part.reps), 4096):
-            vals = np.column_stack([col[a:a + 4096] for col in columns])
-            block = sep.join(rows[a:a + 4096].tolist()) % tuple(vals[vals >= 0].tolist())
-            fh.write(sep * (a > 0) + block)
+            vals = np.column_stack([f[a:a + 4096] for f in fields])
+            vals[:, 1:m + 1][np.arange(m) >= part.cards[a:a + 4096, None]] = -1
+            buf = images[rows[a:a + 4096]]
+            for j, pairs in enumerate(_decimal(vals)):
+                buf.view(np.uint16)[:, columns + j] = pairs
+            text = buf[buf != 0].tobytes().decode()
+            fh.write(text if a else text.removeprefix(sep))
         fh.write(tail)
     return 0
 

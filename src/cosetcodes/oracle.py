@@ -27,6 +27,7 @@ cosets.MAX_MODULUS.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -128,7 +129,8 @@ def span_min_weight(
     so the walk starts above them; of each GF(q)-line it takes the word with
     top nonzero coefficient c_j = 1, index in [q^j, 2 q^j).  The low a
     generators, p^a <= _BLOCK, span a table L of p^a words and the rest a
-    table H, both in index order; block h is L plus column h of H.  H holds
+    table H, both in index order; block h is L plus column h of H, and the
+    ranges below p^a are weighed as slices of block 0, L itself.  H holds
     total / p^a words, about 1 / (q - 1) of them walked: for p = 2 at most
     2^23 / 2^16 = 128 within the budget of 10^7, which counts all q^k.  It
     outgrows L only for spans larger than p^(2a): 4.3e9 words for p = 2,
@@ -137,16 +139,18 @@ def span_min_weight(
     total = ctx.q ** len(rows)
     if total > limit:
         raise BudgetError(f"span of size {total} exceeds {limit}")
-    first = ctx.q**subcode_rows
-    if first >= total:
+    if subcode_rows >= len(rows):
         raise ValueError("span has no words outside the subcode")
     p, G = ctx.p, _pack(ctx, _digit_matrix(ctx, rows))
     a = max(t for t in range(G.shape[1] + 1) if p**t <= _BLOCK)
     L, H = _combinations(p, G[:, :a]), _combinations(p, G[:, a:])
-    size = p**a
-    tops = [ctx.q**j for j in range(subcode_rows, len(rows)) if ctx.q**j >= size]
-    walk = [0] * (first < size) + [h for t in tops for h in range(t // size, 2 * t // size)]
-    blocks = (_add_mod(p, L[:, max(first - h * size, 0):], H[:, h:h + 1]) for h in walk)
+    size, tops = p**a, [ctx.q**j for j in range(subcode_rows, len(rows))]
+    # column 0 of H is the zero word, so a range below p^a is a slice of L;
+    # each range from p^a up is whole blocks
+    blocks = itertools.chain(
+        (L[:, t:2 * t] for t in tops if t < size),
+        (_add_mod(p, L, H[:, h:h + 1])
+         for t in tops if t >= size for h in range(t // size, 2 * t // size)))
     best = min(int(_weights(ctx, block).min()) for block in blocks)
     if best == 0:
         raise AssertionError("generators are linearly dependent")

@@ -206,26 +206,45 @@ def test_span_min_weight_does_not_depend_on_the_split():
     assert got[0] == {4} and len(got[3]) == 1
 
 
+def _words_weighed(ctx, rows, subcode_rows, block):
+    """span_min_weight's result and the number of columns it weighs, with
+    oracle._BLOCK set to block."""
+    weighed, weights = [], oracle._weights
+
+    def counting(ctx, words):
+        weighed.append(words.shape[1])
+        return weights(ctx, words)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_BLOCK", block)
+        mp.setattr(oracle, "_weights", counting)
+        got = span_min_weight(ctx, rows, ctx.q**len(rows), subcode_rows=subcode_rows)
+    return got, sum(weighed)
+
+
 @pytest.mark.parametrize("p,e,k", [(2, 2, 5), (5, 1, 4), (2, 3, 3), (3, 2, 3)])
 def test_span_min_weight_walks_one_word_per_line(p, e, k):
-    # with one word per block, the walk weighs exactly the words whose top
-    # nonzero coefficient is 1: (q^k - q^s) / (q - 1) of the q^k - q^s
-    # outside the subcode (GF(4), k = 5, s = 0: 341, not 1023)
+    # with one word per block, and with the whole span in block 0 at the
+    # real _BLOCK, the walk weighs exactly the words whose top nonzero
+    # coefficient is 1: (q^k - q^s) / (q - 1) of the q^k - q^s outside the
+    # subcode (GF(4), k = 5, s = 0: 341, not 1023)
     ctx = make_field(p, e)
-    q, weights = ctx.q, oracle._weights
-    for subcode_rows in range(k):
-        weighed = []
+    q = ctx.q
+    for block in (1, oracle._BLOCK):
+        for subcode_rows in range(k):
+            assert _words_weighed(ctx, np.eye(k, dtype=np.int64), subcode_rows, block) == (
+                1, (q**k - q**subcode_rows) // (q - 1))
 
-        def counting(ctx, words):
-            weighed.append(words.shape[1])
-            return weights(ctx, words)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "_BLOCK", 1)
-            mp.setattr(oracle, "_weights", counting)
-            assert span_min_weight(ctx, np.eye(k, dtype=np.int64), q**k,
-                                   subcode_rows=subcode_rows) == 1
-        assert sum(weighed) == (q**k - q**subcode_rows) // (q - 1)
+@pytest.mark.parametrize("subcode_rows", [0, 3, 8, 9])
+def test_span_min_weight_walks_one_word_per_line_across_blocks(subcode_rows):
+    # 4^10 words at the real _BLOCK: the ranges of 4^0 .. 4^7 lie in block 0,
+    # those of 4^8 and 4^9 are whole blocks (s = 0: 349,525 lines, where
+    # walking all of block 0 weighed 393,215 words)
+    code = css.family_block_full(4).outer
+    rows = cyclic.codeword_basis(code)
+    got, weighed = _words_weighed(code.base, rows, subcode_rows, oracle._BLOCK)
+    assert weighed == (4**10 - 4**subcode_rows) // 3 and got >= 4
 
 
 def test_span_min_weight_rejects_a_span_inside_its_subcode():

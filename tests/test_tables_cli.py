@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -245,8 +246,9 @@ def test_cli_cosets_bytes_match_scalar_renderer(q, m, properties, fmt):
     _check_cosets_bytes(q, m, properties, fmt)
 
 
-# the listing formats blocks of rows from templates: on random (q, m), q not
-# necessarily a prime power, it prints what the scalar renderer prints
+# the listing writes each block's digits into byte images of its row
+# templates: on random (q, m), q not necessarily a prime power, it prints
+# what the scalar renderer prints
 @settings(max_examples=60, deadline=None)
 @given(q_m(), st.booleans(), st.sampled_from(["text", "json", "csv"]))
 @example((6, 4), True, "text")
@@ -255,6 +257,39 @@ def test_cli_cosets_bytes_match_scalar_renderer(q, m, properties, fmt):
 @example((2, 10), False, "csv")
 def test_cli_cosets_bytes_match_scalar_renderer_on_random_inputs(qm, properties, fmt):
     _check_cosets_bytes(*qm, properties, fmt)
+
+
+def test_decimal_writes_every_value_below_the_cap():
+    # every value a listing prints, 0 .. 999,999, and -1 for a field the row
+    # lacks; the boundaries of the 0-byte padding are 0, 9, 10, 99, 100,
+    # 10^4 and 10^5
+    vals = np.arange(-1, 10**6, dtype=np.int32)
+    digits = np.stack(cli._decimal(vals), axis=-1).view(np.uint8)
+    assert digits.shape == (10**6 + 1, 6)
+    assert not digits[0].any()
+    # the 0 bytes are all in front of the digits, and each value has as many
+    # digits as str() gives it
+    nonzero = digits != 0
+    assert (np.sort(nonzero, axis=1) == nonzero).all()
+    assert (nonzero[1:].sum(axis=1) == np.char.str_len(vals[1:].astype(str))).all()
+    assert digits[nonzero].tobytes() == "".join(map(str, range(10**6))).encode()
+
+
+def test_cli_cosets_listing_peaks_below_ten_mb(tmp_path):
+    # the partition is cached, so the trace sees the listing alone: the
+    # n x m temporaries of gaps() and mixed(), the field columns and one
+    # block of rows at a time, 6.8 MB (12.1 MB with the element columns
+    # masked whole, before gaps() ran); the whole text as one buffer would
+    # add 20 MB
+    cosets.partition(31, 4)
+    argv = ["cosets", "31", "4", "--properties", "--out", str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 10**6, f"cosets 31 4 --properties peaked at {peak / 1e6:.1f} MB"
 
 
 # Runs its arguments as a child process and prints the child's wall time and
