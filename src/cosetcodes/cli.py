@@ -13,6 +13,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import sys
 import warnings
@@ -206,15 +207,14 @@ def cmd_cosets(args, cfg) -> int:
     """List the cosets, streamed 4096 rows per write (231,135 rows at the
     modulus cap): numpy gathers each block's row images, writes every
     field's digits into them (_decimal) and keeps the bytes that are not 0,
-    so no value is formatted in Python."""
+    so no value is formatted in Python.  For odd q every element of a coset
+    has its rep's parity: x q = x mod 2, and q^m - 1 is even."""
     q, m = args.q, args.m
     with _usage_errors(args):
         part = cosets.partition(q, m)
-    if args.properties and q % 2 == 1 and (mixed := part.mixed()).any():
-        raise AssertionError(f"mixed parity in {part.coset(int(mixed.argmax()))!r}")
     gaps = part.gaps() if args.properties else np.zeros_like(part.reps)
     # the fields per coset as columns, built after the n x m temporaries of
-    # mixed() and gaps() are freed; -1 marks a field that a row lacks
+    # gaps() are freed; -1 marks a field that a row lacks
     fields = [part.reps, part.elements]
     if args.properties:
         fields += [np.where(gaps > 0, gaps, -1), part.reps[part.complements()]]
@@ -306,6 +306,8 @@ def cmd_verify(args, cfg) -> int:
     if args.scope in ("cosets", "all"):
         qmax = 9 if args.qmax is None else args.qmax
         mmax = 3 if args.mmax is None else args.mmax
+        if qmax > (qcap := math.isqrt(cosets.MAX_MODULUS + 1)):
+            args.parser.error(f"--qmax {qmax} is over {qcap}, past which q^2 - 1 exceeds the cap")
         qs, ms = verify.coset_grid(qmax, mmax)
         if not qs or not ms:
             args.parser.error(f"empty coset grid (prime powers 3 <= q <= "

@@ -230,6 +230,10 @@ def ladder_cosets(q: int, m: int, c: int) -> list[Coset]:
     Hypothesis: m >= 1, 1 <= c <= q and cq + 1 < q^ceil(m/2) - 1.  The
     bound c <= q is needed: for c >= q + 1 the first ladder coset, of q + 1,
     is itself one of the cosets of 1..c.
+
+    Checked: m elements, least element jq + 1, consecutive last elements.
+    Distinct least elements above c then make distinct cosets, none the
+    coset of an i <= c, which holds i.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
@@ -240,23 +244,13 @@ def ladder_cosets(q: int, m: int, c: int) -> list[Coset]:
         raise ValueError(
             f"hypothesis violated: {c}*{q}+1 = {c * q + 1} is not < {bound}"
         )
-    n = q**m - 1
     out = [coset_of(q, m, j * q + 1) for j in range(1, c + 1)]
-    seen: dict[int, int] = {}
     for j, cs in enumerate(out, start=1):
         if cs.cardinality != m:
             raise AssertionError(f"{cs!r} does not have {m} elements")
-        if cs.rep != j * q + 1:
+        if min(cs.elements) != j * q + 1:
             raise AssertionError(f"{j * q + 1} is not minimal in its coset {cs!r}")
-        for x in cs.elements:
-            if x in seen:
-                raise AssertionError(f"element {x} shared between ladder cosets")
-            seen[x] = cs.rep
-    for i in range(1, c + 1):
-        low = coset_of(q, m, i)
-        if any(x in seen for x in low.elements):
-            raise AssertionError(f"ladder cosets meet the coset of {i}")
-    lasts = [((j * q + 1) * q ** (m - 1)) % n for j in range(1, c + 1)]
+    lasts = [cs.elements[-1] for cs in out]
     for a, b in zip(lasts, lasts[1:]):
         if b != a + 1:
             raise AssertionError(f"final elements {lasts} are not consecutive")

@@ -8,27 +8,28 @@ any is built.
 from __future__ import annotations
 
 import itertools
+from math import isqrt
 
 import numpy as np
 
 from . import conv, cosets, cyclic, families, gf, oracle
 from .oracle import SweepReport
 
-_PRIME_POWERS = [3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27]
 _N_CAP = 80  # the identity sweep: codes of length <= _N_CAP
 
 
 def coset_grid(qmax: int, mmax: int) -> tuple[list[int], range]:
-    """The prime powers 3 <= q <= qmax and the m in 2..mmax of the
+    """Every prime power 3 <= q <= qmax, and the m in 2..mmax, of the
     structural coset sweep (`oracle.coset_theorem_sweep`)."""
-    return [q for q in _PRIME_POWERS if 3 <= q <= qmax], range(2, mmax + 1)
+    qs = [q for q in range(3, qmax + 1) if len(gf.prime_factors(q)) == 1]
+    return qs, range(2, mmax + 1)
 
 
 def _identity_instances():
     """Deterministic set of (q, m) pairs with q^m - 1 <= _N_CAP."""
-    # every q is above 2, so q^m - 1 <= _N_CAP needs m < _N_CAP.bit_length()
-    return [(q, m) for q in _PRIME_POWERS for m in range(2, _N_CAP.bit_length())
-            if q**m - 1 <= _N_CAP]
+    # q^m - 1 <= _N_CAP needs q^2 <= _N_CAP + 1 and, as q >= 3, m < _N_CAP.bit_length()
+    qs, ms = coset_grid(isqrt(_N_CAP + 1), _N_CAP.bit_length() - 1)
+    return [(q, m) for q in qs for m in ms if q**m - 1 <= _N_CAP]
 
 
 def _generators_match(codes) -> np.ndarray:

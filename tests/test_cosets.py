@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosetcodes import cli
+from cosetcodes import cli, cosets
 from cosetcodes.cosets import (
+    Coset,
     all_cosets,
     coset_of,
     disjointness_range,
     ladder_cosets,
     partition,
 )
+from cosetcodes.oracle import coset_theorem_sweep
 
 from test_partition import _ref_complementary
 
@@ -276,3 +278,58 @@ def test_ladder_all_admissible(q, m):
         assert all(cs.cardinality == m for cs in ladder)
         c += 1
     assert c > 1  # the grid only contains (q, m) with at least one admissible c
+
+
+def _cmax(q, m):
+    """The largest admissible ladder c: c <= q and cq + 1 < q^ceil(m/2) - 1."""
+    c = 0
+    while c < q and (c + 1) * q + 1 < q ** ((m + 1) // 2) - 1:
+        c += 1
+    return c
+
+
+LADDER_GRID = [(q, m) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27)
+               for m in range(3, 7) if q**m - 1 <= 10**6 and _cmax(q, m)]
+
+
+@pytest.mark.parametrize("q,m", LADDER_GRID)
+def test_ladder_matches_the_partition(q, m):
+    # every ladder property read off the partition, including the two that
+    # ladder_cosets derives rather than scans for: the cosets of jq + 1 are
+    # distinct, and none of them is a coset of 1..c
+    part = partition(q, m)
+    for c in range(1, _cmax(q, m) + 1):
+        starts = np.arange(1, c + 1) * q + 1
+        owners = part.owner[starts].tolist()
+        assert len(set(owners)) == c
+        assert set(owners).isdisjoint(part.owner[1:c + 1].tolist())
+        assert (part.cards[owners] == m).all() and (part.reps[owners] == starts).all()
+        assert (np.diff(part.elements[owners, -1]) == 1).all()
+        assert ladder_cosets(q, m, c) == [part.coset(i) for i in owners]
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda els: els[:-1], "does not have 3 elements"),
+    # 7 lies in (c, cq) = (4, 20) and in no coset of 1..4 or of the ladder,
+    # so only the least-element check sees it
+    (lambda els: (els[0], 7, els[-1]), "21 is not minimal in its coset"),
+    (lambda els: (*els[:-1], els[-1] + 1), "final elements [26, 27, 28, 30] are not consecutive"),
+], ids=["short", "least-inside", "last-shifted"])
+def test_ladder_checks_catch_a_broken_coset(monkeypatch, mutate, message):
+    # the ladder of (5, 3) at the sweep's c = 4 is the cosets of 6, 11, 16
+    # and 21 = cq + 1, whose coset {21, 105, 29} is broken here
+    real = cosets.coset_of
+
+    def coset_of(q, m, a):
+        cs = real(q, m, a)
+        if a != 21:
+            return cs
+        els = mutate(cs.elements)
+        return Coset(n=cs.n, q=q, rep=els[0], elements=els)
+
+    monkeypatch.setattr(cosets, "coset_of", coset_of)
+    with pytest.raises(AssertionError) as exc:
+        ladder_cosets(5, 3, 4)
+    assert message in str(exc.value)
+    ladder = [r for r in coset_theorem_sweep([5], [3]).records if r.check == "ladder"]
+    assert [(r.status, r.detail) for r in ladder] == [("fail", str(exc.value))]

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cosetcodes import __version__, cli, cosets, cyclic, gf
+from cosetcodes import __version__, cli, cosets, cyclic, gf, verify
 from cosetcodes.cosets import _coset_by_walk
 from cosetcodes.tables import TableRow, build_table
 
@@ -277,10 +277,10 @@ def test_decimal_writes_every_value_below_the_cap():
 
 def test_cli_cosets_listing_peaks_below_ten_mb(tmp_path):
     # the partition is cached, so the trace sees the listing alone: the
-    # n x m temporaries of gaps() and mixed(), the field columns and one
-    # block of rows at a time, 6.8 MB (12.1 MB with the element columns
-    # masked whole, before gaps() ran); the whole text as one buffer would
-    # add 20 MB
+    # n x m temporaries of gaps(), the field columns and one block of rows
+    # at a time, 6.8 MB (7.0 MB while mixed() also ran; 12.1 MB with the
+    # element columns masked whole, before gaps() ran); the whole text as
+    # one buffer would add 20 MB
     cosets.partition(31, 4)
     argv = ["cosets", "31", "4", "--properties", "--out", str(tmp_path / "out")]
     tracemalloc.start()
@@ -540,6 +540,38 @@ def test_cli_coset_grid_defaults_are_9_and_3(capsys):
     assert cli.main(["verify", "cosets", "--qmax", "9", "--mmax", "2",
                      "--format", "json"]) == 0
     assert capsys.readouterr().out != default
+
+
+def test_cli_coset_grid_reaches_past_27(capsys):
+    assert cli.main(["verify", "cosets", "--qmax", "32", "--mmax", "2",
+                     "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert {29, 31, 32} <= {row["q"] for row in payload["rows"]}
+    assert payload["discrepancies"] == []
+
+
+def _is_prime_power(q):
+    try:
+        gf.factor_prime_power(q)
+    except ValueError:
+        return False
+    return True
+
+
+def test_coset_grid_is_every_prime_power():
+    assert verify.coset_grid(1000, 2)[0] == [q for q in range(3, 1001) if _is_prime_power(q)]
+
+
+def test_cli_qmax_over_1000_is_a_usage_error(capsys):
+    # for q > 1000, q^2 - 1 is over cosets.MAX_MODULUS: the grid would hold
+    # only skipped pairs, so it is refused before it is built
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "cosets", "--qmax", "1001"])
+    elapsed = time.perf_counter() - t0
+    assert exc.value.code == 2 and elapsed < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and "error: --qmax 1001" in err
 
 
 def test_cli_rejects_negative_budget(capsys):
