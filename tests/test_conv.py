@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cosetcodes import conv, cyclic, gf, oracle
+from cosetcodes import conv, cyclic, gf, oracle, verify
 from cosetcodes.conv import (
     PolyMatrix,
     build_conv,
@@ -52,7 +52,7 @@ def test_matrices_are_label_arrays_that_keep_their_width():
                  (split_parity(parent, range(4), [])[1], 15),
                  (gf.nullspace(make_field(5, 1), full_rank), 3),
                  (cyclic.codeword_basis(zero_code), 15),
-                 (kappa0.leading_matrix(), 15)]:
+                 (conv._sliding_check_stack(kappa0, 0), 15)]:
         assert isinstance(M, np.ndarray) and M.shape == (0, n)
 
 
@@ -112,6 +112,12 @@ def test_family_range_errors():
         family_split_wider_head(4, 2)  # i > q-3
     with pytest.raises(ValueError):
         family_split_short_parent(4, 0)
+    for build, args in [(family_split, ()), (family_split_wide_head, ()),
+                        (family_split_wider_head, (1,)),
+                        (family_split_short_parent, (1,)),
+                        (family_split_singleton_tail, ())]:
+        with pytest.raises(ValueError, match="need q <= 64 for the conv families, got 128"):
+            build(128, *args)  # past conv.MAX_Q, before any code is built
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13, 16])
@@ -146,9 +152,9 @@ def test_degree_comes_from_tail_rank_and_rows():
     code = family_split(5)
     G = code.generator
     assert G.kappa == 9  # 2q - 1
-    assert G.memory == 1
-    assert code.degree == G.degree == 7  # 2q - 3 nonzero rows in the D-part
-    assert G.row_degrees == (1,) * 7 + (0,) * 2
+    assert code.memory == _ref_memory(G) == 1
+    assert code.degree == sum(_ref_row_degrees(G)) == 7  # 2q - 3 nonzero rows in the D-part
+    assert _ref_row_degrees(G) == (1,) * 7 + (0,) * 2
 
 
 def test_generator_is_a_read_only_copy():
@@ -192,9 +198,48 @@ def test_duplicated_row_fails_rank_check():
     h0 = ((1, 2, 0), (1, 2, 0))
     h1 = ((0, 0, 0), (0, 0, 0))
     rep = check_reduced_basic(PolyMatrix(field=f, blocks=(h0, h1)))
-    assert not rep.rank_condition_ok
+    assert (rep.zero_rows_h0, rep.rows, rep.rank) == (0, 2, 1)
     assert not rep.passed
     assert "inconclusive" in rep.summary()
+
+
+def test_non_basic_matrix_full_rank_on_gf3_is_inconclusive():
+    # G(D) = [[1, D], [2D, 1]] has full rank at every s in GF(3), but its
+    # determinant 1 + D^2 is not a unit: G(s) is singular at the roots of
+    # s^2 + 1 in GF(9), so G is not basic
+    G = PolyMatrix(field=field_for(3), blocks=(((1, 0), (0, 1)), ((0, 1), (2, 0))))
+    assert all(gf.rank(G.field, _ref_evaluate(G, s)) == 2 for s in range(3))
+    rep = check_reduced_basic(G)
+    assert not rep.passed
+    assert rep.summary() == "inconclusive: rank 2 of the 4 nonzero coefficient rows"
+
+
+def test_basic_matrix_with_dependent_rows_is_inconclusive():
+    # G(D) = [[1 + D^2, D]] over GF(2) is basic (gcd(1 + D^2, D) = 1), but
+    # its coefficient rows (1, 0), (0, 1), (1, 0) are dependent: the
+    # criterion is sufficient only
+    G = PolyMatrix(field=field_for(2), blocks=(((1, 0),), ((0, 1),), ((1, 0),)))
+    rep = check_reduced_basic(G)
+    assert not rep.passed
+    assert "inconclusive" in rep.summary()
+
+
+def test_zero_row_of_h0_is_inconclusive():
+    G = PolyMatrix(field=field_for(4), blocks=(((0, 0, 0), (1, 2, 3)),
+                                               ((1, 0, 0), (0, 0, 0))))
+    rep = check_reduced_basic(G)
+    assert (rep.zero_rows_h0, rep.rows, rep.rank) == (1, 2, 2)
+    assert rep.summary() == "inconclusive: zero rows in H0: 1 of 2"
+
+
+def test_reduced_basic_on_the_whole_conv_sweep_to_q16():
+    # every instance that the closed-form test covers, where verify all
+    # checks those at q in 4, 5, 7 and 8
+    instances = list(verify.conv_sweep((4, 5, 7, 8, 9, 11, 13, 16)))
+    assert len(instances) == 54
+    for fam, args in instances:
+        rep = check_reduced_basic(fam.build(**args).generator)
+        assert rep.passed, (fam.name, args, rep.summary())
 
 
 # ---------------------------------------------------------------
@@ -331,34 +376,35 @@ def _same_row_space(ctx, A, B, width):
 @settings(max_examples=300, deadline=None)
 @given(poly_matrices(), st.integers(0, 3))
 def test_array_paths_match_scalar_references(G, max_degree):
-    ctx = G.field
-    assert G.row_degrees == _ref_row_degrees(G)
-    assert G.memory == _ref_memory(G)
-    assert G.degree == sum(_ref_row_degrees(G))
-    assert G.leading_matrix().tolist() == _ref_leading_matrix(G)
-    values = [_ref_evaluate(G, s) for s in range(ctx.q)]
-    assert G.evaluate(range(ctx.q)).tolist() == values
-    rep = check_reduced_basic(G)
-    assert rep.failed_evaluations == tuple(
-        s for s in range(ctx.q) if gf.rank(ctx, values[s]) != G.kappa)
-    assert rep.leading_rank == gf.rank(ctx, _ref_leading_matrix(G))
     stack = conv._sliding_check_stack(G, max_degree)
-    assert _same_row_space(ctx, stack, _ref_sliding_check_stack(G, max_degree),
+    assert _same_row_space(G.field, stack, _ref_sliding_check_stack(G, max_degree),
                            G.n * (max_degree + 1))
 
 
+@settings(max_examples=300, deadline=None)
+@given(poly_matrices())
+def test_passing_check_implies_full_rank_on_gf_q(G):
+    # the q-point criterion is necessary for reduced and basic: it must hold
+    # whenever the sufficient rank criterion passes
+    if check_reduced_basic(G).passed:
+        ctx = G.field
+        for s in range(ctx.q):
+            assert gf.rank(ctx, _ref_evaluate(G, s)) == G.kappa
+        assert gf.rank(ctx, _ref_leading_matrix(G)) == G.kappa
+
+
 def _ref_check_reduced_basic(G):
-    """The report from q + 2 separate rank calls: the constant block, each
-    evaluation G(s), and the leading matrix."""
-    ctx, kappa = G.field, G.kappa
-    rank_h0 = gf.rank(ctx, G.blocks[0])
-    failed = tuple(s for s in range(ctx.q)
-                   if gf.rank(ctx, _ref_evaluate(G, s)) != kappa)
-    lead_rank = gf.rank(ctx, _ref_leading_matrix(G))
+    """The report from one rank call per row: the nonzero rows of the
+    blocks, in order, each kept when it raises the rank of those kept."""
+    mats = G.blocks.tolist()
+    rows = [row for mat in mats for row in mat if any(row)]
+    basis = []
+    for row in rows:
+        if gf.rank(G.field, basis + [row]) > len(basis):
+            basis.append(row)
     return conv.BasicnessReport(
-        kappa=kappa, rank_h0=rank_h0, rank_condition_ok=rank_h0 == kappa,
-        failed_evaluations=failed, leading_rank=lead_rank,
-        leading_ok=lead_rank == kappa)
+        kappa=G.kappa, zero_rows_h0=sum(not any(row) for row in mats[0]),
+        rows=len(rows), rank=len(basis))
 
 
 @settings(max_examples=200, deadline=None)
@@ -367,15 +413,20 @@ def _ref_check_reduced_basic(G):
 def test_batched_basicness_check_matches_separate_ranks(G):
     rep = check_reduced_basic(G)
     assert rep == _ref_check_reduced_basic(G)
-    assert all(type(x) is int for x in (rep.rank_h0, rep.leading_rank,
-                                        *rep.failed_evaluations))
+    assert all(type(x) is int for x in (rep.zero_rows_h0, rep.rows, rep.rank))
 
 
 @pytest.mark.parametrize("q", [4, 5])
-def test_batched_basicness_check_on_the_families(q):
+def test_batched_basicness_check_on_the_families(q, monkeypatch):
+    # one rank call, on a family's coefficient rows: those of H0 and H1
+    rank, calls = gf.rank, []
     for build in (family_split, family_split_wide_head, family_split_singleton_tail):
-        G = build(q).generator
-        assert check_reduced_basic(G) == _ref_check_reduced_basic(G)
+        code = build(q)
+        with monkeypatch.context() as m:
+            m.setattr(gf, "rank", lambda ctx, rows: calls.append(len(rows)) or rank(ctx, rows))
+            rep = check_reduced_basic(code.generator)
+        assert calls.pop() == code.kappa + code.degree and not calls
+        assert rep == _ref_check_reduced_basic(code.generator)
 
 
 @pytest.mark.parametrize("max_degree", [0, 2])

@@ -645,13 +645,19 @@ USAGE_MESSAGES = {
     "conv --family short-parent --q 6 --i 1": "error: 6 is not a prime power",
     "conv --family split --q 3": "error: need q >= 4, got 3",
     "conv --family wider-head --q 4 --i 2": "error: need 1 <= i <= q-3, got i=2",
+    # the conv families stop at q = 64, before a code is built
+    "conv --family split --q 128": "error: need q <= 64 for the conv families, got 128",
+    "conv --family wide-head --q 997": "error: need q <= 64 for the conv families, got 997",
+    "verify conv --q 128": "error: need q <= 64 for the conv families, got 128",
 }
 
 # inputs far past a cap are rejected within 1 s, before the work the cap bounds
 PAST_THE_CAPS = ("cosets 3 1000000", "cosets 3 5000",
                  "css --family ladder --q 3 --m 100000 --c 2",
                  "css --family ladder --q 3 --m 1000000 --c 2", "code 2 100000000 1",
-                 "css --family block-even --q 3 --m 20000000 --c 3")
+                 "css --family block-even --q 3 --m 20000000 --c 3",
+                 "conv --family split --q 128", "conv --family wide-head --q 997",
+                 "verify conv --q 128")
 
 
 @pytest.mark.parametrize("argv", [
@@ -681,6 +687,13 @@ def test_cli_bad_input_is_one_line_usage_error(argv, capsys):
     assert len(err.splitlines()) == 1 and "error: " in err
     assert "Traceback" not in err
     assert USAGE_MESSAGES.get(argv, "") in err
+
+
+def test_cli_conv_split_q32_is_reduced_basic(capsys):
+    assert cli.main(["conv", "--family", "split", "--q", "32", "--format", "json"]) == 0
+    row, = json.loads(capsys.readouterr().out)["rows"]
+    assert row["text"] == "(1023, 960, 61; 1, dfree >= 65)_32"
+    assert row["reduced_basic"] is True
 
 
 def test_cli_verify_css_unprinted_q_checks_block_family(capsys):
