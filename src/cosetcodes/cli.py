@@ -205,27 +205,29 @@ def _coset_layout(args, part) -> tuple[str, np.ndarray, np.ndarray, str, str]:
 
 def cmd_cosets(args, cfg) -> int:
     """List the cosets, streamed 4096 rows per write (231,135 rows at the
-    modulus cap): numpy gathers each block's row images, writes every
-    field's digits into them (_decimal) and keeps the bytes that are not 0,
-    so no value is formatted in Python.  For odd q every element of a coset
-    has its rep's parity: x q = x mod 2, and q^m - 1 is even."""
+    modulus cap).  Each block takes its gaps, complements and fields from
+    its own rows of the partition, so no array the size of the partition is
+    built; numpy gathers the block's row images, writes every field's digits
+    into them (_decimal) and keeps the bytes that are not 0, so no value is
+    formatted in Python.  For odd q every element of a coset has its rep's
+    parity: x q = x mod 2, and q^m - 1 is even."""
     q, m = args.q, args.m
     with _usage_errors(args):
         part = cosets.partition(q, m)
-    gaps = part.gaps() if args.properties else np.zeros_like(part.reps)
-    # the fields per coset as columns, built after the n x m temporaries of
-    # gaps() are freed; -1 marks a field that a row lacks
-    fields = [part.reps, part.elements]
-    if args.properties:
-        fields += [np.where(gaps > 0, gaps, -1), part.reps[part.complements()]]
     head, images, columns, sep, tail = _coset_layout(args, part)
-    rows = (2 * part.cards + np.minimum(gaps, 1)) * 2 + part.reps % 2
     with _output(args) as fh:
         fh.write(head)
         for a in range(0, len(part.reps), 4096):
-            vals = np.column_stack([f[a:a + 4096] for f in fields])
-            vals[:, 1:m + 1][np.arange(m) >= part.cards[a:a + 4096, None]] = -1
-            buf = images[rows[a:a + 4096]]
+            # the block's fields as columns; -1 marks a field that a row lacks
+            blk = slice(a, a + 4096)
+            reps, cards, gaps = part.reps[blk], part.cards[blk], 0
+            fields = [reps, part.elements[blk]]
+            if args.properties:
+                gaps = part.gaps(blk)
+                fields += [np.where(gaps > 0, gaps, -1), part.reps[part.complements(blk)]]
+            vals = np.column_stack(fields)
+            vals[:, 1:m + 1][np.arange(m) >= cards[:, None]] = -1
+            buf = images[(2 * cards + np.minimum(gaps, 1)) * 2 + reps % 2]
             for j, pairs in enumerate(_decimal(vals)):
                 buf.view(np.uint16)[:, columns + j] = pairs
             text = buf[buf != 0].tobytes().decode()

@@ -2,15 +2,19 @@
 
 Everything here is plain modular arithmetic; no field tables are involved.
 All values are immutable and all functions are pure.  For n up to
-MAX_MODULUS the partition into cosets is built once per (q, n), as numpy
-int32 arrays, and every coset question is a lookup into it.  Multiplying by
-q modulo q^m - 1 rotates the m base-q digits of a residue, so the build
-needs no division: each image of the whole residue range is one broadcast
-add (_rotation).  union_of turns the exponents of a defining set into its
-coset representatives and elements, as ints, with one mask over the owner
-array, and Coset objects are left to inspection.  Larger moduli walk the
-orbit instead.  The gap, parity and oplus structure exists only as
-whole-partition arrays over the orbit rows.
+MAX_MODULUS the partition into cosets is built as numpy int32 arrays, and
+every coset question is a lookup into it.  Only the last partition built
+is cached: the constructors ask about one (q, m) at a time, and the coset
+sweep visits each pair once.  Multiplying by q modulo q^m - 1 rotates the m
+base-q digits of a residue, so the least element of each orbit needs no
+division: each rotation is folded in by broadcast adds over blocks of rows
+(_fold_rotation), and the build holds at most one n-sized array besides
+the owner array it returns.  union_of turns the exponents of a defining
+set into its coset representatives and elements, as ints, with one mask
+over the owner array, and Coset objects are left to inspection.  Larger
+moduli walk the orbit instead.  The gap, parity, complement and oplus
+structure are arrays over the orbit rows; gaps and complements also take a
+slice of the rows, which the coset listing reads one block at a time.
 """
 
 from __future__ import annotations
@@ -99,10 +103,11 @@ class Partition:
         out[self.owner[xs]] = True
         return out
 
-    def gaps(self) -> np.ndarray:
-        """The gap per coset: the least difference between adjacent sorted
-        elements, 0 for singletons, whose rows hold no positive difference."""
-        d = np.diff(np.sort(self.elements, axis=1), axis=1)
+    def gaps(self, rows: slice = slice(None)) -> np.ndarray:
+        """The gap per coset of `rows`: the least difference between adjacent
+        sorted elements, 0 for singletons, whose rows hold no positive
+        difference."""
+        d = np.diff(np.sort(self.elements[rows], axis=1), axis=1)
         return np.min(d, axis=1, where=d > 0, initial=self.n) % self.n
 
     def mixed(self) -> np.ndarray:
@@ -110,9 +115,10 @@ class Partition:
         E = self.elements
         return (E % 2 != E[:, :1] % 2).any(axis=1)
 
-    def complements(self) -> np.ndarray:
-        """The complementary coset of each coset, as coset indices."""
-        return self.owner[(self.n - self.reps) % self.n]
+    def complements(self, rows: slice = slice(None)) -> np.ndarray:
+        """The complementary coset of each coset of `rows`, as coset
+        indices."""
+        return self.owner[(self.n - self.reps[rows]) % self.n]
 
     def oplus(self, other: np.ndarray) -> np.ndarray:
         """The oplus of coset i with coset other[i] per coset, as coset
@@ -123,37 +129,55 @@ class Partition:
         return np.where((sums == 0).any(axis=1), int(self.owner[0]), -1)
 
 
-def _rotation(q: int, m: int, j: int) -> np.ndarray:
-    """x * q^j mod n for every x < n = q^m - 1, as int32: a rotation of the
-    m base-q digits of x.  With x = a q^(m-j) + b and b < q^(m-j), it is
-    b q^j + a, since q^m = 1 mod n.  That is entry (a, b) of a q^j x q^(m-j)
-    grid built by one broadcast add, so the flattened grid lists the images
-    of x = 0, 1, ..., n in order, and the last one, of x = n, is cut."""
-    qj = q**j
-    grid = np.arange(0, q**m, qj, dtype=np.int32) + np.arange(qj, dtype=np.int32)[:, None]
-    return grid.ravel()[:-1]
+_CHUNK = 1 << 16  # residues per step of the partition build
 
 
-@lru_cache(maxsize=None)
+def _chunks(n: int, step: int = _CHUNK):
+    """The bounds (s, e) of consecutive slices of range(n), step long."""
+    return ((s, min(s + step, n)) for s in range(0, n, step))
+
+
+def _fold_rotation(least: np.ndarray, q: int, m: int, j: int) -> None:
+    """least = min(least, x q^j mod n) for every x < n = q^m - 1, a rotation
+    of the m base-q digits of x.  With x = a q^(m-j) + b and b < q^(m-j), the
+    image is b q^j + a, since q^m = 1 mod n: entry (a, b) of a
+    q^j x q^(m-j) grid whose rows list the images of consecutive x.  Each
+    step adds a block of rows a to the row b q^j by one broadcast, so no
+    image of the whole range is built; the last entry, of x = n, is cut."""
+    qj, width = q**j, q ** (m - j)
+    row = np.arange(0, width * qj, qj, dtype=np.int32)
+    for a, b in _chunks(qj, max(1, _CHUNK // width)):
+        block = (row + np.arange(a, b, dtype=np.int32)[:, None]).ravel()
+        chunk = least[a * width:b * width]
+        np.minimum(chunk, block[:len(chunk)], out=chunk)
+
+
+@lru_cache(maxsize=1)  # the sweep visits each (q, m) once
 def _partition(q: int, n: int) -> Partition:
     m = 1  # n = q^m - 1
     while q**m <= n:
         m += 1
     # The least element of each orbit is the running minimum of its m digit
-    # rotations; no n x m array is built, and every value stays below
-    # q^m <= MAX_MODULUS + 1, so every array is int32.
+    # rotations.  Every value stays below q^m <= MAX_MODULUS + 1, so every
+    # array is int32; least is freed before the element rows are built.
     least = np.arange(n, dtype=np.int32)
     for j in range(1, m):
-        np.minimum(least, _rotation(q, m, j), out=least)
-    reps = np.flatnonzero(least == np.arange(n, dtype=np.int32)).astype(np.int32)
-    index = np.empty(n, np.int32)
-    index[reps] = np.arange(len(reps), dtype=np.int32)
-    owner = index[least]
+        _fold_rotation(least, q, m, j)
+    reps = np.concatenate([np.flatnonzero(least[s:e] == np.arange(s, e, dtype=np.int32))
+                           .astype(np.int32) + s for s, e in _chunks(n)])
+    # least[x] <= x is a rep, whose owner is set before any chunk reads it
+    owner = np.empty(n, np.int32)
+    owner[reps] = np.arange(len(reps), dtype=np.int32)
+    for s, e in _chunks(n):
+        owner[s:e] = owner[least[s:e]]
+    del least
     elements = np.empty((len(reps), m), np.int32)
     elements[:, 0] = reps
-    step = _rotation(q, m, 1)  # x -> x q mod n
+    step = np.empty(len(reps), np.int64)  # x -> x q mod n on the reps' orbits only
     for j in range(1, m):
-        elements[:, j] = step[elements[:, j - 1]]
+        np.multiply(elements[:, j - 1], q, out=step, dtype=np.int64)
+        elements[:, j] = np.remainder(step, n, out=step)
+    del step
     # an orbit of k elements meets its rep m / k times along its row
     cards = m // (elements == reps[:, None]).sum(axis=1, dtype=np.int32)
     for a in (owner, reps, cards, elements):  # shared by every caller through the cache

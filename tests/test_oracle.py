@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 from dataclasses import astuple, replace
 from itertools import product
 from pathlib import Path
@@ -495,6 +496,27 @@ def test_sweep_refuses_an_invalid_q():
     # q = 1 puts no modulus over the cap, so it reaches the partition, which raises
     with pytest.raises(ValueError, match="need q >= 2"):
         coset_theorem_sweep([1, 3], [2, 25])
+
+
+def _sweep_peak(qs):
+    """The traced peak in bytes of coset_theorem_sweep(qs, [2]), started
+    with no partition cached."""
+    cosets._partition.cache_clear()
+    tracemalloc.start()
+    try:
+        assert coset_theorem_sweep(qs, [2]).passed
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_keeps_one_partition():
+    # three pairs near the modulus cap, n about 10^6 each: the sweep frees
+    # each pair's partition when it builds the next, so its peak is one
+    # pair's, 26.6 MB; with every partition cached it would be 50.8 MB
+    one, three = _sweep_peak([983]), _sweep_peak([983, 991, 997])
+    assert three < 1.5 * one, f"three pairs peaked at {three / 1e6:.1f} MB, one at {one / 1e6:.1f} MB"
+    assert cosets._partition.cache_info().currsize <= 1
 
 
 def test_sweep_report_status_rule():

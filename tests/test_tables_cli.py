@@ -259,6 +259,15 @@ def test_cli_cosets_bytes_match_scalar_renderer_on_random_inputs(qm, properties,
     _check_cosets_bytes(*qm, properties, fmt)
 
 
+# the listing computes gaps and complements per block of 4096 rows: 7,188
+# cosets at (13, 4), an odd q with a parity column, and 4,115 at (2, 16),
+# whose second block holds 19 rows
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("q,m", [(13, 4), (2, 16)])
+def test_cli_cosets_bytes_match_scalar_renderer_past_one_block(q, m, fmt):
+    _check_cosets_bytes(q, m, True, fmt)
+
+
 def test_decimal_writes_every_value_below_the_cap():
     # every value a listing prints, 0 .. 999,999, and -1 for a field the row
     # lacks; the boundaries of the 0-byte padding are 0, 9, 10, 99, 100,
@@ -275,12 +284,12 @@ def test_decimal_writes_every_value_below_the_cap():
     assert digits[nonzero].tobytes() == "".join(map(str, range(10**6))).encode()
 
 
-def test_cli_cosets_listing_peaks_below_ten_mb(tmp_path):
-    # the partition is cached, so the trace sees the listing alone: the
-    # n x m temporaries of gaps(), the field columns and one block of rows
-    # at a time, 6.8 MB (7.0 MB while mixed() also ran; 12.1 MB with the
-    # element columns masked whole, before gaps() ran); the whole text as
-    # one buffer would add 20 MB
+def test_cli_cosets_listing_peaks_below_three_mb(tmp_path):
+    # the partition is cached, so the trace sees the listing alone: the row
+    # images and one block of 4096 rows, its gaps, complements, field
+    # columns and text, 2.0 MB.  The gaps of all 231,135 cosets at once
+    # would take it to 7.6 MB, and the whole text as one buffer would add
+    # 20 MB
     cosets.partition(31, 4)
     argv = ["cosets", "31", "4", "--properties", "--out", str(tmp_path / "out")]
     tracemalloc.start()
@@ -289,7 +298,7 @@ def test_cli_cosets_listing_peaks_below_ten_mb(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 10**6, f"cosets 31 4 --properties peaked at {peak / 1e6:.1f} MB"
+    assert peak < 3 * 10**6, f"cosets 31 4 --properties peaked at {peak / 1e6:.1f} MB"
 
 
 # Runs its arguments as a child process and prints the child's wall time and
