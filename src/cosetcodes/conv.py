@@ -294,9 +294,9 @@ def free_distance_upper(
 ) -> int:
     """Weight of the best (lowest-weight) nonzero codeword found among the
     reported code's codewords of degree <= max_input_degree (the kernel of
-    the sliding check stack): an upper bound on the free distance.
-    Enumeration beyond the budget raises BudgetError unless `sample` asks
-    for that many seeded random kernel combinations instead.
+    the sliding check stack): an upper bound on the free distance.  A
+    kernel that span_min_weight refuses raises BudgetError unless `sample`
+    asks for that many seeded random kernel combinations instead.
     """
     if max_input_degree < 0:
         raise ValueError("max_input_degree must be >= 0")
@@ -306,12 +306,9 @@ def free_distance_upper(
     kernel = gf.nullspace(ctx, stack)
     if not len(kernel):
         raise ValueError("no nonzero dual codewords at this degree")
-    size = ctx.q ** len(kernel)
-    if size <= budget.max_enumeration:
+    try:
         return oracle.span_min_weight(ctx, kernel, budget.max_enumeration)
-    if sample is None:
-        raise oracle.BudgetError(
-            f"kernel of dimension {len(kernel)} exceeds budget "
-            f"{budget.max_enumeration}; pass sample=N for a sampled bound"
-        )
+    except oracle.BudgetError:
+        if sample is None:
+            raise
     return oracle.sampled_min_weight(ctx, kernel, sample, seed)

@@ -18,11 +18,12 @@ keeps a weight, so the walk takes one word per GF(q)-line.  A CSS side,
 C minus its subcode S, is walked on a basis of C whose first rows span
 S: its words are the lowest indices, skipped without a membership test.
 
-Results produced within budget are exact; over-budget requests raise
-BudgetError (css_distance_at_least answers None) rather than approximating
-silently.  Enumeration is deterministic; sweeps run one (q, m) pair at a
-time, in sorted order, and skip pairs whose modulus is over
-cosets.MAX_MODULUS.
+One gate, _price, compares each span's q^k words with the budget, from k,
+before any generator, basis or dual is built.  Results within budget are
+exact; over-budget requests raise BudgetError (css_distance_at_least
+answers None) rather than approximating silently.  Enumeration is
+deterministic; sweeps run one (q, m) pair at a time, in sorted order, and
+skip pairs whose modulus is over cosets.MAX_MODULUS.
 """
 
 from __future__ import annotations
@@ -50,6 +51,13 @@ class BudgetError(ValueError):
 class OracleBudget:
     max_enumeration: int = DEFAULT_MAX_ENUMERATION
     seed: int = 0
+
+
+def _price(limit: int, q: int, dim: int) -> None:
+    """Raise BudgetError iff a span's q^dim words are over limit.  Past
+    limit.bit_length(), q^dim >= 2^dim > limit, so no power is formed."""
+    if dim > limit.bit_length() or q**dim > limit:
+        raise BudgetError(f"span of {q}^{dim} words exceeds budget {limit}")
 
 
 # ----------------------------------------------------------------------
@@ -136,9 +144,7 @@ def span_min_weight(
     outgrows L only for spans larger than p^(2a): 4.3e9 words for p = 2,
     2.4e8 for p = 5.
     """
-    total = ctx.q ** len(rows)
-    if total > limit:
-        raise BudgetError(f"span of size {total} exceeds {limit}")
+    _price(limit, ctx.q, len(rows))
     if subcode_rows >= len(rows):
         raise ValueError("span has no words outside the subcode")
     p, G = ctx.p, _pack(ctx, _digit_matrix(ctx, rows))
@@ -180,6 +186,7 @@ def min_distance_bruteforce(code: CyclicCode, budget=OracleBudget()) -> int:
     generated by g(x)."""
     if code.k == 0:
         raise ValueError("the zero code has no nonzero codewords")
+    _price(budget.max_enumeration, code.q, code.k)  # before g(x) is built
     return span_min_weight(
         code.base, cyclic.codeword_basis(code), budget.max_enumeration
     )
@@ -191,16 +198,24 @@ def verify_min_distance_at_least(code: CyclicCode, bound: int,
     return code.k == 0 or min_distance_bruteforce(code, budget) >= bound
 
 
+def _css_sides(pair, limit: int):
+    """A CSS pair's sides, each a code and its subcode: (C1, C2) and (C2-dual,
+    C1-dual), priced by k1 and n - k2 before either dual is built."""
+    _price(limit, pair.q, pair.outer.k)
+    _price(limit, pair.q, pair.n - pair.inner.k)
+    return ((pair.outer, pair.inner),
+            (cyclic.dual_code(pair.inner), cyclic.dual_code(pair.outer)))
+
+
 def css_distance_at_least(pair, bound: int, budget=OracleBudget()) -> bool | None:
     """Whether C1 and the dual of C2 both have minimum distance >= bound,
     so that the CSS pair reaches it; None when either enumeration is over
     budget (always at budget 0)."""
-    outer, inner = pair.outer, pair.inner
-    # the dual of C2 has dimension n - k2, so it is only built when it fits
-    if max(outer.q**outer.k, inner.q**(inner.n - inner.k)) > budget.max_enumeration:
+    try:
+        sides = _css_sides(pair, budget.max_enumeration)
+    except BudgetError:
         return None
-    return all(verify_min_distance_at_least(code, bound, budget)
-               for code in (outer, cyclic.dual_code(inner)))
+    return all(verify_min_distance_at_least(code, bound, budget) for code, _ in sides)
 
 
 def css_true_distance(pair, budget=OracleBudget()) -> int | None:
@@ -214,13 +229,6 @@ def css_true_distance(pair, budget=OracleBudget()) -> int | None:
     distinct), so the subcode's words are skipped by index."""
     if pair.k == 0:
         return None
-    inner_dual = cyclic.dual_code(pair.inner)
-    # C2 and C1-dual are subcodes of these two, so they are no larger
-    for c in (pair.outer, inner_dual):
-        if c.q**c.k > budget.max_enumeration:
-            raise BudgetError(
-                f"{c!r} has {c.q**c.k} codewords, over budget {budget.max_enumeration}")
-    sides = ((pair.outer, pair.inner), (inner_dual, cyclic.dual_code(pair.outer)))
     return min(
         span_min_weight(
             code.base,
@@ -229,7 +237,7 @@ def css_true_distance(pair, budget=OracleBudget()) -> int | None:
             budget.max_enumeration,
             subcode_rows=sub.k,
         )
-        for code, sub in sides
+        for code, sub in _css_sides(pair, budget.max_enumeration)
     )
 
 

@@ -24,7 +24,7 @@ from cosetcodes.oracle import (
     verify_min_distance_at_least,
 )
 
-from test_gf import _ref_add, _ref_mul
+from test_gf import PRIME_POWERS_TO_1024, _ref_add, _ref_mul
 
 
 # ---------------------------------------------------------------
@@ -82,6 +82,43 @@ def test_span_min_weight_rejects_overbudget():
     rows = cyclic.codeword_basis(code)
     with pytest.raises(BudgetError):
         span_min_weight(code.base, rows, limit=10)
+
+
+def test_budget_refusal_builds_no_generator(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("generator built for an over-budget code")
+
+    monkeypatch.setattr(gf, "poly_with_roots", refuse)
+    with pytest.raises(BudgetError):
+        min_distance_bruteforce(cyclic.code_from_cosets(5, 2, [0]))  # 5^23 words
+
+
+def test_span_refusal_names_the_power_not_its_digits():
+    # 4^8000 has 4817 decimal digits, past Python's int-to-str limit of 4300
+    rows = np.zeros((8000, 5), np.int64)
+    with pytest.raises(BudgetError, match=r"^span of 4\^8000 words exceeds budget 10000000$"):
+        span_min_weight(gf.field_for(4), rows, 10**7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pe=st.sampled_from(PRIME_POWERS_TO_1024), dim=st.integers(0, 3000),
+       limit=st.integers(0, 10**12), shift=st.integers(-2, 2), at_edge=st.booleans())
+@example(pe=(2, 1), dim=0, limit=0, shift=0, at_edge=False)
+@example(pe=(2, 1), dim=1, limit=0, shift=0, at_edge=False)
+@example(pe=(2, 1), dim=0, limit=2**39, shift=0, at_edge=True)
+@example(pe=(2, 1), dim=0, limit=2**39 - 1, shift=-1, at_edge=True)
+@example(pe=(2, 10), dim=0, limit=10**12, shift=1, at_edge=True)
+def test_price_refuses_exactly_over_budget(pe, dim, limit, shift, at_edge):
+    # at_edge puts dim within 2 of limit.bit_length(), where the gate
+    # switches from forming q^dim to refusing without it
+    q = pe[0] ** pe[1]
+    if at_edge:
+        dim = max(0, limit.bit_length() + shift)
+    if q**dim > limit:
+        with pytest.raises(BudgetError, match=rf"^span of {q}\^{dim} words exceeds budget {limit}$"):
+            oracle._price(limit, q, dim)
+    else:
+        oracle._price(limit, q, dim)
 
 
 # ---------------------------------------------------------------
@@ -312,6 +349,24 @@ def test_css_distance_at_least_over_budget_builds_no_dual(monkeypatch):
     monkeypatch.setattr(cyclic, "dual_code", refuse)
     # [[15, 9]]_4: C1 and the dual of C2 both have 4^12 words, over 10^7
     assert css_distance_at_least(css.family_block(4, 3), 3) is None
+
+
+def test_css_true_distance_over_budget_builds_no_dual(monkeypatch):
+    def refuse(code):
+        raise AssertionError("dual_code called on an over-budget pair")
+
+    params = css.family_block(4, 3)
+    monkeypatch.setattr(cyclic, "dual_code", refuse)
+    with pytest.raises(BudgetError):
+        css_true_distance(params, OracleBudget(max_enumeration=10**6))
+
+
+def test_css_distance_at_least_refuses_large_q_without_the_power():
+    # C1 has 997^994005 words; pricing from the dimension forms no such int
+    params = css.family_block(997, 3)
+    start = time.perf_counter()
+    assert css_distance_at_least(params, 3) is None
+    assert time.perf_counter() - start < 0.5
 
 
 def _nested_pairs(q, m, cap):
