@@ -428,15 +428,22 @@ def expand_matrix(ctx_ext: FieldContext, base: FieldContext, rows) -> np.ndarray
     the cached subfield embedding.
     """
     emb = subfield_embedding(ctx_ext, base)
-    A = np.asarray(rows, dtype=np.int64)
+    A = np.asarray(rows)  # _digits widens each block
     if A.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     if A.size and (A.min() < 0 or A.max() >= ctx_ext.q):
         raise ValueError("matrix entries out of field range")
     r, n = A.shape
-    coords = (_digits(ctx_ext, A).reshape(-1, ctx_ext.e) @ emb._to_basis) % ctx_ext.p
-    labels = _labels(base, coords.reshape(r, n, emb.m, base.e))  # (r, n, m)
-    return labels.transpose(0, 2, 1).reshape(r * emb.m, n)
+    out = np.empty((r, emb.m, n), dtype=np.int64)
+    # a block of rows at a time, so each (rows, n, e) digit temporary holds
+    # at most 2^17 digits
+    step = max(1, (1 << 17) // max(1, n * ctx_ext.e))
+    for s in range(0, r, step):
+        block = A[s:s + step]
+        coords = (_digits(ctx_ext, block).reshape(-1, ctx_ext.e) @ emb._to_basis) % ctx_ext.p
+        labels = _labels(base, coords.reshape(len(block), n, emb.m, base.e))  # (rows, n, m)
+        out[s:s + step] = labels.transpose(0, 2, 1)
+    return out.reshape(r * emb.m, n)
 
 
 # ----------------------------------------------------------------------

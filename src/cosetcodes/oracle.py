@@ -1,22 +1,24 @@
 """Independent brute-force verifiers: exact minimum distances by message
 enumeration, exact CSS distances over set differences, a seeded sampled
-upper bound for spans too large to enumerate, and the full sweep of
-structural coset checks.
+upper bound for spans too large to enumerate (drawn from the standard
+library's random), and the full sweep of structural coset checks.
 
 One enumerator, span_min_weight, walks the GF(p)-combinations of a basis
 in index order: digit t of index i is the coefficient of generator t.
 Two tables, each built once by digit doubling, hold the combinations of
-the low generators (at most _BLOCK words) and of the high ones; block h
-of the walk is the low table plus word h of the high table, so no index
-is decoded and nothing is multiplied or packed per block.  Words are
-columns.  For p = 2 they are bit planes: digit t of 64 consecutive
-symbols is one uint64, a block is one XOR per plane, and a weight is the
-popcount of the OR of a word's e planes, summed over its ceil(n/64)
-words.  For odd p each digit is one byte (wider for p > 128), and the
-nonzero symbols are counted in the least dtype that holds n.  Scaling
-keeps a weight, so the walk takes one word per GF(q)-line.  A CSS side,
-C minus its subcode S, is walked on a basis of C whose first rows span
-S: its words are the lowest indices, skipped without a membership test.
+the low generators (at most _BLOCK = 2^14 words) and of the high ones;
+block h of the walk is the low table plus word h of the high table, so no
+index is decoded and nothing is multiplied or packed per block.  The low
+table and one block, 256 KB each at n = 15 over GF(4), fit in a core's L2
+cache.  Words are columns.  For p = 2 they are bit planes: digit t of 64
+consecutive symbols is one uint64, a block is one XOR per plane, and a
+weight is the popcount of the OR of a word's e planes, summed over its
+ceil(n/64) words.  For odd p each digit is one byte (wider for p > 128),
+and the nonzero symbols are counted in the least dtype that holds n.
+Scaling keeps a weight, so the walk takes one word per GF(q)-line.  A CSS
+side, C minus its subcode S, is walked on a basis of C whose first rows
+span S: its words are the lowest indices, skipped without a membership
+test.
 
 One gate, _price, compares each span's q^k words with the budget, from k,
 before any generator, basis or dual is built.  Results within budget are
@@ -29,6 +31,7 @@ skip pairs whose modulus is over cosets.MAX_MODULUS.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -40,7 +43,7 @@ from .cyclic import CyclicCode
 from .gf import FieldContext, _digits, _mul
 
 DEFAULT_MAX_ENUMERATION = 10**7
-_BLOCK = 1 << 16
+_BLOCK = 1 << 14
 
 
 class BudgetError(ValueError):
@@ -140,9 +143,11 @@ def span_min_weight(
     table H, both in index order; block h is L plus column h of H, and the
     ranges below p^a are weighed as slices of block 0, L itself.  H holds
     total / p^a words, about 1 / (q - 1) of them walked: for p = 2 at most
-    2^23 / 2^16 = 128 within the budget of 10^7, which counts all q^k.  It
-    outgrows L only for spans larger than p^(2a): 4.3e9 words for p = 2,
-    2.4e8 for p = 5.
+    2^23 / 2^14 = 512 within the budget of 10^7, which counts all q^k.  It
+    outgrows L only for spans larger than p^(2a): 2.7e8 words for p = 2
+    (a = 14), 4.3e7 for p = 3 (a = 8), 2.4e8 for p = 5 (a = 6) and 5.8e6
+    for p = 7 (a = 4), where the default budget's largest spans, 7^8
+    words, give H and L 7^4 words each.
     """
     _price(limit, ctx.q, len(rows))
     if subcode_rows >= len(rows):
@@ -165,15 +170,20 @@ def span_min_weight(
 
 def sampled_min_weight(ctx: FieldContext, rows, sample: int, seed: int) -> int:
     """Least weight among the GF(p)-generators of the span of rows and
-    `sample` seeded random GF(p)-combinations of them: an upper bound on
-    the minimum nonzero weight."""
+    `sample` random GF(p)-combinations of them: an upper bound on the
+    minimum nonzero weight.  The coefficients come from the standard
+    library's random.Random(seed), four bytes each taken mod p (bias below
+    p / 2^32), and are weighed a slice at a time, each product at most
+    _BLOCK digits."""
     D = _digit_matrix(ctx, rows)
-    # all single generators first, then random combinations
-    coefs = np.eye(D.shape[1], dtype=np.int64)
-    if sample > 0:
-        rng = np.random.default_rng(seed)
-        coefs = np.vstack([coefs, rng.integers(0, ctx.p, size=(sample, D.shape[1]))])
-    w = _weights(ctx, (D @ coefs.T) % ctx.p)
+    rng, dim = random.Random(seed), D.shape[1]
+    step = max(1, _BLOCK // len(D))
+    weights = [_weights(ctx, D)]  # all single generators first
+    for start in range(0, sample, step):
+        count = min(step, sample - start)
+        coefs = np.frombuffer(rng.randbytes(4 * count * dim), "<u4") % ctx.p
+        weights.append(_weights(ctx, D @ coefs.reshape(count, dim).T % ctx.p))
+    w = np.concatenate(weights)
     return int(w[w > 0].min())
 
 

@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -508,6 +509,34 @@ def test_expand_raw_rows_and_rank_q4():
     raw = gf.expand_matrix(f16, f4, rows)
     assert len(raw) == 8
     assert gf.rank(f4, raw) == 7
+
+
+def test_expand_matrix_in_row_blocks_matches_its_rows():
+    # 2,500 rows of length 15 over GF(16) hold 150,000 digits, more than one
+    # block of 2^17: the expansion is the stack of each row's own
+    f16, f4 = make_field(2, 4), make_field(2, 2)
+    M = np.random.default_rng(3).integers(0, 16, size=(2500, 15), dtype=np.int32)
+    want = np.vstack([gf.expand_matrix(f16, f4, row[None]) for row in M])
+    assert np.array_equal(gf.expand_matrix(f16, f4, M), want)
+
+
+def test_expand_matrix_peaks_within_twice_its_result():
+    # the head of conv's wider-head family at q = 64, i = 61: 126 int32 rows
+    # of length 4095 over GF(4096), 8.3 MB once expanded over GF(64).  Each
+    # block's digits are at most 2^17 int64, so the call peaks near 10.8 MB;
+    # with the whole (126, 4095, 12) digit array and its product with the
+    # basis change it peaked at 103 MB
+    ext, base = gf.field_for(4096), gf.field_for(64)
+    rows = ext._np_exp[np.outer(np.arange(1, 127), np.arange(4095)) % 4095]
+    subfield_embedding(ext, base)
+    tracemalloc.start()
+    try:
+        out = gf.expand_matrix(ext, base, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (252, 4095)
+    assert peak < 2 * out.nbytes, f"expand_matrix peaked at {peak / 1e6:.1f} MB"
 
 
 def test_expand_uses_polynomial_basis():

@@ -1,4 +1,5 @@
 import json
+import random
 import time
 import tracemalloc
 from dataclasses import astuple, replace
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cosetcodes import cli, cosets, css, cyclic, gf, oracle
+from cosetcodes import cli, conv, cosets, css, cyclic, gf, oracle
 from cosetcodes.gf import make_field
 from cosetcodes.oracle import (
     BudgetError,
@@ -230,8 +231,9 @@ def test_span_min_weight_matches_reference(case):
 
 
 def test_span_min_weight_does_not_depend_on_the_split():
-    # 4^10 words of weight >= 4: the high table has 16 words at the real
-    # _BLOCK and 2^16 at the smallest, where the low table has 16
+    # 4^10 words of weight >= 4: the high table has 64 words at the real
+    # _BLOCK (2^14), 16 at 2^16 and 2^16 at the smallest, where the low
+    # table has 16
     code = css.family_block_full(4).outer
     rows = cyclic.codeword_basis(code)
     got = {0: set(), 3: set()}
@@ -276,13 +278,34 @@ def test_span_min_weight_walks_one_word_per_line(p, e, k):
 
 @pytest.mark.parametrize("subcode_rows", [0, 3, 8, 9])
 def test_span_min_weight_walks_one_word_per_line_across_blocks(subcode_rows):
-    # 4^10 words at the real _BLOCK: the ranges of 4^0 .. 4^7 lie in block 0,
-    # those of 4^8 and 4^9 are whole blocks (s = 0: 349,525 lines, where
-    # walking all of block 0 weighed 393,215 words)
+    # 4^10 words at the real _BLOCK, 2^14: the high table holds 64 words,
+    # the ranges of 4^0 .. 4^6 lie in block 0, and those of 4^7 .. 4^9 are
+    # whole blocks (s = 0: 349,525 lines, where walking all of block 0 would
+    # weigh 360,447 words)
     code = css.family_block_full(4).outer
     rows = cyclic.codeword_basis(code)
     got, weighed = _words_weighed(code.base, rows, subcode_rows, oracle._BLOCK)
     assert weighed == (4**10 - 4**subcode_rows) // 3 and got >= 4
+
+
+def _traced_peak(call, *args):
+    """The traced peak in bytes of call(*args)."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_span_min_weight_peaks_below_one_and_a_half_mb():
+    # 4^10 words: the low table of 2^14 bit-plane words is 256 KB, and so is
+    # each block, so the walk peaks at 0.8 MB; with 2^16-word blocks it
+    # peaked at 3.15 MB
+    code = css.family_block_full(4).outer
+    rows = cyclic.codeword_basis(code)
+    peak = _traced_peak(span_min_weight, code.base, rows, code.q**code.k)
+    assert peak < 1.5e6, f"the walk peaked at {peak / 1e6:.2f} MB"
 
 
 def test_span_min_weight_rejects_a_span_inside_its_subcode():
@@ -295,9 +318,10 @@ def _reference_sampled(ctx, rows, sample, seed):
     gens = _reference_generators(ctx, rows)
     dim = len(gens)
     coefs = [[int(i == t) for t in range(dim)] for i in range(dim)]
-    if sample > 0:
-        rng = np.random.default_rng(seed)
-        coefs += rng.integers(0, ctx.p, size=(sample, dim)).tolist()
+    # four little-endian bytes per coefficient, mod p, all drawn at once
+    draws = random.Random(seed).randbytes(4 * sample * dim)
+    coefs += [[int.from_bytes(draws[4 * (i * dim + t):4 * (i * dim + t + 1)], "little") % ctx.p
+               for t in range(dim)] for i in range(sample)]
     return min(w for w in (_reference_weight(ctx, gens, c) for c in coefs) if w)
 
 
@@ -313,6 +337,36 @@ def test_sampled_min_weight_matches_reference(field, rows, sample, seed):
     rows[0][0] = 1  # a nonzero generator, so some weight is positive
     assert sampled_min_weight(ctx, rows, sample, seed) == \
         _reference_sampled(ctx, rows, sample, seed)
+
+
+@pytest.mark.parametrize("block", [1, 24])
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(0, 4), min_size=5, max_size=5), min_size=1, max_size=3),
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+)
+def test_sampled_min_weight_in_slices_matches_reference(block, rows, sample, seed):
+    # over GF(5) the digit matrix has 5 rows, so these slices hold one and
+    # four combinations: drawn slice by slice, the coefficients are those
+    # of one draw of them all
+    ctx = make_field(5, 1)
+    rows[0][0] = 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_BLOCK", block)
+        got = sampled_min_weight(ctx, rows, sample, seed)
+    assert got == _reference_sampled(ctx, rows, sample, seed)
+
+
+def test_sampled_min_weight_peaks_below_two_mb():
+    # the q = 4 split family's degree-2 kernel, 19 rows of length 45, with
+    # 2,000 draws: each slice's product holds at most _BLOCK digits, so the
+    # call peaks near 0.5 MB; one int64 product over all 2,038 combinations
+    # peaked at 3.58 MB
+    G = conv.family_split(4).generator
+    kernel = gf.nullspace(G.field, conv._sliding_check_stack(G, 2))
+    peak = _traced_peak(sampled_min_weight, G.field, kernel, 2000, 0)
+    assert peak < 2e6, f"the sampled search peaked at {peak / 1e6:.2f} MB"
 
 
 # ---------------------------------------------------------------

@@ -608,6 +608,21 @@ def test_cli_sweeps_do_not_import_numpy_ma():
     assert done.stdout == "False\n"
 
 
+def test_cli_verify_conv_does_not_import_numpy_random():
+    # the sampled dual search draws from the standard library's random;
+    # numpy.random's first generator imports secrets, hashlib and OpenSSL,
+    # about 5 MB of peak RSS
+    script = (
+        "import contextlib, io, sys\n"
+        "from cosetcodes import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', 'conv', '--format', 'json']) == 0\n"
+        "print('numpy.random' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout == "False\n"
+
+
 # the messages of some usage errors
 USAGE_MESSAGES = {
     # the ladder bound q^ceil(m/2) - 1 needs m >= 1 (for m < 0 it is a
