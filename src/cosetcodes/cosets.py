@@ -13,8 +13,10 @@ the owner array it returns.  union_of turns the exponents of a defining
 set into its coset representatives and elements, as ints, with one mask
 over the owner array, and Coset objects are left to inspection.  Larger
 moduli walk the orbit instead.  The gap, parity, complement and oplus
-structure are arrays over the orbit rows; gaps and complements also take a
-slice of the rows, which the coset listing reads one block at a time.
+structure are arrays over the orbit rows.  The gaps, parity and oplus are
+computed a block of rows at a time (_by_blocks), so their temporaries hold
+one block; gaps and complements also take a slice of the rows, which the
+coset listing reads one block at a time.
 """
 
 from __future__ import annotations
@@ -107,13 +109,17 @@ class Partition:
         """The gap per coset of `rows`: the least difference between adjacent
         sorted elements, 0 for singletons, whose rows hold no positive
         difference."""
-        d = np.diff(np.sort(self.elements[rows], axis=1), axis=1)
-        return np.min(d, axis=1, where=d > 0, initial=self.n) % self.n
+        E = self.elements[rows]
+
+        def block(b):
+            d = np.diff(np.sort(E[b], axis=1), axis=1)
+            return np.min(d, axis=1, where=d > 0, initial=self.n) % self.n
+        return _by_blocks(block, len(E))
 
     def mixed(self) -> np.ndarray:
         """True for each coset with both even and odd elements."""
         E = self.elements
-        return (E % 2 != E[:, :1] % 2).any(axis=1)
+        return _by_blocks(lambda b: (E[b] % 2 != E[b, :1] % 2).any(axis=1), len(E))
 
     def complements(self, rows: slice = slice(None)) -> np.ndarray:
         """The complementary coset of each coset of `rows`, as coset
@@ -125,16 +131,26 @@ class Partition:
         indices: the coset of reps[i] + w for the witness w of coset other[i]
         with reps[i] + w = 0 mod n; -1 where coset other[i] holds no
         witness."""
-        sums = (self.reps[:, None] + self.elements[other]) % self.n
-        return np.where((sums == 0).any(axis=1), int(self.owner[0]), -1)
+        def block(b):
+            return ((self.reps[b, None] + self.elements[other[b]]) % self.n == 0).any(axis=1)
+        return np.where(_by_blocks(block, len(other)), self.owner[0], -1)
 
 
 _CHUNK = 1 << 16  # residues per step of the partition build
+_ROWS = 1 << 12  # orbit rows per block of a whole-partition question
 
 
 def _chunks(n: int, step: int = _CHUNK):
     """The bounds (s, e) of consecutive slices of range(n), step long."""
     return ((s, min(s + step, n)) for s in range(0, n, step))
+
+
+def _by_blocks(f, count: int) -> np.ndarray:
+    """f(rows) on consecutive slices of _ROWS orbit rows that cover
+    range(count), concatenated (f(slice(0, 0)) when count is 0): a question
+    about every coset holds one block's temporaries at a time."""
+    return np.concatenate([f(slice(s, e)) for s, e in _chunks(count, _ROWS)]
+                          or [f(slice(0, 0))])
 
 
 def _fold_rotation(least: np.ndarray, q: int, m: int, j: int) -> None:

@@ -2,8 +2,10 @@
 defining sets of cyclotomic cosets.
 
 A defining set holds its coset representatives and exponents as ints.  A
-code is a value object: defining set and dimension, with the generator
-polynomial built on first read as a read-only label array.  The run-based
+code is a value object: base field, defining set and dimension, all from
+the cosets.  The extension field GF(q^m) is built on first read, by the
+parts that need it: the generator polynomial, a read-only label array
+also built on first read, and the check matrices.  The run-based
 designed-distance bound, duals, the dual-containing test and parity-check
 matrices (expanded over the base field, and cut from blocks reduced coset
 by coset) all live here.
@@ -46,17 +48,21 @@ class CyclicCode:
     """Cyclic code over GF(q) of length n = q^m - 1 with defining set Z.
 
     g divides x^n - 1, its roots are exactly alpha^z for z in Z, and
-    k = n - |Z|.  g is a read-only label array, constant term first, built
-    on first read; codes compare and hash without it.
+    k = n - |Z|.  The extension field ext = GF(q^m), fixed by base and m,
+    and g, a read-only label array, constant term first, are each built on
+    first read; codes compare and hash without them.
     """
 
     base: FieldContext
-    ext: FieldContext
     q: int
     m: int
     n: int
     defining: DefiningSet
     k: int
+
+    @cached_property
+    def ext(self) -> FieldContext:
+        return gf.make_field(self.base.p, self.base.e * self.m)
 
     @cached_property
     def generator(self) -> np.ndarray:
@@ -72,11 +78,10 @@ def code_from_cosets(q: int, m: int, exponents) -> CyclicCode:
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
     base = gf.field_for(q)
-    ext = gf.make_field(base.p, base.e * m)
+    gf.require_field(base.p, base.e * m)  # ext is built on first read
     n = q**m - 1
     defining = DefiningSet.from_exponents(q, m, exponents)
-    return CyclicCode(base=base, ext=ext, q=q, m=m, n=n, defining=defining,
-                      k=n - defining.size)
+    return CyclicCode(base=base, q=q, m=m, n=n, defining=defining, k=n - defining.size)
 
 
 def _longest_cyclic_run(exponents, n: int) -> int:

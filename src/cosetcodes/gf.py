@@ -8,8 +8,10 @@ polynomial.  Multiplication goes through log/antilog tables indexed by the
 chosen primitive element; addition is XOR for p = 2 and, for odd p, goes
 through the Zech logarithms Z(k) = log(1 + alpha^k), one int32 table of
 q - 1 entries.  The context stores each table once, as an int32 array.
-For q <= 512 the context also holds a full q x q multiplication table
-and, for odd p, an addition table built by the Zech path.
+For q <= 512 the context also holds a full q x q multiplication table,
+one gather at (log a, log b) from the circulant of the antilog table, and
+for odd p an addition table of the labels' base-p digit sums mod p, both
+built in int32 with at most one q x q temporary.
 
 make_field searches the monic polynomials in lexicographic order for the
 first primitive one, skipping every constant term that no primitive
@@ -54,6 +56,7 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 MAX_FIELD_SIZE = 1 << 20
 
@@ -210,15 +213,38 @@ class FieldContext:
     # -- construction internals ----------------------------------------
 
     def _build_tables(self):
-        # the kernel's table-free paths, run before either table exists; p = 2
-        # adds by XOR, so it has no add table
-        idx = np.arange(self.q)
-        if self.p > 2:
-            self._add_table = _add(self, idx[:, None], idx[None, :]).astype(np.int32)
-        self._mul_table = _mul(self, idx[:, None], idx[None, :])
+        # int32 throughout, so no temporary is a q x q int64 array.  Row i of
+        # the circulant of exp is alpha^(i + j), j < q - 1, so a * b is one
+        # gather at (log a, log b); p = 2 adds by XOR and has no add table,
+        # and for odd p a sum adds the labels' base-p digits mod p
+        q, p = self.q, self.p
+        circulant = sliding_window_view(np.concatenate([self._np_exp] * 2), q - 1)
+        logs = self._np_log[1:]
+        self._mul_table = np.zeros((q, q), dtype=np.int32)
+        self._mul_table[1:, 1:] = circulant[np.ix_(logs, logs)]
+        if p > 2:
+            self._add_table = np.zeros((q, q), dtype=np.int32)
+            digit = np.empty((q, q), dtype=np.int32)
+            for w in self._powers:
+                d = np.arange(q, dtype=np.int32) // w % p
+                np.add(d[:, None], d, out=digit)
+                digit %= p
+                digit *= w
+                self._add_table += digit
 
     def __repr__(self):
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
+
+
+def require_field(p: int, e: int):
+    """Raise ValueError unless GF(p^e) is a field make_field builds: p
+    prime, e >= 1 and p^e within MAX_FIELD_SIZE."""
+    if prime_factors(p) != [p]:
+        raise ValueError(f"p={p} is not prime")
+    if e < 1:
+        raise ValueError(f"e={e} must be >= 1")
+    if e > 20 or p**e > MAX_FIELD_SIZE:  # 2^21 is past the cap: no huge power is built
+        raise ValueError(f"field size {p}^{e} exceeds cap {MAX_FIELD_SIZE}")
 
 
 @lru_cache(maxsize=None)
@@ -229,12 +255,7 @@ def make_field(p: int, e: int) -> FieldContext:
     The choice fixes a canonical primitive element, so generator
     polynomials and log tables are reproducible across runs.
     """
-    if prime_factors(p) != [p]:
-        raise ValueError(f"p={p} is not prime")
-    if e < 1:
-        raise ValueError(f"e={e} must be >= 1")
-    if e > 20 or p**e > MAX_FIELD_SIZE:  # 2^21 is past the cap: no huge power is built
-        raise ValueError(f"field size {p}^{e} exceeds cap {MAX_FIELD_SIZE}")
+    require_field(p, e)
     for f in _candidate_polys(p, e):
         if _is_primitive(f, p, e):
             return FieldContext(p, e, tuple(f))

@@ -24,8 +24,9 @@ One gate, _price, compares each span's q^k words with the budget, from k,
 before any generator, basis or dual is built.  Results within budget are
 exact; over-budget requests raise BudgetError (css_distance_at_least
 answers None) rather than approximating silently.  Enumeration is
-deterministic; sweeps run one (q, m) pair at a time, in sorted order, and
-skip pairs whose modulus is over cosets.MAX_MODULUS.
+deterministic; sweeps run one (q, m) pair at a time, in sorted order, read
+a pair's coset elements a block of orbit rows at a time (cosets._by_blocks),
+and skip pairs whose modulus is over cosets.MAX_MODULUS.
 """
 
 from __future__ import annotations
@@ -293,6 +294,7 @@ def _sweep_pair(report: SweepReport, q: int, m: int) -> None:
     seen = np.zeros(n, bool)
     seen[E] = True
     report.add(q, m, "partition", int(cards.sum()) == n and bool(seen.all()))
+    del seen
 
     # parity structure (odd q only)
     if q % 2 == 1:
@@ -300,8 +302,9 @@ def _sweep_pair(report: SweepReport, q: int, m: int) -> None:
         report.add(q, m, "parity-uniform", not bad,
                    f"mixed-parity cosets: {list(map(part.coset, bad))}" if bad else "")
         # a singleton {x} never holds x + 1, as n >= 2 for odd q
-        consec = (part.owner[(E + 1) % n] == np.arange(len(reps))[:, None]).any(axis=1)
-        bad = np.flatnonzero(consec)[:3].tolist()
+        def consec(b):
+            return (part.owner[(E[b] + 1) % n] == np.arange(b.start, b.stop)[:, None]).any(axis=1)
+        bad = np.flatnonzero(cs._by_blocks(consec, len(reps)))[:3].tolist()
         report.add(q, m, "no-consecutive", not bad,
                    f"cosets with consecutive elements: {list(map(part.coset, bad))}"
                    if bad else "")
@@ -327,19 +330,21 @@ def _sweep_pair(report: SweepReport, q: int, m: int) -> None:
         report.add(q, m, "gap-lower-bound", None, "hypothesis: q >= 3")
         report.add(q, m, "gap-equality-at-one", None, "hypothesis: q >= 3")
 
-    # complementary-coset properties; a failing check names its last failing
+    # complementary-coset properties, each mask built a block of rows at a
+    # time and freed before the next; a failing check names its last failing
     # coset
     comp = part.complements()
-    unique = (part.owner[(n - E) % n] == comp[:, None]).all(axis=1)
+    zero = part.oplus(comp) == part.owner[0]
     failing = {
-        "complement-unique": ~unique,
-        "complement-cardinality": cards[comp] != cards,
-        "complement-oplus-zero": part.oplus(comp) != part.owner[0],
-        "complement-gap-equal": gaps[comp] != gaps,
-        "complement-involution": comp[comp] != np.arange(len(reps)),
+        "complement-unique":
+            lambda b: (part.owner[(n - E[b]) % n] != comp[b, None]).any(axis=1),
+        "complement-cardinality": lambda b: cards[comp[b]] != cards[b],
+        "complement-oplus-zero": lambda b: ~zero[b],
+        "complement-gap-equal": lambda b: gaps[comp[b]] != gaps[b],
+        "complement-involution": lambda b: comp[comp[b]] != np.arange(b.start, b.stop),
     }
     for check, mask in failing.items():
-        last = np.flatnonzero(mask)[-1:].tolist()
+        last = np.flatnonzero(cs._by_blocks(mask, len(reps)))[-1:].tolist()
         detail = f"coset {part.coset(last[0]).rep}" if last else ""
         if last and check == "complement-unique":
             comps = {part.at((n - x) % n).rep for x in part.coset(last[0]).elements}

@@ -85,6 +85,18 @@ def test_codes_compare_and_hash_on_their_cosets():
     assert a != code_from_cosets(5, 2, [0, 1])
 
 
+def test_codes_build_their_extension_field_on_first_read():
+    # ext is fixed by base and m, so it is no part of a code's value: two
+    # codes from the same coset {1, 4} mod 15 are equal whether or not one
+    # of them has built GF(16)
+    a, b = code_from_cosets(4, 2, [1]), code_from_cosets(4, 2, [4])
+    assert "ext" not in vars(a) and "ext" not in vars(b)
+    assert a == b and hash(a) == hash(b)
+    assert a.ext is gf.make_field(2, 4) and a.ext is a.ext
+    assert "ext" in vars(a) and "ext" not in vars(b)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
 def test_defining_set_closed_under_multiplier():
     ds = DefiningSet.from_exponents(5, 2, [1, 7])
     zs = set(ds.exponents)

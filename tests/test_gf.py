@@ -1,3 +1,4 @@
+import copy
 import itertools
 import time
 import tracemalloc
@@ -761,6 +762,37 @@ def test_tables_match_scalar_arithmetic(q):
     products = [[exp[(log[x] + log[y]) % (q - 1)] if x and y else 0 for y in range(q)]
                 for x in range(q)]
     assert gf._mul(f, a, b).tolist() == f._mul_table.tolist() == products
+
+
+@pytest.mark.parametrize("p,e", _prime_powers_to(512))
+def test_tables_match_the_table_free_kernel(p, e):
+    # the tables come from int32 digit sums and one gather from the
+    # circulant of the exp table; the kernel's Zech and log/exp paths, run
+    # on a copy of the field that has no tables, are the reference
+    f = make_field(p, e)
+    bare = copy.copy(f)
+    bare._add_table = bare._mul_table = None
+    a, b = np.ix_(range(f.q), range(f.q))
+    assert f._mul_table.dtype == np.int32
+    assert np.array_equal(f._mul_table, gf._mul(bare, a, b))
+    if p > 2:
+        assert f._add_table.dtype == np.int32
+        assert np.array_equal(f._add_table, gf._add(bare, a, b))
+
+
+@pytest.mark.parametrize("p,e,bound", [(2, 9, 3e6), (7, 3, 2e6)])
+def test_make_field_tables_peak_near_their_size(p, e, bound):
+    # GF(2^9) has a 1 MB int32 multiplication table, GF(7^3) two 0.47 MB
+    # tables; each is built with at most one q x q int32 temporary.  Through
+    # the table-free kernel on q x q int64 index grids the builds peaked at
+    # 5.5 and 3.1 MB
+    tracemalloc.start()
+    try:
+        gf.make_field.__wrapped__(p, e)  # a fresh build, not the cache's
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"GF({p}^{e}) peaked at {peak / 1e6:.2f} MB"
 
 
 @st.composite

@@ -628,6 +628,37 @@ def test_sweep_keeps_one_partition():
     assert cosets._partition.cache_info().currsize <= 1
 
 
+def test_sweep_checks_peak_below_eight_mb():
+    # q = 983, m = 2: 483,635 cosets in an 11.6 MB partition, built before
+    # tracing.  The checks read every element a block of orbit rows at a
+    # time, so besides one block the sweep holds arrays of one entry per
+    # coset (gaps and complements, 1.9 MB each); with (E + 1) % n,
+    # (n - E) % n, their owner gathers and oplus's sums over the whole
+    # partition it peaked at 15.0 MB
+    cosets.partition(983, 2)
+    tracemalloc.start()
+    try:
+        assert coset_theorem_sweep([983], [2]).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, f"the sweep peaked at {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+def test_sweep_does_not_depend_on_the_block(monkeypatch, rows):
+    # 44 cosets at (5, 3): one block at the default size, and 44 or 9 here,
+    # the last one short; the whole-partition questions and every record
+    part = cosets.partition(5, 3)
+    comp = part.complements()
+    whole = part.gaps(), part.mixed(), part.oplus(comp)
+    records = coset_theorem_sweep([5, 7], [3]).records
+    monkeypatch.setattr(cosets, "_ROWS", rows)
+    for got, want in zip((part.gaps(), part.mixed(), part.oplus(comp)), whole):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert coset_theorem_sweep([5, 7], [3]).records == records
+
+
 def test_sweep_report_status_rule():
     report = oracle.SweepReport()
     for ok in (None, True, False):

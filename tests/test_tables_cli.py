@@ -122,6 +122,29 @@ def test_tables_build_only_the_generators_they_read(monkeypatch):
     assert 0 < len(built) <= 2
 
 
+def test_tables_1_and_2_build_only_the_fields_they_read(monkeypatch):
+    # a code's extension field is built on first read, by its generator or
+    # its check matrices; tables 1 and 2 read them only for the codes whose
+    # basis the oracle enumerates
+    codes, read = [], {}
+    real_code, real_basis = cyclic.code_from_cosets, cyclic.codeword_basis
+
+    def code(q, m, exponents):
+        codes.append(real_code(q, m, exponents))
+        return codes[-1]
+
+    def basis(code):
+        read.setdefault(id(code), code)
+        return real_basis(code)
+
+    monkeypatch.setattr(cyclic, "code_from_cosets", code)
+    monkeypatch.setattr(cyclic, "codeword_basis", basis)
+    build_table(1)
+    build_table(2)
+    assert len(codes) > 50 and read
+    assert {id(c) for c in codes if "ext" in vars(c)} == set(read)
+
+
 def test_build_table_rejects_unknown():
     with pytest.raises(ValueError):
         build_table(4)
@@ -621,6 +644,27 @@ def test_cli_verify_conv_does_not_import_numpy_random():
     done = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
                           capture_output=True, text=True, check=True, timeout=120)
     assert done.stdout == "False\n"
+
+
+def test_cli_verify_all_never_builds_gf_343():
+    # the ladder (7, 3, c) rows are all oracle-skipped, so nothing reads
+    # their extension field; building GF(7^3) raised the command's peak RSS
+    # by 2.6 MB.  A fresh interpreter, as make_field's cache is process-wide
+    script = (
+        "import contextlib, io\n"
+        "from cosetcodes import cli, gf\n"
+        "built, init = [], gf.FieldContext.__init__\n"
+        "def record(self, p, e, defining):\n"
+        "    built.append((p, e))\n"
+        "    init(self, p, e, defining)\n"
+        "gf.FieldContext.__init__ = record\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert cli.main(['verify', 'all', '--format', 'json']) == 0\n"
+        "print((7, 3) in built, len(built))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
+                          capture_output=True, text=True, check=True, timeout=120)
+    seven_cubed, count = done.stdout.split()
+    assert seven_cubed == "False" and int(count) <= 15  # 21 fields when every code built its own
 
 
 # the messages of some usage errors
