@@ -11,11 +11,14 @@ run-based bounds of the split pieces, and an independent bounded search
 for low-degree dual codewords that upper-bounds the free distance.
 
 split_parity checks the split on coset representatives, as ints, and
-returns H0 and H1 as 2-D label arrays, an empty piece as a (0, n) array;
-build_conv copies them into G's blocks as they are.
-PolyMatrix holds G as one read-only (memory + 1, kappa, n) label array.
+cuts H0 and H1 from one check_matrix_blocks call on head and tail, as 2-D
+label arrays, an empty piece as a (0, n) array; build_conv copies them
+into G's blocks as they are.
+PolyMatrix holds G as one read-only (memory + 1, kappa, n) label array,
+which build_conv hands over with no second copy.
 The reduced/basic check is one gf.rank call on the nonzero rows of all of
-its coefficient blocks, with no evaluation of G(s).
+its coefficient blocks, with no evaluation of G(s): on their leading
+square first, and on all n columns only when that square is singular.
 The sliding check stack places whole coefficient blocks.  The five
 families are one builder, _split_family, called with their cosets, for
 prime powers 4 <= q <= MAX_Q.
@@ -35,15 +38,19 @@ from .gf import FieldContext
 
 @dataclass(frozen=True, eq=False)
 class PolyMatrix:
-    """Matrix of polynomials in the delay variable: a read-only copy of its
-    coefficient matrices, constant term first, as one label array."""
+    """Matrix of polynomials in the delay variable: its coefficient
+    matrices, constant term first, as one read-only int64 label array.  A
+    read-only int64 array is kept as it is; anything else is copied."""
 
     field: FieldContext
     blocks: np.ndarray
 
     def __post_init__(self):
-        blocks = np.array(self.blocks, dtype=np.int64)
-        blocks.flags.writeable = False
+        blocks = self.blocks
+        if not (isinstance(blocks, np.ndarray) and blocks.dtype == np.int64
+                and not blocks.flags.writeable):
+            blocks = np.array(blocks, dtype=np.int64)
+            blocks.flags.writeable = False
         object.__setattr__(self, "blocks", blocks)
 
     @property
@@ -108,8 +115,10 @@ def split_parity(parent: CyclicCode, head_exponents, tail_exponents):
         raise ValueError("head and tail exponent sets overlap")
     if head_reps | tail_reps != set(parent.defining.reps):
         raise ValueError("head and tail do not cover the parent defining set")
-    h0 = cyclic.parity_check_matrix(parent, head)
-    h1 = cyclic.parity_check_matrix(parent, tail)
+    # the head's cosets come first in the one stack of blocks
+    blocks, keep = cyclic.check_matrix_blocks(parent, head + tail)
+    cut = len(head_reps)
+    h0, h1 = blocks[:cut][keep[:cut]], blocks[cut:][keep[cut:]]
     if len(h0) < len(h1):
         raise ValueError(
             f"rank condition violated: rank H0 = {len(h0)} < rank H1 = {len(h1)}"
@@ -142,6 +151,7 @@ def build_conv(
     blocks[0] = h0
     if memory:
         blocks[1, :gamma] = h1
+    blocks.flags.writeable = False  # G keeps this array, with no copy
     G = PolyMatrix(field=head.base, blocks=blocks)
     d0 = cyclic.bch_bound(head)
     d1 = cyclic.bch_bound(tail)
@@ -262,12 +272,21 @@ def check_reduced_basic(G: PolyMatrix) -> BasicnessReport:
     row of the leading matrix is one of the independent rows, so G is also
     reduced.  For the five families the rows are those of H0 and H1, which
     come from disjoint cosets, whose minimal ideals form a direct sum.
+
+    The R rows are ranked on their leading R x R square first: if it has
+    rank R, so do the rows.  For the families it always has, as the rows
+    span the dual of the parent cyclic code, of dimension R, in which any
+    R consecutive positions are an information set (MacWilliams & Sloane,
+    ch. 7).  Otherwise the rows are ranked on all n columns.
     """
     nonzero = G.blocks.any(axis=2)  # (blocks, kappa)
     rows = G.blocks[nonzero]
+    rank = gf.rank(G.field, rows[:, :len(rows)])
+    if rank < len(rows):
+        rank = gf.rank(G.field, rows)
     return BasicnessReport(kappa=G.kappa,
                            zero_rows_h0=int(np.count_nonzero(~nonzero[0])),
-                           rows=len(rows), rank=gf.rank(G.field, rows))
+                           rows=len(rows), rank=rank)
 
 
 def _sliding_check_stack(G: PolyMatrix, max_degree: int) -> np.ndarray:

@@ -170,6 +170,7 @@ def _fold_rotation(least: np.ndarray, q: int, m: int, j: int) -> None:
 
 @lru_cache(maxsize=1)  # the sweep visits each (q, m) once
 def _partition(q: int, n: int) -> Partition:
+    _one_partition.cache_clear()  # the last one goes before this one is built
     m = 1  # n = q^m - 1
     while q**m <= n:
         m += 1
@@ -199,6 +200,9 @@ def _partition(q: int, n: int) -> Partition:
     for a in (owner, reps, cards, elements):  # shared by every caller through the cache
         a.flags.writeable = False
     return Partition(q, n, owner, reps, cards, elements)
+
+
+_one_partition = _partition  # stays the cache where a test replaces _partition
 
 
 def partition(q: int, m: int) -> Partition:

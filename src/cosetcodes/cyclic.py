@@ -8,7 +8,7 @@ parts that need it: the generator polynomial, a read-only label array
 also built on first read, and the check matrices.  The run-based
 designed-distance bound, duals, the dual-containing test and parity-check
 matrices (expanded over the base field, and cut from blocks reduced coset
-by coset) all live here.
+by coset, each block built once per process) all live here.
 """
 
 from __future__ import annotations
@@ -141,6 +141,9 @@ def nested(outer: CyclicCode, inner: CyclicCode) -> bool:
     return set(outer.defining.exponents) <= set(inner.defining.exponents)
 
 
+_BLOCKS: dict = {}  # (ext, base) -> {exponent: (block, keep-mask)}, read-only
+
+
 def check_matrix_blocks(code: CyclicCode, rows) -> tuple[np.ndarray, np.ndarray]:
     """parity_check_matrix's (R, m, n) stack of expanded blocks, one for the
     first exponent of each coset in `rows`, and the (R, m) mask of the rows
@@ -149,7 +152,12 @@ def check_matrix_blocks(code: CyclicCode, rows) -> tuple[np.ndarray, np.ndarray]
     of distinct cosets form a direct sum (MacWilliams & Sloane, ch. 8): a
     later exponent of a coset adds no row, each block keeps what it would
     keep alone, and any ordered subset of the blocks, cut by their masks,
-    is the check matrix of its exponents."""
+    is the check matrix of its exponents.
+
+    So each exponent's block and mask are built once per process and kept
+    in _BLOCKS; a call expands and reduces only the exponents not kept yet.
+    When it keeps none of them, it returns the new read-only arrays
+    themselves; otherwise a new stack of the kept ones."""
     n, q, m = code.n, code.q, code.m
     rows = np.asarray(list(rows), dtype=np.int64)
     bad = rows[(rows < 0) | (rows >= n)]
@@ -159,13 +167,22 @@ def check_matrix_blocks(code: CyclicCode, rows) -> tuple[np.ndarray, np.ndarray]
     # rows * q^j < n^2 <= 2^40, and no partition is needed at any modulus
     least = (rows[:, None] * q ** np.arange(m) % n).min(axis=1)
     first = {}
-    for i, x in enumerate(least.tolist()):
+    for x, i in zip(least.tolist(), rows.tolist()):
         first.setdefault(x, i)
-    rows = rows[list(first.values())]
-    raw = gf.expand_matrix(code.ext, code.base,
-                           code.ext._np_exp[np.outer(rows, np.arange(n)) % n])
-    blocks = raw.reshape(len(rows), m, n)
-    return blocks, gf.independent_rows(code.base, blocks)
+    rows = list(first.values())
+    memo = _BLOCKS.setdefault((code.ext, code.base), {})
+    fresh = np.array([x for x in rows if x not in memo], dtype=np.int64)
+    if fresh.size or not rows:
+        raw = gf.expand_matrix(code.ext, code.base,
+                               code.ext._np_exp[np.outer(fresh, np.arange(n)) % n])
+        blocks = raw.reshape(len(fresh), m, n)
+        keep = gf.independent_rows(code.base, blocks)
+        blocks.flags.writeable = keep.flags.writeable = False
+        memo.update(zip(fresh.tolist(), zip(blocks, keep)))
+        if len(fresh) == len(rows):
+            return blocks, keep
+    return (np.stack([memo[x][0] for x in rows]),
+            np.stack([memo[x][1] for x in rows]))
 
 
 def parity_check_matrix(code: CyclicCode, rows) -> np.ndarray:

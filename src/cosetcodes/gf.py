@@ -446,7 +446,7 @@ def expand_matrix(ctx_ext: FieldContext, base: FieldContext, rows) -> np.ndarray
     respect to the polynomial basis 1, alpha, ..., alpha^(m-1).  A
     base-field vector is orthogonal to an extension row iff it is
     orthogonal to all m expanded rows.  The coordinate change comes from
-    the cached subfield embedding.
+    the cached subfield embedding.  The result is an int32 label array.
     """
     emb = subfield_embedding(ctx_ext, base)
     A = np.asarray(rows)  # _digits widens each block
@@ -455,7 +455,7 @@ def expand_matrix(ctx_ext: FieldContext, base: FieldContext, rows) -> np.ndarray
     if A.size and (A.min() < 0 or A.max() >= ctx_ext.q):
         raise ValueError("matrix entries out of field range")
     r, n = A.shape
-    out = np.empty((r, emb.m, n), dtype=np.int64)
+    out = np.empty((r, emb.m, n), dtype=np.int32)
     # a block of rows at a time, so each (rows, n, e) digit temporary holds
     # at most 2^17 digits
     step = max(1, (1 << 17) // max(1, n * ctx_ext.e))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cosetcodes import conv, cyclic, gf, oracle, verify
+from cosetcodes import conv, cosets, cyclic, gf, oracle, verify
 from cosetcodes.conv import (
     PolyMatrix,
     build_conv,
@@ -54,6 +54,43 @@ def test_matrices_are_label_arrays_that_keep_their_width():
                  (cyclic.codeword_basis(zero_code), 15),
                  (conv._sliding_check_stack(kappa0, 0), 15)]:
         assert isinstance(M, np.ndarray) and M.shape == (0, n)
+
+
+@st.composite
+def head_tail_splits(draw):
+    """(parent, head, tail): the parent's cosets split at random, each side
+    naming its cosets by any of their elements, some more than once."""
+    q = draw(st.sampled_from([4, 5, 7, 8, 9]))
+    parent = cyclic.code_from_cosets(q, 2, draw(st.lists(st.integers(0, q * q - 2),
+                                                         max_size=8)))
+    head, tail = [], []
+    for rep in parent.defining.reps:
+        elements = cosets.coset_of(q, 2, rep).elements
+        draw(st.sampled_from([head, tail])).extend(
+            draw(st.lists(st.sampled_from(elements), min_size=1, max_size=3)))
+    return parent, draw(st.permutations(head)), draw(st.permutations(tail))
+
+
+@settings(max_examples=100, deadline=None)
+@given(head_tail_splits())
+@example((cyclic.code_from_cosets(4, 2, [1, 2, 3, 5]), [4, 1, 3, 12, 4], [5, 8, 2]))
+def test_one_call_split_matches_two_check_matrices(case):
+    parent, head, tail = case
+    h0, h1 = (cyclic.parity_check_matrix(parent, rows) for rows in (head, tail))
+    if len(h0) < len(h1):
+        with pytest.raises(ValueError, match="rank condition"):
+            split_parity(parent, head, tail)
+        return
+    for got, want in zip(split_parity(parent, head, tail), (h0, h1)):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def test_build_conv_makes_one_check_matrix_call(monkeypatch):
+    calls, blocks = [], cyclic.check_matrix_blocks
+    monkeypatch.setattr(cyclic, "check_matrix_blocks",
+                        lambda code, rows: calls.append(rows) or blocks(code, rows))
+    code = family_split_wide_head(5)
+    assert calls == [list(code.head.defining.reps) + list(code.tail.defining.reps)]
 
 
 def test_split_rejects_overlap_and_bad_cover():
@@ -164,6 +201,9 @@ def test_generator_is_a_read_only_copy():
     assert G.blocks.tolist() == [[[1, 2, 0], [0, 1, 3]]]
     with pytest.raises(ValueError):
         G.blocks[0, 0, 0] = 3
+    # a read-only int64 array, such as build_conv's own, is kept with no copy
+    assert PolyMatrix(field=G.field, blocks=G.blocks).blocks is G.blocks
+    assert family_split(4).generator.blocks.base is None
 
 
 def test_codes_compare_and_hash_on_their_split():
@@ -238,8 +278,12 @@ def test_reduced_basic_on_the_whole_conv_sweep_to_q16():
     instances = list(verify.conv_sweep((4, 5, 7, 8, 9, 11, 13, 16)))
     assert len(instances) == 54
     for fam, args in instances:
-        rep = check_reduced_basic(fam.build(**args).generator)
+        G = fam.build(**args).generator
+        rep = check_reduced_basic(G)
         assert rep.passed, (fam.name, args, rep.summary())
+        # the leading square alone reaches the rank, with no second rank
+        rows = G.blocks[G.blocks.any(axis=2)]
+        assert gf.rank(G.field, rows[:, :len(rows)]) == len(rows), (fam.name, args)
 
 
 # ---------------------------------------------------------------
@@ -410,6 +454,8 @@ def _ref_check_reduced_basic(G):
 @settings(max_examples=200, deadline=None)
 @given(poly_matrices())
 @example(PolyMatrix(field=field_for(4), blocks=np.zeros((2, 0, 3), dtype=np.int64)))
+# the leading square is singular, and the rows are independent
+@example(PolyMatrix(field=field_for(3), blocks=(((1, 0, 0),), ((1, 0, 2),))))
 def test_batched_basicness_check_matches_separate_ranks(G):
     rep = check_reduced_basic(G)
     assert rep == _ref_check_reduced_basic(G)

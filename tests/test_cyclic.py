@@ -1,4 +1,5 @@
 import itertools
+import os
 import re
 import tracemalloc
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cosetcodes import cosets, cyclic, gf, verify
+from cosetcodes import cli, cosets, cyclic, gf, verify
 from cosetcodes.cyclic import (
     DefiningSet,
     bch_bound,
@@ -20,6 +21,7 @@ from cosetcodes.cyclic import (
     parity_check_matrix,
 )
 from cosetcodes.gf import Poly, field_for, make_field, subfield_embedding
+from cosetcodes.tables import build_table
 
 from test_gf import _ref_add, _ref_mul, _ref_neg, _ref_x_pow_minus_one, _tables
 from test_partition import _ref_complementary, _ref_from_exponents
@@ -330,20 +332,89 @@ def test_check_matrix_matches_whole_matrix_selection(case):
         _ref_parity_check_matrix(code, rows).tolist()
 
 
-def test_check_matrix_over_gf2_peaks_below_three_and_a_half_stacks():
-    # the (3, 12, 4095) int64 stack is 1.18 MB; the elimination copies it
-    # once and XORs each step's int32 product into that copy, for about
-    # 3.2 stacks in all, against 3.7 with a separate sum per step
+def test_check_matrix_over_gf2_peaks_below_three_and_a_half_stacks(monkeypatch):
+    # a cold build, with the field built and no block kept: the (3, 12, 4095)
+    # stack is 0.59 MB in int32 (1.18 MB in int64); the elimination copies it
+    # once and XORs each step's int32 product into that copy.  The bound
+    # stays at 3.5 int64 stacks, 4.13 MB: the build takes about 3.0 MB, and
+    # took 3.77 MB while expand_matrix returned int64
     code = code_from_cosets(2, 12, [1, 3, 5])
     blocks, _ = cyclic.check_matrix_blocks(code, [1, 3, 5])
+    monkeypatch.setattr(cyclic, "_BLOCKS", {})
     tracemalloc.start()
     try:
         H = parity_check_matrix(code, [1, 3, 5])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert H.shape == (36, 4095)
-    assert peak < 3.5 * blocks.nbytes
+    assert H.shape == (36, 4095) and blocks.dtype == np.int32
+    assert peak < 3.5 * blocks.size * 8, f"peaked at {peak / 1e6:.2f} MB"
+
+
+@st.composite
+def overlapping_rows(draw):
+    """(q, m, A, B): rows B that overlap the rows A in exponents, in other
+    exponents of the same cosets, and in new cosets."""
+    q, m, warm = draw(check_matrix_rows())
+    n = q**m - 1
+    same = st.tuples(st.sampled_from(warm), st.integers(0, m - 1)).map(
+        lambda a: a[0] * q ** a[1] % n) if warm else st.nothing()
+    return q, m, warm, draw(st.lists(st.one_of(same, st.integers(0, n - 1)), max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(overlapping_rows())
+@example((4, 2, [1, 5], [4, 5, 2, 1]))
+@example((2, 4, [], [3, 0]))
+def test_kept_blocks_give_the_cold_check_matrix(case):
+    q, m, warm, rows = case
+    code = code_from_cosets(q, m, warm)
+    cyclic._BLOCKS.clear()
+    cold = parity_check_matrix(code, rows)
+    cyclic._BLOCKS.clear()
+    parity_check_matrix(code, warm)
+    H = parity_check_matrix(code, rows)
+    assert (H.dtype, H.shape, H.tobytes()) == (cold.dtype, cold.shape, cold.tobytes())
+    assert H.tolist() == _ref_parity_check_matrix(code, rows).tolist()
+
+
+def test_kept_blocks_are_read_only_and_check_matrices_are_copies(monkeypatch):
+    monkeypatch.setattr(cyclic, "_BLOCKS", {})
+    code = code_from_cosets(4, 2, [1, 2, 3])
+    blocks, keep = cyclic.check_matrix_blocks(code, [1, 2])  # a cold build, returned itself
+    kept = cyclic._BLOCKS[code.ext, code.base]
+    assert sorted(kept) == [1, 2]
+    for block, mask in [(blocks, keep), *kept.values()]:
+        assert not block.flags.writeable and not mask.flags.writeable
+    H = parity_check_matrix(code, [2, 3, 1])  # one new block, stacked with the kept ones
+    expected = H.tolist()
+    H[:] = 0
+    assert parity_check_matrix(code, [2, 3, 1]).tolist() == expected
+    assert parity_check_matrix(code, [1, 2]).tolist() == blocks[keep].tolist()
+
+
+def _expanded_rows(monkeypatch):
+    """The row count of each gf.expand_matrix call from now on, with no
+    block kept."""
+    calls, expand = [], gf.expand_matrix
+    monkeypatch.setattr(cyclic, "_BLOCKS", {})
+    monkeypatch.setattr(gf, "expand_matrix",
+                        lambda ext, base, rows: calls.append(len(rows)) or expand(ext, base, rows))
+    return calls
+
+
+def test_table_3_expands_each_coset_block_once(monkeypatch):
+    # 557 blocks in 66 calls while each call expanded all of its rows
+    calls = _expanded_rows(monkeypatch)
+    build_table(3)
+    assert (sum(calls), len(calls)) == (138, 8)
+
+
+def test_verify_all_expands_each_coset_block_once(monkeypatch):
+    # 460 blocks in 63 calls while each call expanded all of its rows
+    calls = _expanded_rows(monkeypatch)
+    assert cli.main(["verify", "all", "--format", "json", "--out", os.devnull]) == 0
+    assert (sum(calls), len(calls)) == (190, 9)
 
 
 # ---------------------------------------------------------------
