@@ -205,12 +205,12 @@ def _coset_layout(args, part) -> tuple[str, np.ndarray, np.ndarray, str, str]:
 
 def cmd_cosets(args, cfg) -> int:
     """List the cosets, streamed 4096 rows per write (231,135 rows at the
-    modulus cap).  Each block takes its gaps, complements and fields from
-    its own rows of the partition, so no array the size of the partition is
-    built; numpy gathers the block's row images, writes every field's digits
-    into them (_decimal) and keeps the bytes that are not 0, so no value is
-    formatted in Python.  For odd q every element of a coset has its rep's
-    parity: x q = x mod 2, and q^m - 1 is even."""
+    modulus cap).  Each block takes every field from its orbit rows, read
+    from the representatives, so no array the size of the partition is
+    built: the complement of C_r is -C_r, whose rep is n - max(C_r).  numpy
+    gathers the block's row images, writes every field's digits into them
+    (_decimal) and drops their 0 bytes, so no value is formatted in Python.
+    For odd q a coset's elements have its rep's parity: q is odd, n even."""
     q, m = args.q, args.m
     with _usage_errors(args):
         part = cosets.partition(q, m)
@@ -220,17 +220,17 @@ def cmd_cosets(args, cfg) -> int:
         for a in range(0, len(part.reps), 4096):
             # the block's fields as columns; -1 marks a field that a row lacks
             blk = slice(a, a + 4096)
-            reps, cards, gaps = part.reps[blk], part.cards[blk], 0
-            fields = [reps, part.elements[blk]]
+            reps, rows, gaps = part.reps[blk], part.rows(blk), 0
+            cards, fields = cosets._cards(rows), [reps, rows]
             if args.properties:
                 gaps = part.gaps(blk)
-                fields += [np.where(gaps > 0, gaps, -1), part.reps[part.complements(blk)]]
+                fields += [np.where(gaps > 0, gaps, -1), (part.n - rows.max(axis=1)) % part.n]
             vals = np.column_stack(fields)
             vals[:, 1:m + 1][np.arange(m) >= cards[:, None]] = -1
             buf = images[(2 * cards + np.minimum(gaps, 1)) * 2 + reps % 2]
             for j, pairs in enumerate(_decimal(vals)):
                 buf.view(np.uint16)[:, columns + j] = pairs
-            text = buf[buf != 0].tobytes().decode()
+            text = buf.tobytes().translate(None, b"\0").decode()
             fh.write(text if a else text.removeprefix(sep))
         fh.write(tail)
     return 0

@@ -2,27 +2,21 @@
 
 Everything here is plain modular arithmetic; no field tables are involved.
 All values are immutable and all functions are pure.  For n up to
-MAX_MODULUS the partition into cosets is built as numpy int32 arrays, and
-every coset question is a lookup into it.  Only the last partition built
-is cached: the constructors ask about one (q, m) at a time, and the coset
-sweep visits each pair once.  Multiplying by q modulo q^m - 1 rotates the m
-base-q digits of a residue, so the least element of each orbit needs no
-division: each rotation is folded in by broadcast adds over blocks of rows
-(_fold_rotation), and the build holds at most one n-sized array besides
-the owner array it returns.  union_of turns the exponents of a defining
-set into its coset representatives and elements, as ints, with one mask
-over the owner array, and Coset objects are left to inspection.  Larger
-moduli walk the orbit instead.  The gap, parity, complement and oplus
-structure are arrays over the orbit rows.  The gaps, parity and oplus are
-computed a block of rows at a time (_by_blocks), so their temporaries hold
-one block; gaps and complements also take a slice of the rows, which the
-coset listing reads one block at a time.
+MAX_MODULUS a partition is its int32 coset representatives, and every
+coset question is a lookup into numpy arrays built from them on first
+read.  Only the last partition built is cached; its build holds no n-sized
+array, so the last one's arrays go before any are built.  Multiplying by q
+modulo q^m - 1 rotates the m base-q digits of a residue, so the build needs
+no division.  Larger moduli walk the orbit instead.  The gap, parity,
+complement and oplus structure are arrays over the orbit rows, computed a
+block of rows at a time (_by_blocks); the gaps and the coset listing read
+their rows from the representatives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -69,22 +63,53 @@ def _coset_by_walk(q: int, n: int, a: int) -> Coset:
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """All cosets modulo n = q^m - 1 as arrays, sorted by representative.
+    """All cosets modulo n = q^m - 1, sorted by representative.
 
-    owner[x] is the index of the coset containing residue x, and row i of
-    `elements` is reps[i] * q^j mod n for j < m: the orbit of coset i, its
-    first cards[i] entries, repeated m / cards[i] times.  A min, any or all
-    along a whole row is therefore the same as over the orbit, so every
-    whole-partition question reads the full rows.  The complement of coset
-    i is the single lookup owner[(n - reps[i]) % n].
+    Row i of rows() is reps[i] q^j mod n for j < m: the orbit of coset i,
+    its first cards[i] entries, repeated m / cards[i] times, so a min, any
+    or all along a whole row is the same as over the orbit.  owner[x] is
+    the index of the coset containing residue x, so the complement of coset
+    i is owner[(n - reps[i]) % n].  owner, elements (every row) and cards
+    are built on first read, a block of rows at a time.
     """
 
     q: int
     n: int
-    owner: np.ndarray  # all four int32
-    reps: np.ndarray
-    cards: np.ndarray
-    elements: np.ndarray
+    m: int
+    reps: np.ndarray  # int32, like every array built from it
+
+    def rows(self, blk: slice = slice(None)) -> np.ndarray:
+        """The orbit rows of the cosets in blk: x q mod n rotates x's digits."""
+        out = np.empty((len(self.reps[blk]), self.m), np.int32)
+        out[:, 0] = self.reps[blk]
+        for j in range(1, self.m):
+            hi, lo = np.divmod(out[:, j - 1], self.q ** (self.m - 1))
+            out[:, j] = lo * self.q + hi
+        return out
+
+    @cached_property
+    def elements(self) -> np.ndarray:
+        out = np.empty((len(self.reps), self.m), np.int32)
+        for s, e in _chunks(len(self.reps), _ROWS):
+            out[s:e] = self.rows(slice(s, e))
+        out.flags.writeable = False  # shared by every caller through the cache
+        return out
+
+    @cached_property
+    def cards(self) -> np.ndarray:
+        out = np.empty(len(self.reps), np.int32)
+        for s, e in _chunks(len(self.reps), _ROWS):
+            out[s:e] = _cards(self.elements[s:e])
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def owner(self) -> np.ndarray:
+        out = np.empty(self.n, np.int32)
+        for s, e in _chunks(len(self.reps), _ROWS):  # each row repeats its own orbit
+            out[self.rows(slice(s, e))] = np.arange(s, e, dtype=np.int32)[:, None]
+        out.flags.writeable = False
+        return out
 
     def coset(self, i: int) -> Coset:
         """Coset i, built from row i of `elements`."""
@@ -109,12 +134,11 @@ class Partition:
         """The gap per coset of `rows`: the least difference between adjacent
         sorted elements, 0 for singletons, whose rows hold no positive
         difference."""
-        E = self.elements[rows]
-
-        def block(b):
-            d = np.diff(np.sort(E[b], axis=1), axis=1)
+        a, b, _ = rows.indices(len(self.reps))
+        def block(r):
+            d = np.diff(np.sort(self.rows(slice(a + r.start, a + r.stop)), axis=1), axis=1)
             return np.min(d, axis=1, where=d > 0, initial=self.n) % self.n
-        return _by_blocks(block, len(E))
+        return _by_blocks(block, max(b - a, 0))
 
     def mixed(self) -> np.ndarray:
         """True for each coset with both even and odd elements."""
@@ -140,7 +164,7 @@ _CHUNK = 1 << 16  # residues per step of the partition build
 _ROWS = 1 << 12  # orbit rows per block of a whole-partition question
 
 
-def _chunks(n: int, step: int = _CHUNK):
+def _chunks(n: int, step: int):
     """The bounds (s, e) of consecutive slices of range(n), step long."""
     return ((s, min(s + step, n)) for s in range(0, n, step))
 
@@ -153,56 +177,32 @@ def _by_blocks(f, count: int) -> np.ndarray:
                           or [f(slice(0, 0))])
 
 
-def _fold_rotation(least: np.ndarray, q: int, m: int, j: int) -> None:
-    """least = min(least, x q^j mod n) for every x < n = q^m - 1, a rotation
-    of the m base-q digits of x.  With x = a q^(m-j) + b and b < q^(m-j), the
-    image is b q^j + a, since q^m = 1 mod n: entry (a, b) of a
-    q^j x q^(m-j) grid whose rows list the images of consecutive x.  Each
-    step adds a block of rows a to the row b q^j by one broadcast, so no
-    image of the whole range is built; the last entry, of x = n, is cut."""
-    qj, width = q**j, q ** (m - j)
-    row = np.arange(0, width * qj, qj, dtype=np.int32)
-    for a, b in _chunks(qj, max(1, _CHUNK // width)):
-        block = (row + np.arange(a, b, dtype=np.int32)[:, None]).ravel()
-        chunk = least[a * width:b * width]
-        np.minimum(chunk, block[:len(chunk)], out=chunk)
+def _cards(rows: np.ndarray) -> np.ndarray:
+    """The size of each coset of some orbit rows, met m / size times."""
+    return len(rows.T) // sum(col == rows[:, 0] for col in rows.T)
 
 
 @lru_cache(maxsize=1)  # the sweep visits each (q, m) once
 def _partition(q: int, n: int) -> Partition:
-    _one_partition.cache_clear()  # the last one goes before this one is built
     m = 1  # n = q^m - 1
     while q**m <= n:
         m += 1
-    # The least element of each orbit is the running minimum of its m digit
-    # rotations.  Every value stays below q^m <= MAX_MODULUS + 1, so every
-    # array is int32; least is freed before the element rows are built.
-    least = np.arange(n, dtype=np.int32)
-    for j in range(1, m):
-        _fold_rotation(least, q, m, j)
-    reps = np.concatenate([np.flatnonzero(least[s:e] == np.arange(s, e, dtype=np.int32))
-                           .astype(np.int32) + s for s, e in _chunks(n)])
-    # least[x] <= x is a rep, whose owner is set before any chunk reads it
-    owner = np.empty(n, np.int32)
-    owner[reps] = np.arange(len(reps), dtype=np.int32)
-    for s, e in _chunks(n):
-        owner[s:e] = owner[least[s:e]]
-    del least
-    elements = np.empty((len(reps), m), np.int32)
-    elements[:, 0] = reps
-    step = np.empty(len(reps), np.int64)  # x -> x q mod n on the reps' orbits only
-    for j in range(1, m):
-        np.multiply(elements[:, j - 1], q, out=step, dtype=np.int64)
-        elements[:, j] = np.remainder(step, n, out=step)
-    del step
-    # an orbit of k elements meets its rep m / k times along its row
-    cards = m // (elements == reps[:, None]).sum(axis=1, dtype=np.int32)
-    for a in (owner, reps, cards, elements):  # shared by every caller through the cache
-        a.flags.writeable = False
-    return Partition(q, n, owner, reps, cards, elements)
-
-
-_one_partition = _partition  # stays the cache where a test replaces _partition
+    # x is a rep iff it is the least of its m digit rotations.  Rotation j
+    # maps x = a w + b, b < w = q^(m-j), to b q^j + a (q^m = 1 mod n), entry
+    # (a, b) of a grid of width w over consecutive x.  A chunk is whole rows
+    # of every grid (the last cut at x = n): one int32 broadcast per rotation.
+    top, reps = q ** (m - 1), []
+    for s, e in _chunks(n, top * max(1, _CHUNK // top)):
+        x = np.arange(s, e, dtype=np.int32)
+        least = x.copy()
+        for w in (q**i for i in range(1, m)):
+            grid = np.arange(0, q**m, q**m // w, dtype=np.int32)
+            grid = grid + np.arange(s // w, -(-e // w), dtype=np.int32)[:, None]
+            np.minimum(least, grid.ravel()[:e - s], out=least)
+        reps.append(np.flatnonzero(least == x).astype(np.int32) + s)
+    reps = np.concatenate(reps)
+    reps.flags.writeable = False
+    return Partition(q, n, m, reps)
 
 
 def partition(q: int, m: int) -> Partition:

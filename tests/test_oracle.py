@@ -2,7 +2,7 @@ import json
 import random
 import time
 import tracemalloc
-from dataclasses import astuple, replace
+from dataclasses import astuple
 from itertools import product
 from pathlib import Path
 
@@ -522,7 +522,8 @@ def test_sweep_records_match_the_recorded_short_coset_sweep():
 def _corrupted_partition(q, m, swaps, rotations):
     """The partition mod q^m - 1 with the owners of each pair of residues
     in swaps exchanged, and each coset whose representative is in rotations
-    listed from its second element, which then stands as its rep."""
+    listed from its second element, which then stands as its rep.  The
+    arrays go into the instance dict, which a cached_property reads first."""
     part = cosets.partition(q, m)
     owner, reps, elements = part.owner.copy(), part.reps.copy(), part.elements.copy()
     for x, y in swaps:
@@ -532,7 +533,9 @@ def _corrupted_partition(q, m, swaps, rotations):
         k = int(part.cards[i])
         elements[i, :k] = np.roll(elements[i, :k], -1)
         reps[i] = elements[i, 0]
-    return replace(part, owner=owner, reps=reps, elements=elements)
+    bad = cosets.Partition(q, part.n, m, reps)
+    vars(bad).update(owner=owner, cards=part.cards, elements=elements)
+    return bad
 
 
 # the range checks' records, recorded from the per-residue coset_of sweep
@@ -631,13 +634,14 @@ def test_sweep_keeps_one_partition():
 
 
 def test_sweep_checks_peak_below_eight_mb():
-    # q = 983, m = 2: 483,635 cosets in an 11.6 MB partition, built before
-    # tracing.  The checks read every element a block of orbit rows at a
-    # time, so besides one block the sweep holds arrays of one entry per
-    # coset (gaps and complements, 1.9 MB each); with (E + 1) % n,
-    # (n - E) % n, their owner gathers and oplus's sums over the whole
-    # partition it peaked at 15.0 MB
-    cosets.partition(983, 2)
+    # q = 983, m = 2: 483,635 cosets in an 11.6 MB partition, whose arrays
+    # are all read before tracing.  The checks read every element a block
+    # of orbit rows at a time, so besides one block the sweep holds arrays
+    # of one entry per coset (gaps and complements, 1.9 MB each); with
+    # (E + 1) % n, (n - E) % n, their owner gathers and oplus's sums over
+    # the whole partition it peaked at 15.0 MB
+    part = cosets.partition(983, 2)
+    part.owner, part.elements, part.cards
     tracemalloc.start()
     try:
         assert coset_theorem_sweep([983], [2]).passed
@@ -700,7 +704,8 @@ def test_sweep_complement_unique_names_a_split_coset(monkeypatch):
     real = cosets.partition(3, 2)
     owner = real.owner.copy()
     owner[7] = owner[1]
-    fake = cosets.Partition(3, 8, owner, real.reps, real.cards, real.elements)
+    fake = cosets.Partition(3, 8, 2, real.reps)
+    vars(fake).update(owner=owner, cards=real.cards, elements=real.elements)
     monkeypatch.setattr(cosets, "_partition", lambda q, n: fake)
     report = coset_theorem_sweep([3], [2])
     status = {r.check: (r.status, r.detail) for r in report.records}

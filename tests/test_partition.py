@@ -157,18 +157,47 @@ def test_partition_matches_int64_reference(q, m):
 
 
 def test_partition_at_the_cap_peaks_below_12_mb():
-    # at n = 923,520 the peak is reached while elements is built: owner and
-    # elements, 3.7 MB each, the 230,880 reps, 0.9 MB, and one int64 column
-    # of x q products, 1.8 MB, for about 10.2 MB.  The running minimum is
-    # freed before elements is built, and would add 3.7 MB if it were kept;
-    # the int64 products of _ref_partition peak at 48.0 MB
+    # at n = 923,520 the build finds the 231,135 reps a chunk of 59,582
+    # residues at a time: the reps, 0.9 MB, their copy joined from the
+    # chunks, and one chunk's residues, running minimum and rotation images
+    # peak at 2.1 MB.  owner, elements and cards, 3.7, 3.7 and 0.9 MB, are
+    # built on first read into their own arrays, a block of orbit rows at a
+    # time, for 9.5 MB in all.  The build that made all four arrays at once
+    # peaked at 10.2 MB, and the int64 products of _ref_partition peak at
+    # 48.0 MB
     tracemalloc.start()
     try:
-        cosets._partition.__wrapped__(31, 923520)
+        part = cosets._partition.__wrapped__(31, 923520)
+        build = tracemalloc.get_traced_memory()[1]
+        part.owner, part.elements, part.cards
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12e6, f"the partition build peaked at {peak / 1e6:.1f} MB"
+    assert build < 3e6, f"the partition build peaked at {build / 1e6:.1f} MB"
+    assert peak < 12e6, f"the partition's arrays peaked at {peak / 1e6:.1f} MB"
+
+
+@settings(max_examples=100, deadline=None)
+@given(q_m(), st.integers(0, 10**4), st.integers(0, 4100))
+@example((2, 1), 0, 5).via("n = 1")
+@example((7, 1), 3, 10).via("m = 1")
+@example((2, 6), 11, 5).via("cosets of 1, 2 and 3 elements below m = 6")
+def test_row_blocks_match_int64_reference(qm, start, length):
+    # the listing's reading of a block of rows, the last block running past
+    # the final coset: its rows, its cardinalities and its complements'
+    # reps n - max(row), with none of the n-sized arrays built
+    q, m = qm
+    n = q**m - 1
+    owner, reps, cards, elements = _ref_partition(q, n)
+    part = cosets._partition.__wrapped__(q, n)
+    start %= len(reps) + 1
+    blk = slice(start, start + length)
+    rows, comps = part.rows(blk), reps[owner[(n - reps) % n]][blk]
+    assert rows.dtype == np.int32 and np.array_equal(rows, elements[blk])
+    assert np.array_equal(cosets._cards(rows), cards[blk])
+    assert np.array_equal((n - rows.max(axis=1)) % n, comps)
+    assert not {"owner", "elements", "cards"} & vars(part).keys()
+    assert np.array_equal(part.reps[part.complements()][blk], comps)
 
 
 @settings(max_examples=60, deadline=None)

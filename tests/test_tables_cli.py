@@ -324,6 +324,25 @@ def test_cli_cosets_listing_peaks_below_three_mb(tmp_path):
     assert peak < 3 * 10**6, f"cosets 31 4 --properties peaked at {peak / 1e6:.1f} MB"
 
 
+@pytest.mark.parametrize("fmt,bound", [("text", 5e6), ("json", 7e6)])
+def test_cli_cosets_listing_builds_no_partition_array(tmp_path, fmt, bound):
+    # with no partition cached the trace sees the build of the 231,135 reps
+    # too, 2.1 MB, and the listing reads its rows, cardinalities and
+    # complements from them a block at a time: 3.1 MB (text) and 5.3 MB
+    # (json).  Building owner and elements, 3.7 MB each, took it to 11.2
+    # and 13.4 MB
+    cosets._partition.cache_clear()
+    argv = ["cosets", "31", "4", "--properties", "--format", fmt, "--out", str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"cosets 31 4 --properties --format {fmt} peaked at {peak / 1e6:.1f} MB"
+    assert not {"owner", "elements", "cards"} & vars(cosets.partition(31, 4)).keys()
+
+
 # Runs its arguments as a child process and prints the child's wall time and
 # peak RSS, so the peak is that child's alone.
 _MEASURE = """
