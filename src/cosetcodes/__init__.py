@@ -10,7 +10,6 @@ from .cosets import (  # noqa: F401
     coset_of,
     disjointness_range,
     ladder_cosets,
-    union_of,
 )
 from .cyclic import (  # noqa: F401
     CyclicCode,

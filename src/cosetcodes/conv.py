@@ -10,10 +10,10 @@ Free distance is handled by bounds only: a lower bound combining the
 run-based bounds of the split pieces, and an independent bounded search
 for low-degree dual codewords that upper-bounds the free distance.
 
-split_parity checks the split on coset representatives, as ints, and
-cuts H0 and H1 from one check_matrix_blocks call on head and tail, as 2-D
-label arrays, an empty piece as a (0, n) array; build_conv copies them
-into G's blocks as they are.
+split_parity checks the split on the residue masks of head, tail and
+parent, and cuts H0 and H1 from one check_matrix_blocks call on head and
+tail, as 2-D label arrays, an empty piece as a (0, n) array; build_conv
+copies them into G's blocks as they are.
 PolyMatrix holds G as one read-only (memory + 1, kappa, n) label array,
 which build_conv hands over with no second copy.
 The reduced/basic check is one gf.rank call on the nonzero rows of all of
@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cyclic, gf, oracle
-from .cosets import union_of
 from .cyclic import CyclicCode
 from .gf import FieldContext
 
@@ -109,15 +108,14 @@ def split_parity(parent: CyclicCode, head_exponents, tail_exponents):
     """
     head = list(head_exponents)
     tail = list(tail_exponents)
-    head_reps = set(union_of(parent.q, parent.m, head)[0])
-    tail_reps = set(union_of(parent.q, parent.m, tail)[0])
-    if head_reps & tail_reps:
+    Z0, Z1 = (cyclic.DefiningSet.from_exponents(parent.q, parent.m, xs) for xs in (head, tail))
+    if (Z0.mask & Z1.mask).any():
         raise ValueError("head and tail exponent sets overlap")
-    if head_reps | tail_reps != set(parent.defining.reps):
+    if ((Z0.mask | Z1.mask) != parent.defining.mask).any():
         raise ValueError("head and tail do not cover the parent defining set")
     # the head's cosets come first in the one stack of blocks
     blocks, keep = cyclic.check_matrix_blocks(parent, head + tail)
-    cut = len(head_reps)
+    cut = len(Z0.reps)
     h0, h1 = blocks[:cut][keep[:cut]], blocks[cut:][keep[cut:]]
     if len(h0) < len(h1):
         raise ValueError(
@@ -138,15 +136,12 @@ def build_conv(
     code, with dimension and degree taken from actual matrix ranks."""
     if (head.n, head.q) != (tail.n, tail.q):
         raise ValueError("head and tail have different length or alphabet")
-    parent = cyclic.code_from_cosets(
-        head.q, head.m,
-        list(head.defining.exponents) + list(tail.defining.exponents),
-    )
+    parent = cyclic.code_from_cosets(head.q, head.m, head.defining.reps + tail.defining.reps)
     h0, h1 = split_parity(parent, head.defining.reps, tail.defining.reps)
     kappa = len(h0)
     gamma = len(h1)
     n = parent.n
-    memory = 1 if tail.defining.size else 0
+    memory = 1 if tail.defining.reps else 0
     blocks = np.zeros((1 + memory, kappa, n), np.int64)
     blocks[0] = h0
     if memory:

@@ -1,16 +1,16 @@
 """q-ary cyclotomic cosets modulo n = q^m - 1 and their structure.
 
 Everything here is plain modular arithmetic; no field tables are involved.
-All values are immutable and all functions are pure.  For n up to
-MAX_MODULUS a partition is its int32 coset representatives, and every
-coset question is a lookup into numpy arrays built from them on first
-read.  Only the last partition built is cached; its build holds no n-sized
-array, so the last one's arrays go before any are built.  Multiplying by q
-modulo q^m - 1 rotates the m base-q digits of a residue, so the build needs
-no division.  Larger moduli walk the orbit instead.  The gap, parity,
-complement and oplus structure are arrays over the orbit rows, computed a
-block of rows at a time (_by_blocks); the gaps and the coset listing read
-their rows from the representatives.
+All values are immutable and all functions are pure.  coset_of walks one
+orbit, at any modulus.  For n up to MAX_MODULUS a partition is its int32
+coset representatives, and every whole-partition question is a lookup into
+numpy arrays built from them on first read.  Only the last partition built
+is cached; its build holds no n-sized array, so the last one's arrays go
+before any are built.  Multiplying by q modulo q^m - 1 rotates the m
+base-q digits of a residue, so the build needs no division.  The gap,
+parity, complement and oplus structure are arrays over the orbit rows,
+computed a block of rows at a time (_by_blocks); the gaps and the coset
+listing read their rows from the representatives.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ def _orbit(q: int, n: int, a: int) -> list[int]:
 
 
 def _coset_by_walk(q: int, n: int, a: int) -> Coset:
-    """The coset of a, by walking its orbit: the slow reference for the
-    partition, and the only path above MAX_MODULUS."""
+    """The coset of a, by walking its orbit: coset_of, and the slow
+    reference for the partition."""
     rep = min(_orbit(q, n, a))
     return Coset(n=n, q=q, rep=rep, elements=tuple(_orbit(q, n, rep)))
 
@@ -119,16 +119,6 @@ class Partition:
     def at(self, x: int) -> Coset:
         """The coset containing residue x, 0 <= x < n."""
         return self.coset(int(self.owner[x]))
-
-    def hit(self, exponents) -> np.ndarray:
-        """True for each coset holding one of the exponents, reduced mod n."""
-        try:
-            xs = np.asarray(exponents, dtype=np.int64) % self.n
-        except OverflowError:  # an exponent past int64
-            xs = np.array([a % self.n for a in exponents], dtype=np.int64)
-        out = np.zeros(len(self.reps), bool)
-        out[self.owner[xs]] = True
-        return out
 
     def gaps(self, rows: slice = slice(None)) -> np.ndarray:
         """The gap per coset of `rows`: the least difference between adjacent
@@ -228,21 +218,7 @@ def _modulus(q: int, m: int) -> int:
 
 def coset_of(q: int, m: int, a: int) -> Coset:
     """The q-ary coset of a modulo q^m - 1 (a is reduced first)."""
-    n = _modulus(q, m)
-    return _coset_by_walk(q, n, a) if n > MAX_MODULUS else _partition(q, n).at(a % n)
-
-
-def union_of(q: int, m: int, exponents) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The sorted coset representatives and sorted elements of the union of
-    the cosets of the exponents modulo q^m - 1 (each reduced first): one
-    Partition.hit mask, or an orbit walk per exponent above MAX_MODULUS."""
-    n = _modulus(q, m)
-    if n > MAX_MODULUS:
-        orbits = {min(o): o for o in (_orbit(q, n, int(a)) for a in exponents)}
-        return tuple(sorted(orbits)), tuple(sorted(x for o in orbits.values() for x in o))
-    part = _partition(q, n)
-    hit = part.hit(exponents)
-    return tuple(part.reps[hit].tolist()), tuple(np.flatnonzero(hit[part.owner]).tolist())
+    return _coset_by_walk(q, _modulus(q, m), a)
 
 
 def all_cosets(q: int, m: int) -> list[Coset]:

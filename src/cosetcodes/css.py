@@ -6,9 +6,9 @@ of C2.  Each of the four parameter families checks its range, builds its
 outer code from the cosets of 0..c-2 (checking m and GF(q^m) before any
 excluded coset is computed) and calls _pair_excluding, which returns the
 family's parameters with its c as the design.  The inner code's defining
-set is every coset of the memoised partition but the excluded ones, picked
-by one mask over the coset indices; above MAX_MODULUS there is no
-partition and the families are refused.
+set is the complement of the excluded cosets' residue mask; no coset
+partition is built.  The families keep the coset listing's modulus cap,
+MAX_MODULUS, and refuse larger moduli.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 from . import cyclic
-from .cosets import ladder_cosets, partition
+from .cosets import MAX_MODULUS, ladder_cosets
 from .cyclic import CyclicCode
 from .gf import require_prime_power
 
@@ -80,8 +80,10 @@ def css_from_pair(
 def _pair_excluding(outer: CyclicCode, c: int, excluded_exponents, family: str) -> CssParams:
     """The pair with design c: the given outer code, from the cosets of
     0..c-2; inner from every coset except those of the given exponents."""
-    part = partition(outer.q, outer.m)  # raises above MAX_MODULUS
-    inner = cyclic.code_from_cosets(outer.q, outer.m, part.reps[~part.hit(excluded_exponents)])
+    if outer.n > MAX_MODULUS:
+        raise ValueError(f"modulus {outer.n} exceeds cap {MAX_MODULUS}")
+    excluded = cyclic.DefiningSet.from_exponents(outer.q, outer.m, excluded_exponents)
+    inner = cyclic.code_from_cosets(outer.q, outer.m, (~excluded.mask).nonzero()[0])
     return css_from_pair(outer, inner, designed_distance=c, family=family)
 
 

@@ -1,46 +1,83 @@
 """Cyclic and BCH-style codes of length q^m - 1 over GF(q), built from
 defining sets of cyclotomic cosets.
 
-A defining set holds its coset representatives and exponents as ints.  A
-code is a value object: base field, defining set and dimension, all from
-the cosets.  The extension field GF(q^m) is built on first read, by the
-parts that need it: the generator polynomial, a read-only label array
-also built on first read, and the check matrices.  The run-based
-designed-distance bound, duals, the dual-containing test and parity-check
-matrices (expanded over the base field, and cut from blocks reduced coset
-by coset, each block built once per process) all live here.
+A defining set is its coset representatives; every set question is one
+operation on its residue mask, with no coset partition, at any modulus up
+to the field cap.  A code is a value object: base field, defining set and
+dimension.  GF(q^m) is built on first read, by the parts that need it: the
+generator polynomial, a read-only label array also built on first read,
+and the check matrices.  The run bound, duals, the dual-containing test
+and parity-check matrices (expanded over the base field, and cut from
+blocks reduced coset by coset, each built once per process) live here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
-from . import gf
-from .cosets import union_of
+from . import cosets, gf
 from .gf import FieldContext
+
+
+def _rotations(q: int, n: int, xs: np.ndarray):
+    """The residues xs (below n = q^m - 1), then their images x q^j mod n
+    for 0 < j < m, each the last times q: x q < n q <= 2^30 when m > 1, so
+    int32 holds every step up to the field cap."""
+    yield xs
+    power = q
+    while power <= n:  # q^j for 0 < j < m
+        xs = xs * q % n
+        yield xs
+        power *= q
+
+
+def _least_rotation(q: int, n: int, xs: np.ndarray) -> np.ndarray:
+    """The representative of each residue's coset: its least digit rotation."""
+    return reduce(np.minimum, _rotations(q, n, xs))
 
 
 @dataclass(frozen=True)
 class DefiningSet:
-    """A union of cyclotomic cosets: its sorted coset representatives and exponents."""
+    """A union of cyclotomic cosets mod n, valued by its sorted coset reps;
+    `mask` (True at each member) and the sorted `exponents` are built on first read."""
 
     n: int
     q: int
     reps: tuple[int, ...]
-    exponents: tuple[int, ...]
 
     @classmethod
     def from_exponents(cls, q: int, m: int, exponents) -> "DefiningSet":
-        """The union of the cosets of the exponents (each reduced mod n)."""
-        reps, flat = union_of(q, m, exponents)
-        return cls(n=q**m - 1, q=q, reps=reps, exponents=flat)
+        """The union of the cosets of the exponents (each reduced mod n); a
+        modulus past the field cap, which no code has, is refused."""
+        n = cosets._modulus(q, min(m, 21))  # 2^21 - 1 is past the cap: q^m is not built
+        if n >= gf.MAX_FIELD_SIZE:
+            raise ValueError(f"modulus {q}^{m} - 1 exceeds cap {gf.MAX_FIELD_SIZE - 1}")
+        try:
+            xs = np.asarray(exponents, dtype=np.int64) % n
+        except OverflowError:  # an exponent past int64
+            xs = np.array([a % n for a in exponents], dtype=np.int64)
+        hit = np.zeros(n, bool)
+        hit[_least_rotation(q, n, xs.astype(np.int32))] = True
+        return cls(n=n, q=q, reps=tuple(np.flatnonzero(hit).tolist()))
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        out = np.zeros(self.n, bool)
+        for xs in _rotations(self.q, self.n, np.array(self.reps, dtype=np.int32)):
+            out[xs] = True
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def exponents(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(self.mask).tolist())
 
     @property
     def size(self) -> int:
-        return len(self.exponents)
+        return int(np.count_nonzero(self.mask))
 
 
 @dataclass(frozen=True)
@@ -84,37 +121,29 @@ def code_from_cosets(q: int, m: int, exponents) -> CyclicCode:
     return CyclicCode(base=base, q=q, m=m, n=n, defining=defining, k=n - defining.size)
 
 
-def _longest_cyclic_run(exponents, n: int) -> int:
-    if not exponents:
-        return 0
-    zs = sorted(exponents)
-    if len(zs) == n:
-        return n
-    present = set(zs)
-    best = 0
-    for z in zs:
-        if (z - 1) % n in present:
-            continue  # not a run start
-        length = 1
-        while (z + length) % n in present:
-            length += 1
-        best = max(best, length)
-    return best
+def _negated(mask: np.ndarray) -> np.ndarray:
+    """The mask of -Z: x is in -Z iff n - x mod n is in Z, so it is the
+    mask reversed and rolled by one."""
+    return np.concatenate((mask[:1], mask[:0:-1]))
 
 
 def bch_bound(code) -> int:
     """1 + the longest cyclic run of consecutive exponents in the defining
     set: the run-based lower bound on minimum distance.  Accepts a
     CyclicCode or a DefiningSet; an empty set gives 1."""
-    ds = code.defining if isinstance(code, CyclicCode) else code
-    return 1 + _longest_cyclic_run(ds.exponents, ds.n)
+    mask = (code.defining if isinstance(code, CyclicCode) else code).mask
+    # rotated to start at a non-member (at 0 if there is none), no run
+    # wraps; each run lies between a rise and a fall of the padded mask
+    start = int(mask.argmin())
+    padded = np.concatenate(([False], mask[start:], mask[:start], [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return 1 + int((edges[1::2] - edges[::2]).max(initial=0))
 
 
 def dual_defining_set(code: CyclicCode) -> DefiningSet:
     """Defining set of the Euclidean dual: {0..n-1} minus -Z mod n."""
-    keep = np.ones(code.n, bool)
-    keep[-np.array(code.defining.exponents, dtype=np.int64) % code.n] = False
-    return DefiningSet.from_exponents(code.q, code.m, np.flatnonzero(keep))
+    return DefiningSet.from_exponents(
+        code.q, code.m, np.flatnonzero(~_negated(code.defining.mask)))
 
 
 def dual_code(code: CyclicCode) -> CyclicCode:
@@ -123,14 +152,12 @@ def dual_code(code: CyclicCode) -> CyclicCode:
 
 def contains_dual(code) -> bool:
     """True iff the code contains its Euclidean dual, i.e. Z intersect -Z
-    is empty, tested on the exponents as Python ints, so any modulus
-    works.  This is equivalent to no member coset's complementary coset
+    is empty.  This is equivalent to no member coset's complementary coset
     being itself a member; the verify sweep checks that the two criteria
     agree.  Accepts a CyclicCode or a bare DefiningSet.
     """
-    ds = code.defining if isinstance(code, CyclicCode) else code
-    zs = set(ds.exponents)
-    return not any(-z % ds.n in zs for z in zs)
+    mask = (code.defining if isinstance(code, CyclicCode) else code).mask
+    return not (mask & _negated(mask)).any()
 
 
 def nested(outer: CyclicCode, inner: CyclicCode) -> bool:
@@ -138,7 +165,7 @@ def nested(outer: CyclicCode, inner: CyclicCode) -> bool:
     Z(inner) (equivalently g_outer divides g_inner)."""
     if (outer.n, outer.q) != (inner.n, inner.q):
         raise ValueError("codes have different length or alphabet")
-    return set(outer.defining.exponents) <= set(inner.defining.exponents)
+    return not (outer.defining.mask & ~inner.defining.mask).any()
 
 
 _BLOCKS: dict = {}  # (ext, base) -> {exponent: (block, keep-mask)}, read-only
@@ -163,11 +190,9 @@ def check_matrix_blocks(code: CyclicCode, rows) -> tuple[np.ndarray, np.ndarray]
     bad = rows[(rows < 0) | (rows >= n)]
     if bad.size:
         raise ValueError(f"exponent {bad[0]} out of range [0, {n})")
-    # keep the first exponent of each coset, keyed by its least element;
-    # rows * q^j < n^2 <= 2^40, and no partition is needed at any modulus
-    least = (rows[:, None] * q ** np.arange(m) % n).min(axis=1)
+    # keep the first exponent of each coset, keyed by its representative
     first = {}
-    for x, i in zip(least.tolist(), rows.tolist()):
+    for x, i in zip(_least_rotation(q, n, rows).tolist(), rows.tolist()):
         first.setdefault(x, i)
     rows = list(first.values())
     memo = _BLOCKS.setdefault((code.ext, code.base), {})

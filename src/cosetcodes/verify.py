@@ -43,7 +43,7 @@ def _generators_match(codes) -> np.ndarray:
     Z = np.zeros((n, len(codes)), dtype=bool)
     for i, (g, code) in enumerate(zip(gens, codes)):
         G[:len(g), i] = g
-        Z[list(code.defining.exponents), i] = True
+        Z[:, i] = code.defining.mask
     lifted = gf.subfield_embedding(ext, codes[0].base)._up[G]
     zeros = gf._horner(ext, lifted[:, None], ext._np_exp[:n, None]) == 0
     monic = [len(g) == code.defining.size + 1 and g[-1] == 1 for g, code in zip(gens, codes)]
@@ -51,11 +51,11 @@ def _generators_match(codes) -> np.ndarray:
 
 
 def _check_matrices(part, codes):
-    """Each code's check matrix, cut from one check_matrix_blocks call on
-    every coset representative of the partition part."""
+    """Each code's check matrix, cut by its mask at the representatives from
+    one check_matrix_blocks call on every coset representative of part."""
     blocks, keep = cyclic.check_matrix_blocks(codes[0], part.reps)
     for code in codes:
-        hit = part.hit(code.defining.reps)
+        hit = code.defining.mask[part.reps]
         yield blocks[hit][keep[hit]]
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cosetcodes import cli, cosets, cyclic, gf, verify
+from cosetcodes import cli, cosets, cyclic, families, gf, verify
 from cosetcodes.cyclic import (
     DefiningSet,
     bch_bound,
@@ -236,6 +236,125 @@ def test_defining_sets_match_per_exponent_reference(case):
     assert DefiningSet.from_exponents(q, m, exponents) == _ref_from_exponents(q, m, exponents)
     code = code_from_cosets(q, m, exponents)
     assert dual_defining_set(code) == _ref_dual_defining_set(code)
+
+
+# the set scans that the residue masks replaced, on sets of Python ints
+
+def _ref_longest_cyclic_run(zs, n):
+    """The longest run of consecutive residues mod n in zs, read from each
+    run start."""
+    if not zs:
+        return 0
+    if len(zs) == n:
+        return n
+    best = 0
+    for z in sorted(zs):
+        if (z - 1) % n in zs:
+            continue  # not a run start
+        length = 1
+        while (z + length) % n in zs:
+            length += 1
+        best = max(best, length)
+    return best
+
+
+def _ref_contains_dual(zs, n):
+    """Z meets -Z nowhere."""
+    return not any(-z % n in zs for z in zs)
+
+
+def _ref_nested(outer_zs, inner_zs):
+    """Z(outer) is a subset of Z(inner)."""
+    return outer_zs <= inner_zs
+
+
+def _ref_dual_exponents(zs, n):
+    """{0..n-1} minus -Z."""
+    return set(range(n)) - {-z % n for z in zs}
+
+
+def _walked(q, n, exponents):
+    return {x for a in exponents for x in cosets._orbit(q, n, a)}
+
+
+def _ref_css_sets(name, args):
+    """Z(outer) and Z(inner) of a CSS family instance, walked: the cosets
+    of 0..c-2, and every residue outside the cosets of the family's
+    excluded exponents."""
+    q, m = args["q"], args.get("m", 2)
+    c = args.get("c", q)
+    n = q**m - 1
+    half = q ** (m // 2)
+    excluded = {"css-block-full": range(q + 1, 2 * q), "css-block": range(q + 1, q + c),
+                "css-block-even": range(half + 1, half + c),
+                "css-ladder": [j * q + 1 for j in range(1, c)]}[name]
+    return _walked(q, n, range(c - 1)), set(range(n)) - _walked(q, n, excluded)
+
+
+_PRIME_POWERS = [q for q in range(2, 101) if len(gf.prime_factors(q)) == 1]
+
+# every CSS family instance of length n <= 10^4 (block with c < q, as
+# c = q is block-full)
+_CSS_INSTANCES = (
+    [("css-block-full", {"q": q}) for q in _PRIME_POWERS[1:]]
+    + [("css-block", {"q": q, "c": c}) for q in _PRIME_POWERS[1:] for c in range(2, q)]
+    + [(name, {"q": q, "m": m, "c": c}) for q in _PRIME_POWERS[1:] for m in range(1, 9)
+       if q**m - 1 <= 10**4 for c in range(2, q + 1)
+       for name, admissible in (("css-block-even", m % 2 == 0),
+                                ("css-ladder", (c - 1) * q + 1 < q ** ((m + 1) // 2) - 1))
+       if admissible])
+
+
+@st.composite
+def _set_pairs(draw):
+    """(q, m, xs, ys) with q a prime power, n = q^m - 1 <= 10^4, and each
+    exponent list a run, which may wrap, plus a few scattered exponents; ys
+    holds xs half the time."""
+    q, m = draw(st.sampled_from([(q, m) for q in _PRIME_POWERS for m in range(1, 14)
+                                 if q**m - 1 <= 10**4]))
+    n = q**m - 1
+
+    def exponents():
+        start = draw(st.integers(-2 * n, 3 * n - 1))
+        run = list(range(start, start + draw(st.integers(0, min(n, 60)))))
+        return run + draw(st.lists(st.integers(-2 * n, 3 * n - 1), max_size=6))
+
+    xs = exponents()
+    return q, m, xs, exponents() + (xs if draw(st.booleans()) else [])
+
+
+@settings(max_examples=120, deadline=None)
+@given(_set_pairs(), st.sampled_from(_CSS_INSTANCES))
+@example((3, 2, [], [1]), ("css-block", {"q": 5, "c": 3})).via("the empty set")
+@example((5, 2, list(range(24)), [0]), ("css-block-full", {"q": 7})).via("the full set")
+@example((3, 2, [7, 0, 1], [7, 0, 1, 2]),
+         ("css-block-even", {"q": 4, "m": 4, "c": 3})).via("a run from n - 1 to 0")
+@example((7, 1, [5, 0, -3], [2]), ("css-ladder", {"q": 4, "m": 4, "c": 3})).via("m = 1")
+@example((4, 2, [-5, 99999999999999999999999], [-(10**20), 2**63]),
+         ("css-ladder", {"q": 5, "m": 3, "c": 5})).via("negative and past-int64 exponents")
+def test_mask_operations_match_the_set_references(case, instance):
+    q, m, xs, ys = case
+    n = q**m - 1
+    z1, z2 = _walked(q, n, xs), _walked(q, n, ys)
+    a, b = code_from_cosets(q, m, xs), code_from_cosets(q, m, ys)
+    assert a.defining == _ref_from_exponents(q, m, xs)
+    assert a.defining.exponents == tuple(sorted(z1)) and a.k == n - len(z1)
+    assert bch_bound(a) == 1 + _ref_longest_cyclic_run(z1, n)
+    assert contains_dual(a) is _ref_contains_dual(z1, n)
+    assert nested(a, b) is _ref_nested(z1, z2) and nested(b, a) is _ref_nested(z2, z1)
+    dual = dual_defining_set(a)
+    assert dual == _ref_dual_defining_set(a)
+    assert set(dual.exponents) == _ref_dual_exponents(z1, n)
+    assert bch_bound(dual) == 1 + _ref_longest_cyclic_run(_ref_dual_exponents(z1, n), n)
+    name, args = instance
+    params = families.BY_NAME[name].build(**args)
+    outer, inner = _ref_css_sets(name, args)
+    assert params.outer.defining.exponents == tuple(sorted(outer))
+    assert params.inner.defining.exponents == tuple(sorted(inner))
+    assert cyclic.nested(params.outer, params.inner) is _ref_nested(outer, inner)
+    assert params.distance_lb == 1 + min(
+        _ref_longest_cyclic_run(outer, params.n),
+        _ref_longest_cyclic_run(_ref_dual_exponents(inner, params.n), params.n))
 
 
 def test_contains_dual_examples():

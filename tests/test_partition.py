@@ -15,7 +15,6 @@ from cosetcodes.cosets import (
     _orbit,
     all_cosets,
     coset_of,
-    union_of,
 )
 from cosetcodes.cyclic import DefiningSet, contains_dual
 
@@ -40,7 +39,9 @@ def _ref_complementary(c):
 
 
 def _ref_from_exponents(q, m, exponents):
-    """The defining set the slow way: one orbit walk per exponent."""
+    """The defining set the slow way: one orbit walk per exponent.  Its
+    exponents, built from the reps on first read, are checked against the
+    walked orbits."""
     n = q**m - 1
     by_rep = {}
     for a in exponents:
@@ -48,7 +49,9 @@ def _ref_from_exponents(q, m, exponents):
         by_rep[c.rep] = c
     members = tuple(sorted(by_rep.values(), key=lambda c: c.rep))
     flat = sorted(x for c in members for x in c.elements)
-    return DefiningSet(n=n, q=q, reps=tuple(c.rep for c in members), exponents=tuple(flat))
+    ds = DefiningSet(n=n, q=q, reps=tuple(c.rep for c in members))
+    assert ds.exponents == tuple(flat)
+    return ds
 
 
 def _ref_coset_oplus(c1, c2bar):
@@ -253,6 +256,8 @@ def test_moduli_over_the_cap_walk_the_orbit(monkeypatch):
         raise AssertionError(f"partition built for n = {n}")
 
     monkeypatch.setattr(cosets, "_partition", no_partition)
+    # below the cap too: coset_of walks one orbit, with no partition
+    assert coset_of(31, 4, 5) == _coset_by_walk(31, 31**4 - 1, 5)
     n = 2**20 - 1
     assert n > cosets.MAX_MODULUS
     c = coset_of(2, 20, -3)
@@ -260,20 +265,16 @@ def test_moduli_over_the_cap_walk_the_orbit(monkeypatch):
     assert coset_of(2, 20, 3) == _coset_by_walk(2, n, 3)
     exponents = [6, -3, 3, 2 * n + 3, 1]
     walked = {_coset_by_walk(2, n, a) for a in exponents}
-    assert union_of(2, 20, exponents) == (
-        tuple(sorted(c.rep for c in walked)),
-        tuple(sorted(x for c in walked for x in c.elements)))
-    assert DefiningSet.from_exponents(2, 20, exponents) == _ref_from_exponents(2, 20, exponents)
+    ds = DefiningSet.from_exponents(2, 20, exponents)
+    assert ds.reps == tuple(sorted(c.rep for c in walked))
+    assert ds.exponents == tuple(sorted(x for c in walked for x in c.elements))
+    assert ds == _ref_from_exponents(2, 20, exponents)
     # past int64 the walk keeps Python ints: residues >= 2^63 reduce exactly
     n = 2**70 - 1
     assert coset_of(2, 70, -1) == _coset_by_walk(2, n, n - 1)
-    walked = [_coset_by_walk(2, n, 1), _coset_by_walk(2, n, n - 1)]
-    assert union_of(2, 70, [-1, 2**69, n + 2**69]) == (
-        tuple(c.rep for c in walked), tuple(sorted(walked[0].elements + walked[1].elements)))
-    # and so does the dual-containing test, with no array over the residues
-    assert contains_dual(DefiningSet.from_exponents(2, 70, [1, 3]))
-    assert not contains_dual(DefiningSet.from_exponents(2, 70, [1, -1]))
-    assert not contains_dual(DefiningSet.from_exponents(2, 70, [0]))
+    # no code has a length past the field cap, so no defining set has one
+    with pytest.raises(ValueError, match=r"^modulus 2\^70 - 1 exceeds cap 1048575$"):
+        DefiningSet.from_exponents(2, 70, [-1, 2**69, n + 2**69])
 
 
 @settings(max_examples=200, deadline=None)
