@@ -141,7 +141,7 @@ def build_conv(
     kappa = len(h0)
     gamma = len(h1)
     n = parent.n
-    memory = 1 if tail.defining.reps else 0
+    memory = 1 if tail.defining.size else 0
     blocks = np.zeros((1 + memory, kappa, n), np.int64)
     blocks[0] = h0
     if memory:

@@ -14,7 +14,7 @@ MAX_MODULUS, and refuse larger moduli.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import cyclic
 from .cosets import MAX_MODULUS, ladder_cosets
@@ -83,7 +83,8 @@ def _pair_excluding(outer: CyclicCode, c: int, excluded_exponents, family: str) 
     if outer.n > MAX_MODULUS:
         raise ValueError(f"modulus {outer.n} exceeds cap {MAX_MODULUS}")
     excluded = cyclic.DefiningSet.from_exponents(outer.q, outer.m, excluded_exponents)
-    inner = cyclic.code_from_cosets(outer.q, outer.m, (~excluded.mask).nonzero()[0])
+    Z = cyclic.DefiningSet(outer.n, outer.q, (~excluded.mask).tobytes())
+    inner = replace(outer, defining=Z, k=outer.n - Z.size)
     return css_from_pair(outer, inner, designed_distance=c, family=family)
 
 

@@ -1,9 +1,9 @@
 """Cyclic and BCH-style codes of length q^m - 1 over GF(q), built from
 defining sets of cyclotomic cosets.
 
-A defining set is its coset representatives; every set question is one
-operation on its residue mask, with no coset partition, at any modulus up
-to the field cap.  A code is a value object: base field, defining set and
+A defining set is its residue mask: every set question, and the dual's
+set, is one operation on it, with no coset partition, at any modulus up to
+the field cap.  A code is a value object: base field, defining set and
 dimension.  GF(q^m) is built on first read, by the parts that need it: the
 generator polynomial, a read-only label array also built on first read,
 and the check matrices.  The run bound, duals, the dual-containing test
@@ -13,7 +13,7 @@ blocks reduced coset by coset, each built once per process) live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 
 import numpy as np
@@ -41,12 +41,12 @@ def _least_rotation(q: int, n: int, xs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DefiningSet:
-    """A union of cyclotomic cosets mod n, valued by its sorted coset reps;
-    `mask` (True at each member) and the sorted `exponents` are built on first read."""
+    """A union of cyclotomic cosets mod n, valued by its mask `bits`, a byte per residue;
+    `mask` views it, and `exponents`, `reps` (least rotations) and `size` come on first read."""
 
     n: int
     q: int
-    reps: tuple[int, ...]
+    bits: bytes = field(repr=False)
 
     @classmethod
     def from_exponents(cls, q: int, m: int, exponents) -> "DefiningSet":
@@ -60,22 +60,24 @@ class DefiningSet:
         except OverflowError:  # an exponent past int64
             xs = np.array([a % n for a in exponents], dtype=np.int64)
         hit = np.zeros(n, bool)
-        hit[_least_rotation(q, n, xs.astype(np.int32))] = True
-        return cls(n=n, q=q, reps=tuple(np.flatnonzero(hit).tolist()))
+        for ys in _rotations(q, n, xs.astype(np.int32)):
+            hit[ys] = True
+        return cls(n=n, q=q, bits=hit.tobytes())
 
     @cached_property
     def mask(self) -> np.ndarray:
-        out = np.zeros(self.n, bool)
-        for xs in _rotations(self.q, self.n, np.array(self.reps, dtype=np.int32)):
-            out[xs] = True
-        out.flags.writeable = False
-        return out
+        return np.frombuffer(self.bits, bool)
 
     @cached_property
     def exponents(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.mask).tolist())
 
-    @property
+    @cached_property
+    def reps(self) -> tuple[int, ...]:
+        xs = np.flatnonzero(self.mask).astype(np.int32)
+        return tuple(xs[_least_rotation(self.q, self.n, xs) == xs].tolist())
+
+    @cached_property
     def size(self) -> int:
         return int(np.count_nonzero(self.mask))
 
@@ -142,12 +144,12 @@ def bch_bound(code) -> int:
 
 def dual_defining_set(code: CyclicCode) -> DefiningSet:
     """Defining set of the Euclidean dual: {0..n-1} minus -Z mod n."""
-    return DefiningSet.from_exponents(
-        code.q, code.m, np.flatnonzero(~_negated(code.defining.mask)))
+    return DefiningSet(code.n, code.q, (~_negated(code.defining.mask)).tobytes())
 
 
 def dual_code(code: CyclicCode) -> CyclicCode:
-    return code_from_cosets(code.q, code.m, dual_defining_set(code).reps)
+    dual = dual_defining_set(code)
+    return replace(code, defining=dual, k=code.n - dual.size)
 
 
 def contains_dual(code) -> bool:

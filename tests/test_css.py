@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import pytest
@@ -51,6 +52,46 @@ def test_family_block_even(q, m, c, expected):
 ])
 def test_family_ladder(q, m, c, expected):
     assert family_ladder(q, m, c).bracket() == expected
+
+
+def test_derived_sets_come_from_mask_operations(monkeypatch):
+    # a dual set, a dual code and a CSS inner code are each a complement or
+    # negation of a mask: none goes back through the exponents
+    code = cyclic.code_from_cosets(5, 2, [1, 2, 3])
+    made, real = [], cyclic.DefiningSet.from_exponents
+
+    def counted(cls, q, m, exponents):
+        made.append(real(q, m, exponents))
+        return made[-1]
+
+    monkeypatch.setattr(cyclic.DefiningSet, "from_exponents", classmethod(counted))
+    dual = cyclic.dual_code(code)
+    assert cyclic.dual_defining_set(code) == dual.defining and made == []
+    assert dual.k == code.n - code.k and cyclic.dual_code(dual) == code
+    for build in (lambda: family_block_full(5), lambda: family_block(7, 4),
+                  lambda: family_block_even(3, 4, 3), lambda: family_ladder(4, 4, 3)):
+        made.clear()
+        pair = build()
+        # the outer code's cosets and the excluded cosets, and no more
+        assert len(made) == 2 and made[0] == pair.outer.defining
+        assert pair.inner.defining.exponents == tuple(
+            x for x in range(pair.n) if x not in made[1].exponents)
+        assert pair.inner.k == pair.n - pair.inner.defining.size
+
+
+def test_block_pair_at_q_997_holds_its_masks_only():
+    # n = 994,008: each defining set is a mask of one byte per residue, so
+    # the pair holds about 2 MB and peaks at 6 MB; it held 21.9 MB (42.8 MB
+    # at the peak) while a set kept its half a million coset reps as ints
+    tracemalloc.start()
+    try:
+        pair = family_block(997, 5)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pair.bracket() == "[[994008, 993994, d >= 5]]_997"
+    assert held < 4e6, f"the pair holds {held / 1e6:.1f} MB"
+    assert peak < 12e6, f"the pair's build peaked at {peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------

@@ -39,9 +39,9 @@ def _ref_complementary(c):
 
 
 def _ref_from_exponents(q, m, exponents):
-    """The defining set the slow way: one orbit walk per exponent.  Its
-    exponents, built from the reps on first read, are checked against the
-    walked orbits."""
+    """The defining set the slow way: one orbit walk per exponent, marked
+    in a mask.  Its exponents and reps, built from the mask on first read,
+    are checked against the walked orbits."""
     n = q**m - 1
     by_rep = {}
     for a in exponents:
@@ -49,8 +49,11 @@ def _ref_from_exponents(q, m, exponents):
         by_rep[c.rep] = c
     members = tuple(sorted(by_rep.values(), key=lambda c: c.rep))
     flat = sorted(x for c in members for x in c.elements)
-    ds = DefiningSet(n=n, q=q, reps=tuple(c.rep for c in members))
+    mask = np.zeros(n, bool)
+    mask[flat] = True
+    ds = DefiningSet(n=n, q=q, bits=mask.tobytes())
     assert ds.exponents == tuple(flat)
+    assert ds.reps == tuple(c.rep for c in members)
     return ds
 
 

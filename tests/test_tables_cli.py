@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cosetcodes import __version__, cli, cosets, cyclic, gf, verify
+from cosetcodes import __version__, cli, cosets, cyclic, gf, tables, verify
 from cosetcodes.cosets import _coset_by_walk
 from cosetcodes.tables import TableRow, build_table
 
@@ -125,23 +125,30 @@ def test_tables_build_only_the_generators_they_read(monkeypatch):
 def test_tables_1_and_2_build_only_the_fields_they_read(monkeypatch):
     # a code's extension field is built on first read, by its generator or
     # its check matrices; tables 1 and 2 read them only for the codes whose
-    # basis the oracle enumerates
+    # basis the oracle enumerates.  The codes are each row's outer and inner
+    # codes and the duals that the oracle builds.
     codes, read = [], {}
-    real_code, real_basis = cyclic.code_from_cosets, cyclic.codeword_basis
+    real_row, real_dual = tables._css_row, cyclic.dual_code
+    real_basis = cyclic.codeword_basis
 
-    def code(q, m, exponents):
-        codes.append(real_code(q, m, exponents))
+    def row(table, params, budget):
+        codes.extend((params.outer, params.inner))
+        return real_row(table, params, budget)
+
+    def dual(code):
+        codes.append(real_dual(code))
         return codes[-1]
 
     def basis(code):
         read.setdefault(id(code), code)
         return real_basis(code)
 
-    monkeypatch.setattr(cyclic, "code_from_cosets", code)
+    monkeypatch.setattr(tables, "_css_row", row)
+    monkeypatch.setattr(cyclic, "dual_code", dual)
     monkeypatch.setattr(cyclic, "codeword_basis", basis)
     build_table(1)
     build_table(2)
-    assert len(codes) > 50 and read
+    assert len(codes) > 100 and read
     assert {id(c) for c in codes if "ext" in vars(c)} == set(read)
 
 
