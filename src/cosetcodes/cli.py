@@ -310,6 +310,8 @@ def cmd_verify(args, cfg) -> int:
         mmax = 3 if args.mmax is None else args.mmax
         if qmax > (qcap := math.isqrt(cosets.MAX_MODULUS + 1)):
             args.parser.error(f"--qmax {qmax} is over {qcap}, past which q^2 - 1 exceeds the cap")
+        if mmax > (mcap := int(math.log(cosets.MAX_MODULUS + 1, 3))):  # every grid q >= 3
+            args.parser.error(f"--mmax {mmax} is over {mcap}, past which 3^m - 1 exceeds the cap")
         qs, ms = verify.coset_grid(qmax, mmax)
         if not qs or not ms:
             args.parser.error(f"empty coset grid (prime powers 3 <= q <= "

@@ -1,22 +1,24 @@
 """q-ary cyclotomic cosets modulo n = q^m - 1 and their structure.
 
 Everything here is plain modular arithmetic; no field tables are involved.
-All values are immutable and all functions are pure.  coset_of walks one
-orbit, at any modulus.  For n up to MAX_MODULUS a partition is its int32
-coset representatives, and every whole-partition question is a lookup into
-numpy arrays built from them on first read.  Only the last partition built
-is cached; its build holds no n-sized array, so the last one's arrays go
-before any are built.  Multiplying by q modulo q^m - 1 rotates the m
-base-q digits of a residue, so the build needs no division.  The gap,
-parity, complement and oplus structure are arrays over the orbit rows,
-computed a block of rows at a time (_by_blocks); the gaps and the coset
-listing read their rows from the representatives.
+All values are immutable and all functions are pure.  Multiplying by q
+modulo q^m - 1 rotates the m base-q digits of a residue; _rotations is that
+map on arrays, and the partition, its orbit rows and cyclic's defining sets
+all read their cosets from it.  coset_of walks one orbit with Python ints,
+at any modulus.  For n up to MAX_MODULUS a partition is its int32 coset
+representatives, the residues that are the least of their rotations, and
+every whole-partition question is a lookup into numpy arrays built from
+them on first read.  Only the last partition built is cached; its build
+holds no n-sized array, so the last one's arrays go before any are built.
+The gap, parity, complement and oplus structure are arrays over the orbit
+rows, computed a block of rows at a time (_by_blocks); the gaps and the
+coset listing read their rows from the representatives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -61,6 +63,28 @@ def _coset_by_walk(q: int, n: int, a: int) -> Coset:
     return Coset(n=n, q=q, rep=rep, elements=tuple(_orbit(q, n, rep)))
 
 
+def _rotations(q: int, n: int, xs: np.ndarray):
+    """The residues xs (below n = q^m - 1), then their images x q^j mod n
+    for 0 < j < m, each the last with its top digit h moved to the bottom:
+    (x - h q^(m-1)) q + h.  No value reaches n, so the dtype of xs holds
+    every step."""
+    top = (n + 1) // q  # q^(m-1)
+    yield xs
+    power = q
+    while power <= n:  # q^j for 0 < j < m
+        h = xs // top
+        xs = xs - h * top
+        xs *= q
+        xs += h
+        yield xs
+        power *= q
+
+
+def _least_rotation(q: int, n: int, xs: np.ndarray) -> np.ndarray:
+    """The representative of each residue's coset: its least digit rotation."""
+    return reduce(np.minimum, _rotations(q, n, xs))
+
+
 @dataclass(frozen=True, eq=False)
 class Partition:
     """All cosets modulo n = q^m - 1, sorted by representative.
@@ -79,13 +103,8 @@ class Partition:
     reps: np.ndarray  # int32, like every array built from it
 
     def rows(self, blk: slice = slice(None)) -> np.ndarray:
-        """The orbit rows of the cosets in blk: x q mod n rotates x's digits."""
-        out = np.empty((len(self.reps[blk]), self.m), np.int32)
-        out[:, 0] = self.reps[blk]
-        for j in range(1, self.m):
-            hi, lo = np.divmod(out[:, j - 1], self.q ** (self.m - 1))
-            out[:, j] = lo * self.q + hi
-        return out
+        """The orbit rows of the cosets in blk."""
+        return np.stack(list(_rotations(self.q, self.n, self.reps[blk])), axis=1)
 
     @cached_property
     def elements(self) -> np.ndarray:
@@ -150,7 +169,7 @@ class Partition:
         return np.where(_by_blocks(block, len(other)), self.owner[0], -1)
 
 
-_CHUNK = 1 << 16  # residues per step of the partition build
+_CHUNK = 1 << 14  # residues per step of the partition build
 _ROWS = 1 << 12  # orbit rows per block of a whole-partition question
 
 
@@ -177,19 +196,10 @@ def _partition(q: int, n: int) -> Partition:
     m = 1  # n = q^m - 1
     while q**m <= n:
         m += 1
-    # x is a rep iff it is the least of its m digit rotations.  Rotation j
-    # maps x = a w + b, b < w = q^(m-j), to b q^j + a (q^m = 1 mod n), entry
-    # (a, b) of a grid of width w over consecutive x.  A chunk is whole rows
-    # of every grid (the last cut at x = n): one int32 broadcast per rotation.
-    top, reps = q ** (m - 1), []
-    for s, e in _chunks(n, top * max(1, _CHUNK // top)):
+    reps = []
+    for s, e in _chunks(n, _CHUNK):  # x is a rep iff it is its least rotation
         x = np.arange(s, e, dtype=np.int32)
-        least = x.copy()
-        for w in (q**i for i in range(1, m)):
-            grid = np.arange(0, q**m, q**m // w, dtype=np.int32)
-            grid = grid + np.arange(s // w, -(-e // w), dtype=np.int32)[:, None]
-            np.minimum(least, grid.ravel()[:e - s], out=least)
-        reps.append(np.flatnonzero(least == x).astype(np.int32) + s)
+        reps.append(x[_least_rotation(q, n, x) == x])
     reps = np.concatenate(reps)
     reps.flags.writeable = False
     return Partition(q, n, m, reps)

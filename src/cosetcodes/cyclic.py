@@ -1,9 +1,10 @@
 """Cyclic and BCH-style codes of length q^m - 1 over GF(q), built from
 defining sets of cyclotomic cosets.
 
-A defining set is its residue mask: every set question, and the dual's
-set, is one operation on it, with no coset partition, at any modulus up to
-the field cap.  A code is a value object: base field, defining set and
+A defining set is its residue mask, marked and read through the digit
+rotations of cosets: every set question, and the dual's set, is one
+operation on it, with no coset partition, at any modulus up to the field
+cap.  A code is a value object: base field, defining set and
 dimension.  GF(q^m) is built on first read, by the parts that need it: the
 generator polynomial, a read-only label array also built on first read,
 and the check matrices.  The run bound, duals, the dual-containing test
@@ -14,29 +15,12 @@ blocks reduced coset by coset, each built once per process) live here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
 from . import cosets, gf
 from .gf import FieldContext
-
-
-def _rotations(q: int, n: int, xs: np.ndarray):
-    """The residues xs (below n = q^m - 1), then their images x q^j mod n
-    for 0 < j < m, each the last times q: x q < n q <= 2^30 when m > 1, so
-    int32 holds every step up to the field cap."""
-    yield xs
-    power = q
-    while power <= n:  # q^j for 0 < j < m
-        xs = xs * q % n
-        yield xs
-        power *= q
-
-
-def _least_rotation(q: int, n: int, xs: np.ndarray) -> np.ndarray:
-    """The representative of each residue's coset: its least digit rotation."""
-    return reduce(np.minimum, _rotations(q, n, xs))
 
 
 @dataclass(frozen=True)
@@ -60,7 +44,7 @@ class DefiningSet:
         except OverflowError:  # an exponent past int64
             xs = np.array([a % n for a in exponents], dtype=np.int64)
         hit = np.zeros(n, bool)
-        for ys in _rotations(q, n, xs.astype(np.int32)):
+        for ys in cosets._rotations(q, n, xs.astype(np.int32)):
             hit[ys] = True
         return cls(n=n, q=q, bits=hit.tobytes())
 
@@ -75,7 +59,7 @@ class DefiningSet:
     @cached_property
     def reps(self) -> tuple[int, ...]:
         xs = np.flatnonzero(self.mask).astype(np.int32)
-        return tuple(xs[_least_rotation(self.q, self.n, xs) == xs].tolist())
+        return tuple(xs[cosets._least_rotation(self.q, self.n, xs) == xs].tolist())
 
     @cached_property
     def size(self) -> int:
@@ -116,8 +100,9 @@ def code_from_cosets(q: int, m: int, exponents) -> CyclicCode:
     given exponents."""
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
-    base = gf.field_for(q)
-    gf.require_field(base.p, base.e * m)  # ext is built on first read
+    p, e = gf.factor_prime_power(q)
+    gf.require_field(p, e * m)  # before GF(q) is built; ext is built on first read
+    base = gf.make_field(p, e)
     n = q**m - 1
     defining = DefiningSet.from_exponents(q, m, exponents)
     return CyclicCode(base=base, q=q, m=m, n=n, defining=defining, k=n - defining.size)
@@ -194,7 +179,7 @@ def check_matrix_blocks(code: CyclicCode, rows) -> tuple[np.ndarray, np.ndarray]
         raise ValueError(f"exponent {bad[0]} out of range [0, {n})")
     # keep the first exponent of each coset, keyed by its representative
     first = {}
-    for x, i in zip(_least_rotation(q, n, rows).tolist(), rows.tolist()):
+    for x, i in zip(cosets._least_rotation(q, n, rows).tolist(), rows.tolist()):
         first.setdefault(x, i)
     rows = list(first.values())
     memo = _BLOCKS.setdefault((code.ext, code.base), {})

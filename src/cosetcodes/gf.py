@@ -81,9 +81,11 @@ def prime_factors(n: int) -> list[int]:
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Write q = p^e with p prime, or raise ValueError."""
+    """Write q = p^e with p prime, or raise ValueError; q past the cap is refused unfactored."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
+    if q > MAX_FIELD_SIZE:
+        raise ValueError(f"field size {q} exceeds cap {MAX_FIELD_SIZE}")
     p = min(prime_factors(q))
     e = 0
     r = q
@@ -238,13 +240,13 @@ class FieldContext:
 
 def require_field(p: int, e: int):
     """Raise ValueError unless GF(p^e) is a field make_field builds: p
-    prime, e >= 1 and p^e within MAX_FIELD_SIZE."""
-    if prime_factors(p) != [p]:
-        raise ValueError(f"p={p} is not prime")
+    prime, e >= 1 and p^e within MAX_FIELD_SIZE, checked before p is factored."""
     if e < 1:
         raise ValueError(f"e={e} must be >= 1")
     if e > 20 or p**e > MAX_FIELD_SIZE:  # 2^21 is past the cap: no huge power is built
         raise ValueError(f"field size {p}^{e} exceeds cap {MAX_FIELD_SIZE}")
+    if prime_factors(p) != [p]:
+        raise ValueError(f"p={p} is not prime")
 
 
 @lru_cache(maxsize=None)

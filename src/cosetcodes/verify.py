@@ -163,9 +163,9 @@ def verify_css_families(budget=oracle.OracleBudget(),
     if only_q is not None:
         instances = [(fam, args) for fam, args in instances if args["q"] == only_q]
         if not instances:
-            instances = [(families.BY_NAME["css-block"], {"q": only_q, "c": c})
-                         for c in range(2, only_q)]
-            instances.append((families.BY_NAME["css-block-full"], {"q": only_q}))
+            instances = itertools.chain(  # lazy: a huge q fails at its first build
+                ((families.BY_NAME["css-block"], {"q": only_q, "c": c}) for c in range(2, only_q)),
+                [(families.BY_NAME["css-block-full"], {"q": only_q})])
     for fam, args in instances:
         params = fam.build(**args)
         q, m, c, name = params.q, params.m, params.designed_distance, fam.name

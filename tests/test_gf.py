@@ -120,6 +120,11 @@ def test_factor_prime_power():
         gf.factor_prime_power(12)
     with pytest.raises(ValueError):
         gf.factor_prime_power(1)
+    # past the field cap q is refused before trial division up to sqrt(q)
+    with pytest.raises(ValueError, match=r"^field size 2305843009213693951 exceeds cap"):
+        gf.factor_prime_power(2**61 - 1)
+    with pytest.raises(ValueError, match=r"^field size 2305843009213693951\^1 exceeds cap"):
+        gf.require_field(2**61 - 1, 1)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49])

@@ -123,6 +123,40 @@ def test_complementary_matches_orbit_walk(qm, a):
     assert coset_of(q, m, -c.rep) == _ref_complementary(c)
 
 
+@st.composite
+def _rotation_case(draw):
+    """(q, m, xs): 2 <= q <= 1024, n = q^m - 1 < 2^20 (the field cap, where
+    cyclic's defining sets rotate) and residues xs below n."""
+    q = draw(st.integers(2, 1024))
+    m_max = 1
+    while q ** (m_max + 1) - 1 < 2**20:
+        m_max += 1
+    m = draw(st.integers(1, m_max))
+    return q, m, draw(st.lists(st.integers(0, q**m - 2), min_size=1, max_size=20))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rotation_case(), st.sampled_from([np.int32, np.int64]))
+@example((2, 20, [0, 1, 2**19, 2**20 - 2]), np.int32).via("n = 2^20 - 1")
+@example((1024, 2, [1, 1023, 2**20 - 2]), np.int32).via("q^m = 2^20")
+@example((1000, 2, [999, 12345, 999998]), np.int32).via("n = 999,999")
+@example((7, 1, [0, 5]), np.int64).via("m = 1")
+def test_rotations_match_orbit_walk(case, dtype):
+    q, m, xs = case
+    n = q**m - 1
+    xs = np.array(xs, dtype)
+    rotations = list(cosets._rotations(q, n, xs))
+    assert len(rotations) == m
+    for ys in rotations:
+        assert ys.dtype == dtype and ((0 <= ys) & (ys < n)).all()
+    for i, x in enumerate(xs.tolist()):
+        orbit = _orbit(q, n, x)
+        assert [int(ys[i]) for ys in rotations] == [orbit[j % len(orbit)] for j in range(m)]
+    least = cosets._least_rotation(q, n, xs)
+    assert least.dtype == dtype
+    assert least.tolist() == [_coset_by_walk(q, n, x).rep for x in xs.tolist()]
+
+
 @settings(max_examples=60, deadline=None)
 @given(q_m())
 @example((2, 1)).via("n = 1")
@@ -149,7 +183,7 @@ def test_partition_arrays_match_orbit_walk(qm):
     (9, 1),  # m = 1
     (2, 19),
     (31, 4),  # the listing's cap
-    (1000, 2),  # n = 999,999: q^m = 10^6, the largest rotation grid under the cap
+    (1000, 2),  # n = 999,999, the largest modulus under the cap
 ])
 def test_partition_matches_int64_reference(q, m):
     n = q**m - 1
@@ -163,10 +197,10 @@ def test_partition_matches_int64_reference(q, m):
 
 
 def test_partition_at_the_cap_peaks_below_12_mb():
-    # at n = 923,520 the build finds the 231,135 reps a chunk of 59,582
+    # at n = 923,520 the build finds the 231,135 reps a chunk of 2^14
     # residues at a time: the reps, 0.9 MB, their copy joined from the
     # chunks, and one chunk's residues, running minimum and rotation images
-    # peak at 2.1 MB.  owner, elements and cards, 3.7, 3.7 and 0.9 MB, are
+    # peak at 1.8 MB.  owner, elements and cards, 3.7, 3.7 and 0.9 MB, are
     # built on first read into their own arrays, a block of orbit rows at a
     # time, for 9.5 MB in all.  The build that made all four arrays at once
     # peaked at 10.2 MB, and the int64 products of _ref_partition peak at

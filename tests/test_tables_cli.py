@@ -743,6 +743,18 @@ USAGE_MESSAGES = {
     "conv --family split --q 128": "error: need q <= 64 for the conv families, got 128",
     "conv --family wide-head --q 997": "error: need q <= 64 for the conv families, got 997",
     "verify conv --q 128": "error: need q <= 64 for the conv families, got 128",
+    # a q past the field cap is refused before its trial division, which
+    # takes sqrt(q) steps; verify css --q builds its fallback block(q, c)
+    # instances one at a time, so the first one's refusal ends it
+    "code 10000000000000061 2 1": "error: field size 10000000000000061 exceeds cap 1048576",
+    "css --family block --q 10000000000000061 --c 3":
+        "error: field size 10000000000000061 exceeds cap 1048576",
+    "conv --family split --q 10000000000000061":
+        "error: field size 10000000000000061 exceeds cap 1048576",
+    "verify css --q 10000000000000061": "error: field size 10000000000000061 exceeds cap 1048576",
+    "verify css --q 1000003": "error: field size 1000003^2 exceeds cap 1048576",
+    # every grid q is at least 3, and 3^13 - 1 is over the modulus cap
+    "verify cosets --mmax 13": "error: --mmax 13 is over 12, past which 3^m - 1 exceeds the cap",
 }
 
 # inputs far past a cap are rejected within 1 s, before the work the cap bounds
@@ -751,7 +763,11 @@ PAST_THE_CAPS = ("cosets 3 1000000", "cosets 3 5000",
                  "css --family ladder --q 3 --m 1000000 --c 2", "code 2 100000000 1",
                  "css --family block-even --q 3 --m 20000000 --c 3",
                  "conv --family split --q 128", "conv --family wide-head --q 997",
-                 "verify conv --q 128")
+                 "verify conv --q 128", "code 10000000000000061 2 1",
+                 "css --family block --q 10000000000000061 --c 3",
+                 "conv --family split --q 10000000000000061",
+                 "verify css --q 10000000000000061", "verify css --q 1000003",
+                 "verify cosets --mmax 13")
 
 
 @pytest.mark.parametrize("argv", [
