@@ -5,20 +5,19 @@ library's random), and the full sweep of structural coset checks.
 
 One enumerator, span_min_weight, walks the GF(p)-combinations of a basis
 in index order: digit t of index i is the coefficient of generator t.
-Two tables, each built once by digit doubling, hold the combinations of
-the low generators (at most _BLOCK = 2^14 words) and of the high ones;
-block h of the walk is the low table plus word h of the high table, so no
-index is decoded and nothing is multiplied or packed per block.  The low
-table and one block, 256 KB each at n = 15 over GF(4), fit in a core's L2
-cache.  Words are columns.  For p = 2 they are bit planes: digit t of 64
-consecutive symbols is one uint64, a block is one XOR per plane, and a
-weight is the popcount of the OR of a word's e planes, summed over its
-ceil(n/64) words.  For odd p each digit is one byte (wider for p > 128),
-and the nonzero symbols are counted in the least dtype that holds n.
-Scaling keeps a weight, so the walk takes one word per GF(q)-line.  A CSS
-side, C minus its subcode S, is walked on a basis of C whose first rows
-span S: its words are the lowest indices, skipped without a membership
-test.
+One table L holds the combinations of the low generators, as many as fit
+in _BLOCK = 256 KB; each block of the walk is L plus one word, so no index
+is decoded and nothing is multiplied or packed per block.  Whatever the
+span, the walk holds L, a block and at most one more table of _BLOCK
+bytes; L and a block fit in a core's L2 cache.  Words are columns.  For
+p = 2 they are bit planes: digit t of 64 consecutive symbols is one
+uint64, a block is one XOR per plane, and a weight is the popcount of the
+OR of a word's e planes, summed over its ceil(n/64) words.  For odd p
+each digit is one byte (wider for p > 128), and the nonzero symbols are
+counted in the least dtype that holds n.  Scaling keeps a weight, so the
+walk takes one word per GF(q)-line.  A CSS side, C minus its subcode S,
+is walked on a basis of C whose first rows span S: its words are the
+lowest indices, skipped without a membership test.
 
 One gate, _price, compares each span's q^k words with the budget, from k,
 before any generator, basis or dual is built.  Results within budget are
@@ -31,7 +30,6 @@ and skip pairs whose modulus is over cosets.MAX_MODULUS.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -44,7 +42,7 @@ from .cyclic import CyclicCode
 from .gf import FieldContext, _digits, _mul
 
 DEFAULT_MAX_ENUMERATION = 10**7
-_BLOCK = 1 << 14
+_BLOCK = 1 << 18
 
 
 class BudgetError(ValueError):
@@ -130,6 +128,22 @@ def _combinations(p: int, G: np.ndarray) -> np.ndarray:
     return table
 
 
+def _blocks(ctx, L, G, a, word, c):
+    """Weights of the blocks of word plus each combination of G's first c
+    columns, in index order; L holds those of the first a."""
+    p = ctx.p
+    if c <= a:
+        yield _weights(ctx, _add_mod(p, L[:, :p**c], word))
+    elif c <= 2 * a:
+        T = _add_mod(p, _combinations(p, G[:, a:c]), word)
+        for h in range(T.shape[1]):
+            yield _weights(ctx, _add_mod(p, L, T[:, h:h + 1]))
+    else:
+        for _ in range(p):
+            yield from _blocks(ctx, L, G, a, word, c - 1)
+            word = _add_mod(p, word, G[:, c - 1:c])
+
+
 def span_min_weight(
     ctx: FieldContext, rows, limit: int, *, subcode_rows: int = 0
 ) -> int:
@@ -139,31 +153,22 @@ def span_min_weight(
 
     The indices below p^(e * subcode_rows) are exactly the subcode's words,
     so the walk starts above them; of each GF(q)-line it takes the word with
-    top nonzero coefficient c_j = 1, index in [q^j, 2 q^j).  The low a
-    generators, p^a <= _BLOCK, span a table L of p^a words and the rest a
-    table H, both in index order; block h is L plus column h of H, and the
-    ranges below p^a are weighed as slices of block 0, L itself.  H holds
-    total / p^a words, about 1 / (q - 1) of them walked: for p = 2 at most
-    2^23 / 2^14 = 512 within the budget of 10^7, which counts all q^k.  It
-    outgrows L only for spans larger than p^(2a): 2.7e8 words for p = 2
-    (a = 14), 4.3e7 for p = 3 (a = 8), 2.4e8 for p = 5 (a = 6) and 5.8e6
-    for p = 7 (a = 4), where the default budget's largest spans, 7^8
-    words, give H and L 7^4 words each.
+    top nonzero coefficient c_j = 1, index in [q^j, 2 q^j): generator e*j
+    plus each combination of the e*j below it.  The low a generators span L,
+    p^a words of at most _BLOCK bytes.  While e*j <= a the range is a prefix
+    of L plus one word.  Above, _blocks fixes top coefficients until the
+    generators from a up fit in a table of p^a words at most, and the
+    blocks are L plus each of its words.
     """
     _price(limit, ctx.q, len(rows))
     if subcode_rows >= len(rows):
         raise ValueError("span has no words outside the subcode")
-    p, G = ctx.p, _pack(ctx, _digit_matrix(ctx, rows))
-    a = max(t for t in range(G.shape[1] + 1) if p**t <= _BLOCK)
-    L, H = _combinations(p, G[:, :a]), _combinations(p, G[:, a:])
-    size, tops = p**a, [ctx.q**j for j in range(subcode_rows, len(rows))]
-    # column 0 of H is the zero word, so a range below p^a is a slice of L;
-    # each range from p^a up is whole blocks
-    blocks = itertools.chain(
-        (L[:, t:2 * t] for t in tops if t < size),
-        (_add_mod(p, L, H[:, h:h + 1])
-         for t in tops if t >= size for h in range(t // size, 2 * t // size)))
-    best = min(int(_weights(ctx, block).min()) for block in blocks)
+    p, e, G = ctx.p, ctx.e, _pack(ctx, _digit_matrix(ctx, rows))
+    width = G.itemsize * len(G)
+    a = max((t for t in range(G.shape[1] + 1) if p**t * width <= _BLOCK), default=0)
+    L = _combinations(p, G[:, :a])
+    best = min(int(w.min()) for j in range(subcode_rows, len(rows))
+               for w in _blocks(ctx, L, G, a, G[:, e * j:e * j + 1], e * j))
     if best == 0:
         raise AssertionError("generators are linearly dependent")
     return best
@@ -174,11 +179,11 @@ def sampled_min_weight(ctx: FieldContext, rows, sample: int, seed: int) -> int:
     `sample` random GF(p)-combinations of them: an upper bound on the
     minimum nonzero weight.  The coefficients come from the standard
     library's random.Random(seed), four bytes each taken mod p (bias below
-    p / 2^32), and are weighed a slice at a time, each product at most
-    _BLOCK digits."""
+    p / 2^32), and are weighed a slice at a time, the slice's two int64
+    products at most _BLOCK bytes."""
     D = _digit_matrix(ctx, rows)
     rng, dim = random.Random(seed), D.shape[1]
-    step = max(1, _BLOCK // len(D))
+    step = max(1, _BLOCK // (16 * len(D)))
     weights = [_weights(ctx, D)]  # all single generators first
     for start in range(0, sample, step):
         count = min(step, sample - start)

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import time
@@ -169,9 +170,9 @@ def span_cases(draw):
     k = draw(st.integers(1, kmax if n <= 6 else 6 // e))
     rows = [[draw(st.integers(0, p**e - 1)) for _ in range(n)] for _ in range(k)]
     subcode_rows = draw(st.integers(0, k - 1))
-    # tiny blocks make the walk cross many of them, with the subcode
-    # boundary inside the first block, on a block edge or beyond it
-    block = draw(st.sampled_from([1, 4, oracle._BLOCK]))
+    # tiny blocks, in bytes, make the walk cross many of them, with the
+    # subcode boundary inside the first block, on a block edge or beyond it
+    block = draw(st.sampled_from([1, 4, oracle._BLOCK]) | st.integers(1, 1024))
     return (p, e), rows, subcode_rows, block
 
 
@@ -186,11 +187,19 @@ LAST_129 = [[0] * 128 + [6], [3] * 128 + [5]]
 
 @settings(max_examples=80, deadline=None)
 @given(span_cases())
+# a block of 4 bytes holds one word here; the companions at 4 words (32
+# bytes for one uint64 plane, 24 for GF(9)'s 6 digits, 96 for GF(8)'s three
+# planes) put the edges at 4 and 3 words, as these comments name them
 @example(((2, 1), I3, 1, 4))  # first index 2, inside block 0
 @example(((2, 1), I3, 2, 4))  # first index 4, on a block edge
 @example(((2, 1), I4, 3, 4))  # first index 8, past block 0
 @example(((3, 2), [[1, 5, 0], [0, 1, 7]], 1, 4))  # GF(9): 9 past 3
 @example(((2, 3), [[1, 3], [6, 1]], 1, 4))        # GF(8): 8 on an edge
+@example(((2, 1), I3, 1, 32))
+@example(((2, 1), I3, 2, 32))
+@example(((2, 1), I4, 3, 32))
+@example(((3, 2), [[1, 5, 0], [0, 1, 7]], 1, 24))
+@example(((2, 3), [[1, 3], [6, 1]], 1, 96))
 @example(((3, 1), [[1, 2, 0], [2, 1, 0]], 0, 4))  # dependent rows
 @example(((2, 2), [[1, 0], [0, 1], [1, 1]], 1, 4))
 @example(((2, 1), [[1, 0, 0], [1, 0, 0], [0, 1, 0]], 2, 4))  # dependent subcode
@@ -199,13 +208,19 @@ LAST_129 = [[0] * 128 + [6], [3] * 128 + [5]]
 @example(((2, 2), LAST_65, 0, oracle._BLOCK))
 @example(((2, 3), LAST_129, 0, 4))
 @example(((2, 3), LAST_129, 1, oracle._BLOCK))
-# one word per GF(q)-line: q^subcode_rows >= 4 skips block 0, and each
-# range [q^j, 2 q^j) starts on a block edge; the least weight lies only in
-# the second half of the top range
+# one word per GF(q)-line: with blocks of 4 words (the companions' bytes:
+# 16 and 20 for 4 and 5 GF(5) digits, 96 for three planes, 32 for GF(9)'s 8
+# digits), q^subcode_rows >= 4 skips block 0, and each range [q^j, 2 q^j)
+# starts on a block edge; the least weight lies only in the second half of
+# the top range
 @example(((5, 1), [[0, 4, 0, 4], [4, 0, 1, 4], [4, 3, 2, 0]], 1, 4))
 @example(((5, 1), [[1, 3, 3, 0, 0], [2, 0, 0, 0, 0], [1, 0, 4, 3, 3], [1, 3, 0, 3, 1]], 2, 4))
 @example(((2, 3), [[2, 1, 0, 0], [1, 1, 2, 2], [3, 5, 5, 1]], 1, 4))
 @example(((3, 2), [[0, 3, 0, 5], [3, 5, 7, 3], [4, 5, 2, 4]], 1, 4))
+@example(((5, 1), [[0, 4, 0, 4], [4, 0, 1, 4], [4, 3, 2, 0]], 1, 16))
+@example(((5, 1), [[1, 3, 3, 0, 0], [2, 0, 0, 0, 0], [1, 0, 4, 3, 3], [1, 3, 0, 3, 1]], 2, 20))
+@example(((2, 3), [[2, 1, 0, 0], [1, 1, 2, 2], [3, 5, 5, 1]], 1, 96))
+@example(((3, 2), [[0, 3, 0, 5], [3, 5, 7, 3], [4, 5, 2, 4]], 1, 32))
 # one least-weight line, r0 + a r1 with a = x (label 2) in GF(4): the walk
 # meets it only as r1 + a^2 r0, and in GF(9) only as r1 + x r0 (label 3)
 @example(((2, 2), [[2, 1, 1, 2], [1, 0, 2, 1]], 0, oracle._BLOCK))
@@ -231,13 +246,14 @@ def test_span_min_weight_matches_reference(case):
 
 
 def test_span_min_weight_does_not_depend_on_the_split():
-    # 4^10 words of weight >= 4: the high table has 64 words at the real
-    # _BLOCK (2^14), 16 at 2^16 and 2^16 at the smallest, where the low
-    # table has 16
+    # 4^10 words of weight >= 4, 16 bytes each: L holds 2^12, 2^6 and 1 of
+    # them at 2^16, 2^10 and 2^4 bytes, and 2^16, 2^10 and 2^4 at the three
+    # companions; each range of 4^j with 2j > a recurses down to a table of
+    # at most L's size, 18 levels deep at 2^4 bytes
     code = css.family_block_full(4).outer
     rows = cyclic.codeword_basis(code)
     got = {0: set(), 3: set()}
-    for block in (1 << 16, 1 << 10, 1 << 4):
+    for block in (1 << 16, 1 << 10, 1 << 4, 1 << 20, 1 << 14, 1 << 8):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "_BLOCK", block)
             for subcode_rows in got:
@@ -278,10 +294,11 @@ def test_span_min_weight_walks_one_word_per_line(p, e, k):
 
 @pytest.mark.parametrize("subcode_rows", [0, 3, 8, 9])
 def test_span_min_weight_walks_one_word_per_line_across_blocks(subcode_rows):
-    # 4^10 words at the real _BLOCK, 2^14: the high table holds 64 words,
-    # the ranges of 4^0 .. 4^6 lie in block 0, and those of 4^7 .. 4^9 are
-    # whole blocks (s = 0: 349,525 lines, where walking all of block 0 would
-    # weigh 360,447 words)
+    # 4^10 words at the real _BLOCK, 2^18 bytes or 2^14 words: the ranges of
+    # 4^0 .. 4^6 are prefixes of L plus one word, and those of 4^7 .. 4^9
+    # whole blocks, L plus one word and plus each word of a table of 4 and of
+    # 16 words (s = 0: 349,525 lines, where walking all of the first block
+    # would weigh 360,447 words)
     code = css.family_block_full(4).outer
     rows = cyclic.codeword_basis(code)
     got, weighed = _words_weighed(code.base, rows, subcode_rows, oracle._BLOCK)
@@ -299,13 +316,78 @@ def _traced_peak(call, *args):
 
 
 def test_span_min_weight_peaks_below_one_and_a_half_mb():
-    # 4^10 words: the low table of 2^14 bit-plane words is 256 KB, and so is
-    # each block, so the walk peaks at 0.8 MB; with 2^16-word blocks it
-    # peaked at 3.15 MB
+    # 4^10 words: L, 2^14 bit-plane words, is 256 KB, and so is each
+    # block, so the walk peaks at 0.7 MB; with 2^16-word blocks it peaked
+    # at 3.15 MB
     code = css.family_block_full(4).outer
     rows = cyclic.codeword_basis(code)
     peak = _traced_peak(span_min_weight, code.base, rows, code.q**code.k)
     assert peak < 1.5e6, f"the walk peaked at {peak / 1e6:.2f} MB"
+
+
+def test_span_min_weight_holds_nothing_once_it_returns():
+    # the walk's tables go when it returns, not with the cyclic collector:
+    # a walk that left them in a reference cycle held 256 KB each until the
+    # next collection
+    code = css.family_block_full(4).outer
+    rows = cyclic.codeword_basis(code)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        span_min_weight(code.base, rows, code.q**code.k)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < 1e5, f"the walk left {held / 1e6:.2f} MB held"
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("p,e,k,n", [(2, 1, 34, 64), (2, 2, 17, 15)])
+def test_span_min_weight_memory_does_not_follow_the_span(monkeypatch, p, e, k, n):
+    # 2^34 and 4^17 words, stopped after three blocks: the walk holds a
+    # table of at most _BLOCK bytes, where a table of the high generators'
+    # combinations, 2^20 words of 8 and 16 bytes, peaked at 16.9 and 33.8 MB
+    ctx = make_field(p, e)
+    rows = np.random.default_rng(k).integers(0, ctx.q, (k, n))
+    calls, weights = [], oracle._weights
+
+    def stopping(ctx, words):
+        if len(calls) == 3:
+            raise _Stop
+        calls.append(words.shape[1])
+        return weights(ctx, words)
+
+    monkeypatch.setattr(oracle, "_weights", stopping)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Stop):
+            span_min_weight(ctx, rows, ctx.q**k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6, f"the walk peaked at {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("p,e,k", [(2, 1, 9), (3, 1, 6), (2, 2, 5), (5, 1, 4)])
+def test_span_min_weight_does_not_depend_on_the_block_bytes(p, e, k):
+    # _BLOCK at width * p^t bytes for every t from 0 to k * e, width being
+    # one packed word's bytes: L holds p^t words, and the ranges are
+    # prefixes of L, tables of up to p^t words or recursions over several
+    # levels; every split weighs one word per line and finds the minimum
+    ctx = make_field(p, e)
+    q, rng = ctx.q, random.Random(p * k)
+    rows = [[int(i == j) for j in range(k)] + [rng.randrange(q) for _ in range(3)]
+            for i in range(k)]
+    width = oracle._pack(ctx, oracle._digit_matrix(ctx, rows))[:, :1].nbytes
+    for subcode_rows in range(k):
+        least = _reference_min_weight(ctx, rows, subcode_rows)
+        for t in range(k * e + 1):
+            assert _words_weighed(ctx, rows, subcode_rows, width * p**t) == (
+                least, (q**k - q**subcode_rows) // (q - 1))
 
 
 def test_span_min_weight_rejects_a_span_inside_its_subcode():
@@ -339,7 +421,7 @@ def test_sampled_min_weight_matches_reference(field, rows, sample, seed):
         _reference_sampled(ctx, rows, sample, seed)
 
 
-@pytest.mark.parametrize("block", [1, 24])
+@pytest.mark.parametrize("block", [1, 24, 320])
 @settings(max_examples=20, deadline=None)
 @given(
     st.lists(st.lists(st.integers(0, 4), min_size=5, max_size=5), min_size=1, max_size=3),
@@ -347,9 +429,10 @@ def test_sampled_min_weight_matches_reference(field, rows, sample, seed):
     st.integers(0, 2**32 - 1),
 )
 def test_sampled_min_weight_in_slices_matches_reference(block, rows, sample, seed):
-    # over GF(5) the digit matrix has 5 rows, so these slices hold one and
-    # four combinations: drawn slice by slice, the coefficients are those
-    # of one draw of them all
+    # over GF(5) the digit matrix has 5 rows, two int64 temporaries of 80
+    # bytes per combination, so these slices hold one, one and four
+    # combinations: drawn slice by slice, the coefficients are those of one
+    # draw of them all
     ctx = make_field(5, 1)
     rows[0][0] = 1
     with pytest.MonkeyPatch.context() as mp:
@@ -360,9 +443,9 @@ def test_sampled_min_weight_in_slices_matches_reference(block, rows, sample, see
 
 def test_sampled_min_weight_peaks_below_two_mb():
     # the q = 4 split family's degree-2 kernel, 19 rows of length 45, with
-    # 2,000 draws: each slice's product holds at most _BLOCK digits, so the
-    # call peaks near 0.5 MB; one int64 product over all 2,038 combinations
-    # peaked at 3.58 MB
+    # 2,000 draws: each slice's two int64 products hold at most _BLOCK
+    # bytes, so the call peaks near 0.5 MB; one int64 product over all 2,038
+    # combinations peaked at 3.58 MB
     G = conv.family_split(4).generator
     kernel = gf.nullspace(G.field, conv._sliding_check_stack(G, 2))
     peak = _traced_peak(sampled_min_weight, G.field, kernel, 2000, 0)
