@@ -1,5 +1,6 @@
 """Independent brute-force verifiers: exact minimum distances by message
-enumeration, exact CSS distances over set differences, a seeded sampled
+enumeration, an exact test of d >= c from the light words of one
+information set, exact CSS distances over set differences, a seeded sampled
 upper bound for spans too large to enumerate (drawn from the standard
 library's random), and the full sweep of structural coset checks.
 
@@ -17,10 +18,18 @@ each digit is one byte (wider for p > 128), and the nonzero symbols are
 counted in the least dtype that holds n.  Scaling keeps a weight, so the
 walk takes one word per GF(q)-line.  A CSS side, C minus its subcode S,
 is walked on a basis of C whose first rows span S: its words are the
-lowest indices, skipped without a membership test.
+lowest indices, skipped without a membership test.  For odd p each block
+is formed and weighed in two buffers allocated once per walk.
+
+A yes/no question, whether every nonzero word weighs at least c, needs
+no walk: _light_word brings the basis to RREF and weighs only the
+messages of weight below c on its pivots, the first nonzero coefficient
+1, in chunks of at most _BLOCK bytes, with the walk's packed words.
+verify_min_distance_at_least and css_distance_at_least use it.
 
 One gate, _price, compares each span's q^k words with the budget, from k,
-before any generator, basis or dual is built.  Results within budget are
+before any generator, basis or dual is built; the low-weight test is priced
+the same way, whatever its own word count.  Results within budget are
 exact; over-budget requests raise BudgetError (css_distance_at_least
 answers None) rather than approximating silently.  Enumeration is
 deterministic; sweeps run one (q, m) pair at a time, in sorted order, read
@@ -32,12 +41,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain, combinations, islice
 from typing import Iterable
 
 import numpy as np
 
 from . import cosets as cs
-from . import cyclic
+from . import cyclic, gf
 from .cyclic import CyclicCode
 from .gf import FieldContext, _digits, _mul
 
@@ -91,14 +101,15 @@ def _pack(ctx: FieldContext, digits: np.ndarray) -> np.ndarray:
     return planes.transpose(0, 2, 3, 1).copy().view(np.uint64).reshape(words * e, cols)
 
 
-def _add_mod(p: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _add_mod(p: int, A: np.ndarray, B: np.ndarray, out=None, wrap=None) -> np.ndarray:
     """(A + B) mod p on unsigned digit arrays or bit planes (p = 2),
     broadcasting.  Odd p: a sum S below p wraps S - p around to more than
-    S, so the minimum is S mod p."""
+    S, so the minimum is S mod p; S is formed in out and S - p in wrap when
+    they are given."""
     if p == 2:
         return A ^ B
-    S = A + B
-    return np.minimum(S, S - p)
+    S = np.add(A, B, out=out)
+    return np.minimum(S, np.subtract(S, p, out=wrap), out=S)
 
 
 def _weights(ctx: FieldContext, words: np.ndarray) -> np.ndarray:
@@ -115,6 +126,15 @@ def _weights(ctx: FieldContext, words: np.ndarray) -> np.ndarray:
     return counts.sum(axis=0, dtype=np.min_scalar_type(most))
 
 
+def _weigh(ctx: FieldContext, A: np.ndarray, word: np.ndarray, out=None, wrap=None):
+    """Weights of the words A + word.  For odd p, out and wrap are two
+    arrays of at least A's shape: the words are formed in out's leading
+    columns, with wrap's as the scratch of the sum."""
+    if out is not None:
+        out, wrap = out[:, :A.shape[1]], wrap[:, :A.shape[1]]
+    return _weights(ctx, _add_mod(ctx.p, A, word, out, wrap))
+
+
 def _combinations(p: int, G: np.ndarray) -> np.ndarray:
     """The p^c GF(p)-combinations of the c word columns of G, in index
     order (digit t of index i is the coefficient of column t), built by
@@ -128,19 +148,20 @@ def _combinations(p: int, G: np.ndarray) -> np.ndarray:
     return table
 
 
-def _blocks(ctx, L, G, a, word, c):
+def _blocks(ctx, L, G, a, word, c, out=None, wrap=None):
     """Weights of the blocks of word plus each combination of G's first c
-    columns, in index order; L holds those of the first a."""
+    columns, in index order; L holds those of the first a.  Each block is
+    weighed by _weigh in out and wrap, when given, so no block allocates."""
     p = ctx.p
     if c <= a:
-        yield _weights(ctx, _add_mod(p, L[:, :p**c], word))
+        yield _weigh(ctx, L[:, :p**c], word, out, wrap)
     elif c <= 2 * a:
         T = _add_mod(p, _combinations(p, G[:, a:c]), word)
         for h in range(T.shape[1]):
-            yield _weights(ctx, _add_mod(p, L, T[:, h:h + 1]))
+            yield _weigh(ctx, L, T[:, h:h + 1], out, wrap)
     else:
         for _ in range(p):
-            yield from _blocks(ctx, L, G, a, word, c - 1)
+            yield from _blocks(ctx, L, G, a, word, c - 1, out, wrap)
             word = _add_mod(p, word, G[:, c - 1:c])
 
 
@@ -167,8 +188,11 @@ def span_min_weight(
     width = G.itemsize * len(G)
     a = max((t for t in range(G.shape[1] + 1) if p**t * width <= _BLOCK), default=0)
     L = _combinations(p, G[:, :a])
+    # odd p: each block's sum and its wrap reuse two buffers, as freeing
+    # them per block faulted them back in from the system
+    bufs = () if p == 2 else (np.empty_like(L), np.empty_like(L))
     best = min(int(w.min()) for j in range(subcode_rows, len(rows))
-               for w in _blocks(ctx, L, G, a, G[:, e * j:e * j + 1], e * j))
+               for w in _blocks(ctx, L, G, a, G[:, e * j:e * j + 1], e * j, *bufs))
     if best == 0:
         raise AssertionError("generators are linearly dependent")
     return best
@@ -193,6 +217,52 @@ def sampled_min_weight(ctx: FieldContext, rows, sample: int, seed: int) -> int:
     return int(w[w > 0].min())
 
 
+def _light_word(ctx: FieldContext, rows, bound: int) -> bool:
+    """Whether the GF(q)-span of rows holds a nonzero word of weight below
+    bound, decided from the messages of one information set.
+
+    In the RREF R of rows the pivots carry the identity, so the word u R
+    weighs wt(u) + wt(u P), P being R's other columns.  A word below bound
+    has 1 <= wt(u) < bound, and scaling keeps a weight, so only the messages
+    of weight 1 .. bound - 1 with first nonzero coefficient 1 are weighed
+    (the first step of Prange's and Lee-Brickell's information-set methods):
+    sum over i < bound of C(k, i) (q - 1)^(i - 1) words, never more than the
+    walk's (q^k - 1)/(q - 1).  The words u P are packed as the walk packs
+    its words and formed by weight class, a chunk of supports and
+    coefficients at a time, so no chunk's array is over _BLOCK bytes.
+    """
+    R, pivots = gf.rref(ctx, rows)
+    k, q, p = len(R), ctx.q, ctx.p
+    if len(pivots) < k:
+        raise AssertionError("generators are linearly dependent")
+    # row j (q - 1) + l - 1 of W is the packed word l P[j], label l != 0
+    scaled = _mul(ctx, np.delete(R, pivots, axis=1)[:, None], np.arange(1, q)[:, None])
+    W = _pack(ctx, _digits(ctx, scaled).reshape(k * (q - 1), -1).T).T.copy()
+    width = W.itemsize * W.shape[1]
+    for i in range(1, min(bound - 1, k) + 1):
+        tuples = (q - 1) ** (i - 1)  # coefficient tuples per support
+        # words a chunk: they, and their i int64 row indices each, fit in _BLOCK
+        chunk = max(1, _BLOCK // max(width, 8 * i))
+        supports = combinations(range(k), i)
+        while (S := np.fromiter(chain.from_iterable(islice(supports, max(1, chunk // tuples))),
+                                np.intp).reshape(-1, i)).size:
+            for start in range(0, tuples, chunk):
+                # at[s] picks the rows of W for the support's s-th position:
+                # coefficient 1 at s = 0, and after it 1 plus digit s - 1 of
+                # the coefficient tuple's index in base q - 1
+                t = np.arange(start, min(start + chunk, tuples))
+                at = np.repeat((S.T * (q - 1))[:, :, None], len(t), axis=2)
+                for s in range(1, i):
+                    t, label = np.divmod(t, q - 1)
+                    at[s] += label
+                words = W[at[0].ravel()]
+                for s in range(1, i):
+                    words = _add_mod(p, words, W[at[s].ravel()])
+                if (_weights(ctx, words.T) < bound - i).any():
+                    return True
+    return False
+
+
 # ----------------------------------------------------------------------
 # code distances
 # ----------------------------------------------------------------------
@@ -210,8 +280,14 @@ def min_distance_bruteforce(code: CyclicCode, budget=OracleBudget()) -> int:
 
 def verify_min_distance_at_least(code: CyclicCode, bound: int,
                                  budget=OracleBudget()) -> bool:
-    """True iff every nonzero codeword has weight >= bound."""
-    return code.k == 0 or min_distance_bruteforce(code, budget) >= bound
+    """True iff every nonzero codeword has weight >= bound, decided by
+    _light_word on the shifts of g(x), without the exact minimum.  The code
+    is priced at its q^k words, as for min_distance_bruteforce, before g(x)
+    is built."""
+    if code.k == 0:
+        return True
+    _price(budget.max_enumeration, code.q, code.k)
+    return not _light_word(code.base, cyclic.codeword_basis(code), bound)
 
 
 def _css_sides(pair, limit: int):
@@ -225,8 +301,9 @@ def _css_sides(pair, limit: int):
 
 def css_distance_at_least(pair, bound: int, budget=OracleBudget()) -> bool | None:
     """Whether C1 and the dual of C2 both have minimum distance >= bound,
-    so that the CSS pair reaches it; None when either enumeration is over
-    budget (always at budget 0)."""
+    so that the CSS pair reaches it, each side decided by
+    verify_min_distance_at_least; None when either side's q^k words are
+    over budget (always at budget 0)."""
     try:
         sides = _css_sides(pair, budget.max_enumeration)
     except BudgetError:

@@ -453,6 +453,114 @@ def test_sampled_min_weight_peaks_below_two_mb():
 
 
 # ---------------------------------------------------------------
+# the low-weight test on an information set
+# ---------------------------------------------------------------
+
+# (q, m), n = q^m - 1, and the largest k a drawn code may have: at most
+# 6,561 words for the reference enumeration
+LIGHT_FIELDS = {(2, 4): 12, (2, 5): 12, (3, 2): 8, (3, 3): 8, (4, 2): 6,
+                (5, 2): 5, (7, 2): 4, (8, 2): 4, (9, 2): 4}
+
+
+@st.composite
+def small_cyclic_codes(draw, kmax=12):
+    """A cyclic code over GF(2), GF(3), GF(4), GF(5), GF(7), GF(8) or GF(9)
+    whose nonzeros are drawn cosets, each kept while k stays at most kmax
+    and the field's bound."""
+    (q, m), most = draw(st.sampled_from(sorted(LIGHT_FIELDS.items())))
+    most = min(most, kmax)
+    parts = cosets.all_cosets(q, m)
+    order = draw(st.permutations(range(len(parts))))
+    kept, k = set(), 0
+    for j in order[:draw(st.integers(1, len(parts)))]:
+        if k + parts[j].cardinality <= most:
+            kept.add(j)
+            k += parts[j].cardinality
+    return cyclic.code_from_cosets(q, m, [c.rep for j, c in enumerate(parts) if j not in kept])
+
+
+def _light_word_answers(code, block=None):
+    """verify_min_distance_at_least against min_distance_bruteforce at
+    every bound from 1 to d + 2, with _BLOCK at block bytes if given."""
+    d = min_distance_bruteforce(code)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(oracle, "_BLOCK", block)
+        got = [verify_min_distance_at_least(code, bound) for bound in range(1, d + 3)]
+    return got, [d >= bound for bound in range(1, d + 3)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_cyclic_codes())
+# the whole space, where P has no columns and every word of weight 1 has
+# wt(u) = 1 = c - 1 at c = 2; and k = 1, d = 8, where no class reaches c - 1
+@example(cyclic.code_from_cosets(2, 2, []))
+@example(cyclic.code_from_cosets(3, 2, range(1, 8)))
+def test_light_word_test_matches_reference(code):
+    got, want = _light_word_answers(code)
+    assert got == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_cyclic_codes(kmax=6), st.integers(1, 1024))
+# one word a chunk, each support's tuples split one by one
+@example(cyclic.code_from_cosets(4, 2, [0, 1, 2, 3, 5, 7]), 1)
+@example(cyclic.code_from_cosets(5, 2, [0, 1, 2, 3, 4, 6, 7, 8, 9, 12, 18, 19]), 1)
+def test_light_word_test_in_small_chunks_matches_reference(code, block):
+    # chunks of a few words or index rows, so that chunk edges fall inside
+    # each weight class: between supports and inside a support's tuples
+    got, want = _light_word_answers(code, block)
+    assert got == want
+
+
+def test_light_word_test_rejects_dependent_rows(monkeypatch):
+    ctx = make_field(3, 1)
+    with pytest.raises(AssertionError, match="linearly dependent"):
+        oracle._light_word(ctx, [[1, 2, 0], [2, 1, 0]], 1)
+    code = cyclic.code_from_cosets(3, 2, [1])
+    rows = cyclic.codeword_basis(code)
+    rows[-1] = rows[0]
+    monkeypatch.setattr(cyclic, "codeword_basis", lambda code: rows)
+    with pytest.raises(AssertionError, match="linearly dependent"):
+        verify_min_distance_at_least(code, 2)
+
+
+def test_css_distance_at_least_does_not_walk_the_span(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("css_distance_at_least walked a span")
+
+    monkeypatch.setattr(oracle, "span_min_weight", refuse)
+    params = css.family_block_even(4, 2, 3)
+    assert css_distance_at_least(params, 3, OracleBudget(17_000_000)) is True
+
+
+def test_light_word_test_memory_does_not_follow_the_word_count(monkeypatch):
+    # block-full(7)'s C1 at c = 7: k = 37 over GF(7), 1.87e10 light words,
+    # stopped after 100 chunks, inside the weight-4 class; one chunk's
+    # indices and words are each at most _BLOCK bytes, where the 279,720
+    # words of the weight-3 class at once would take about 10 MB
+    code = css.family_block_full(7).outer
+    rows = cyclic.codeword_basis(code)
+    calls, weights = [], oracle._weights
+
+    def stopping(ctx, words):
+        if len(calls) == 100:
+            raise _Stop
+        calls.append(words.shape[1])
+        return weights(ctx, words)
+
+    monkeypatch.setattr(oracle, "_weights", stopping)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Stop):
+            oracle._light_word(code.base, rows, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6, f"the test peaked at {peak / 1e6:.2f} MB"
+
+
+# ---------------------------------------------------------------
 # CSS distances
 # ---------------------------------------------------------------
 
