@@ -204,22 +204,23 @@ def _coset_layout(args, part) -> tuple[str, np.ndarray, np.ndarray, str, str]:
 
 
 def cmd_cosets(args, cfg) -> int:
-    """List the cosets, streamed 4096 rows per write (231,135 rows at the
-    modulus cap).  Each block takes every field from its orbit rows, read
-    from the representatives, so no array the size of the partition is
-    built: the complement of C_r is -C_r, whose rep is n - max(C_r).  numpy
-    gathers the block's row images, writes every field's digits into them
-    (_decimal) and drops their 0 bytes, so no value is formatted in Python.
-    For odd q a coset's elements have its rep's parity: q is odd, n even."""
+    """List the cosets, streamed a block of cosets._ROWS rows per write
+    (231,135 rows at the modulus cap).  Each block takes every field from
+    its orbit rows, read from the representatives, so no array the size of
+    the partition is built: the complement of C_r is -C_r, whose rep is
+    n - max(C_r).  numpy gathers the block's row images, writes every
+    field's digits into them (_decimal) and drops their 0 bytes, so no value
+    is formatted in Python.  For odd q a coset's elements have its rep's
+    parity: q is odd, n even."""
     q, m = args.q, args.m
     with _usage_errors(args):
         part = cosets.partition(q, m)
     head, images, columns, sep, tail = _coset_layout(args, part)
     with _output(args) as fh:
         fh.write(head)
-        for a in range(0, len(part.reps), 4096):
+        for a, b in cosets._chunks(len(part.reps), cosets._ROWS):
             # the block's fields as columns; -1 marks a field that a row lacks
-            blk = slice(a, a + 4096)
+            blk = slice(a, b)
             reps, rows, gaps = part.reps[blk], part.rows(blk), 0
             cards, fields = cosets._cards(rows), [reps, rows]
             if args.properties:

@@ -9,17 +9,17 @@ in index order: digit t of index i is the coefficient of generator t.
 One table L holds the combinations of the low generators, as many as fit
 in _BLOCK = 256 KB; each block of the walk is L plus one word, so no index
 is decoded and nothing is multiplied or packed per block.  Whatever the
-span, the walk holds L, a block and at most one more table of _BLOCK
-bytes; L and a block fit in a core's L2 cache.  Words are columns.  For
-p = 2 they are bit planes: digit t of 64 consecutive symbols is one
-uint64, a block is one XOR per plane, and a weight is the popcount of the
-OR of a word's e planes, summed over its ceil(n/64) words.  For odd p
-each digit is one byte (wider for p > 128), and the nonzero symbols are
-counted in the least dtype that holds n.  Scaling keeps a weight, so the
-walk takes one word per GF(q)-line.  A CSS side, C minus its subcode S,
-is walked on a basis of C whose first rows span S: its words are the
-lowest indices, skipped without a membership test.  For odd p each block
-is formed and weighed in two buffers allocated once per walk.
+span, the walk holds L and one block; both fit in a core's L2 cache.
+Words are columns.  For p = 2 they are bit planes: digit t of 64
+consecutive symbols is one uint64, a block is one XOR per plane, and a
+weight is the popcount of the OR of a word's e planes, summed over its
+ceil(n/64) words.  For odd p each digit is one byte (wider for p > 128),
+and the nonzero symbols are counted in the least dtype that holds n.
+Scaling keeps a weight, so the walk takes one word per GF(q)-line.  A CSS
+side, C minus its subcode S, is walked on a basis of C whose first rows
+span S: its words are the lowest indices, skipped without a membership
+test.  For odd p each block is formed and weighed in two buffers
+allocated once per walk.
 
 A yes/no question, whether every nonzero word weighs at least c, needs
 no walk: _light_word brings the basis to RREF and weighs only the
@@ -76,12 +76,16 @@ def _price(limit: int, q: int, dim: int) -> None:
 # span enumeration over GF(p)
 # ----------------------------------------------------------------------
 
-def _digit_matrix(ctx: FieldContext, rows) -> np.ndarray:
-    """The GF(p)-generators of the span of rows (each row times 1, x, ...,
-    x^(e-1)) as columns of GF(p)-digits, e per symbol (row j*e + t holds
-    digit t of symbol j): the word of coefficients c is D @ c % p."""
-    gens = _mul(ctx, np.asarray(rows)[:, None, :], ctx.p ** np.arange(ctx.e)[:, None])
-    return np.ascontiguousarray(_digits(ctx, gens).reshape(len(rows) * ctx.e, -1).T)
+def _digit_matrix(ctx: FieldContext, rows, mults=None) -> np.ndarray:
+    """Each row times each of mults, by default 1, x, ..., x^(e-1) (the
+    GF(p)-generators of the span of rows), as columns of GF(p)-digits, e per
+    symbol: row j*e + t holds digit t of symbol j, and column i*len(mults)
+    + l is row i times mults[l].  With the default, the word of
+    coefficients c is D @ c % p."""
+    if mults is None:
+        mults = ctx.p ** np.arange(ctx.e)
+    gens = _mul(ctx, np.asarray(rows)[:, None, :], mults[:, None])
+    return np.ascontiguousarray(_digits(ctx, gens).reshape(len(rows) * len(mults), -1).T)
 
 
 def _pack(ctx: FieldContext, digits: np.ndarray) -> np.ndarray:
@@ -126,15 +130,6 @@ def _weights(ctx: FieldContext, words: np.ndarray) -> np.ndarray:
     return counts.sum(axis=0, dtype=np.min_scalar_type(most))
 
 
-def _weigh(ctx: FieldContext, A: np.ndarray, word: np.ndarray, out=None, wrap=None):
-    """Weights of the words A + word.  For odd p, out and wrap are two
-    arrays of at least A's shape: the words are formed in out's leading
-    columns, with wrap's as the scratch of the sum."""
-    if out is not None:
-        out, wrap = out[:, :A.shape[1]], wrap[:, :A.shape[1]]
-    return _weights(ctx, _add_mod(ctx.p, A, word, out, wrap))
-
-
 def _combinations(p: int, G: np.ndarray) -> np.ndarray:
     """The p^c GF(p)-combinations of the c word columns of G, in index
     order (digit t of index i is the coefficient of column t), built by
@@ -150,19 +145,22 @@ def _combinations(p: int, G: np.ndarray) -> np.ndarray:
 
 def _blocks(ctx, L, G, a, word, c, out=None, wrap=None):
     """Weights of the blocks of word plus each combination of G's first c
-    columns, in index order; L holds those of the first a.  Each block is
-    weighed by _weigh in out and wrap, when given, so no block allocates."""
+    columns, in index order; L holds those of the first a.  While c > a the
+    coefficient of column c - 1 takes its p values in turn, each recursing
+    on the columns below; then the block is a prefix of L plus word, formed
+    in out's leading columns (with wrap's as the scratch of the sum) when
+    they are given, so no block allocates."""
     p = ctx.p
     if c <= a:
-        yield _weigh(ctx, L[:, :p**c], word, out, wrap)
-    elif c <= 2 * a:
-        T = _add_mod(p, _combinations(p, G[:, a:c]), word)
-        for h in range(T.shape[1]):
-            yield _weigh(ctx, L, T[:, h:h + 1], out, wrap)
+        A = L[:, :p**c]
+        if out is not None:
+            out, wrap = out[:, :A.shape[1]], wrap[:, :A.shape[1]]
+        yield _weights(ctx, _add_mod(p, A, word, out, wrap))
     else:
-        for _ in range(p):
+        for _ in range(p - 1):
             yield from _blocks(ctx, L, G, a, word, c - 1, out, wrap)
             word = _add_mod(p, word, G[:, c - 1:c])
+        yield from _blocks(ctx, L, G, a, word, c - 1, out, wrap)
 
 
 def span_min_weight(
@@ -177,9 +175,8 @@ def span_min_weight(
     top nonzero coefficient c_j = 1, index in [q^j, 2 q^j): generator e*j
     plus each combination of the e*j below it.  The low a generators span L,
     p^a words of at most _BLOCK bytes.  While e*j <= a the range is a prefix
-    of L plus one word.  Above, _blocks fixes top coefficients until the
-    generators from a up fit in a table of p^a words at most, and the
-    blocks are L plus each of its words.
+    of L plus one word.  Above, _blocks fixes the coefficients of the
+    generators from a up, top first, and each block is L plus one word.
     """
     _price(limit, ctx.q, len(rows))
     if subcode_rows >= len(rows):
@@ -236,8 +233,8 @@ def _light_word(ctx: FieldContext, rows, bound: int) -> bool:
     if len(pivots) < k:
         raise AssertionError("generators are linearly dependent")
     # row j (q - 1) + l - 1 of W is the packed word l P[j], label l != 0
-    scaled = _mul(ctx, np.delete(R, pivots, axis=1)[:, None], np.arange(1, q)[:, None])
-    W = _pack(ctx, _digits(ctx, scaled).reshape(k * (q - 1), -1).T).T.copy()
+    P = np.delete(R, pivots, axis=1)
+    W = _pack(ctx, _digit_matrix(ctx, P, np.arange(1, q))).T.copy()
     width = W.itemsize * W.shape[1]
     for i in range(1, min(bound - 1, k) + 1):
         tuples = (q - 1) ** (i - 1)  # coefficient tuples per support
@@ -460,10 +457,9 @@ def _sweep_pair(report: SweepReport, q: int, m: int) -> None:
 
     # ladder cosets for every admissible c (at most q), checked once at the
     # largest: the ladder for a smaller c is a subset of its disjoint
-    # full-size cosets, and its final elements a prefix of the consecutive run
-    cmax = 0
-    while cmax < q and (cmax + 1) * q + 1 < q ** ((m + 1) // 2) - 1:
-        cmax += 1
+    # full-size cosets, and its final elements a prefix of the consecutive run;
+    # c is admissible iff c q + 1 < q^ceil(m/2) - 1
+    cmax = max(0, min(q, (q ** ((m + 1) // 2) - 3) // q))
     if cmax == 0:
         report.add(q, m, "ladder", None, "no admissible c")
     else:

@@ -248,8 +248,8 @@ def test_span_min_weight_matches_reference(case):
 def test_span_min_weight_does_not_depend_on_the_split():
     # 4^10 words of weight >= 4, 16 bytes each: L holds 2^12, 2^6 and 1 of
     # them at 2^16, 2^10 and 2^4 bytes, and 2^16, 2^10 and 2^4 at the three
-    # companions; each range of 4^j with 2j > a recurses down to a table of
-    # at most L's size, 18 levels deep at 2^4 bytes
+    # companions; each range of 4^j with 2j > a fixes its top coefficients
+    # one generator at a time down to L, 18 levels deep at 2^4 bytes
     code = css.family_block_full(4).outer
     rows = cyclic.codeword_basis(code)
     got = {0: set(), 3: set()}
@@ -296,9 +296,9 @@ def test_span_min_weight_walks_one_word_per_line(p, e, k):
 def test_span_min_weight_walks_one_word_per_line_across_blocks(subcode_rows):
     # 4^10 words at the real _BLOCK, 2^18 bytes or 2^14 words: the ranges of
     # 4^0 .. 4^6 are prefixes of L plus one word, and those of 4^7 .. 4^9
-    # whole blocks, L plus one word and plus each word of a table of 4 and of
-    # 16 words (s = 0: 349,525 lines, where walking all of the first block
-    # would weigh 360,447 words)
+    # whole blocks, L plus one word for each value of the coefficients above
+    # L's, 1, 4 and 16 of them (s = 0: 349,525 lines, where walking all of the
+    # first block would weigh 360,447 words)
     code = css.family_block_full(4).outer
     rows = cyclic.codeword_basis(code)
     got, weighed = _words_weighed(code.base, rows, subcode_rows, oracle._BLOCK)

@@ -298,6 +298,19 @@ def test_cli_cosets_bytes_match_scalar_renderer_past_one_block(q, m, fmt):
     _check_cosets_bytes(q, m, True, fmt)
 
 
+# the listing steps through cosets._ROWS rows per block: with 1, 3 and 7
+# rows the first block's separator, full middle blocks and a short last
+# block all fall inside small partitions (44, 23 and 5 cosets)
+@pytest.mark.parametrize("rows", [1, 3, 7])
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("q,m", [(5, 3), (4, 3), (3, 2)])
+@pytest.mark.parametrize("properties", [True, False])
+def test_cli_cosets_bytes_match_scalar_renderer_at_any_block(
+        monkeypatch, rows, fmt, q, m, properties):
+    monkeypatch.setattr(cosets, "_ROWS", rows)
+    _check_cosets_bytes(q, m, properties, fmt)
+
+
 def test_decimal_writes_every_value_below_the_cap():
     # every value a listing prints, 0 .. 999,999, and -1 for a field the row
     # lacks; the boundaries of the 0-byte padding are 0, 9, 10, 99, 100,
