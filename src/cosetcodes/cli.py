@@ -359,18 +359,56 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub):
-    sub.set_defaults(parser=sub)
-    sub.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    sub.add_argument("--out", metavar="FILE", default=None)
-    sub.add_argument("--budget", type=_nonnegative, default=None,
-                     help="max oracle enumeration size (0 disables the oracle)")
-    sub.add_argument("--seed", type=_nonnegative, default=None)
-    sub.add_argument("--config", metavar="FILE", default=None,
-                     help="key=value file: budget, seed")
+# each command's help line, in the order -h lists them
+_HELP = {"cosets": "list the cosets modulo q^m - 1",
+         "code": "build a cyclic code from exponents",
+         "css": "build one CSS family instance",
+         "conv": "build one convolutional family instance",
+         "table": "regenerate a parameter table",
+         "verify": "run verification sweeps"}
+
+
+def _add_command(p, name: str) -> None:
+    """Give p, the parser of command `name`, its arguments."""
+    if name in ("cosets", "code"):
+        p.add_argument("q", type=int)
+        p.add_argument("m", type=int)
+    if name == "cosets":
+        p.add_argument("--properties", action="store_true",
+                       help="include gap, complement and parity per coset")
+    elif name == "code":
+        p.add_argument("exponents", type=int, nargs="*", default=[])
+    elif name in ("css", "conv"):
+        kin = [fam for fam in families.FAMILIES if fam.kind == name]
+        p.add_argument("--family", required=True,
+                       choices=[fam.name.removeprefix(f"{name}-") for fam in kin])
+        p.add_argument("--q", type=int, required=True)
+        for param in "mci":
+            if any(param in fam.params for fam in kin):
+                p.add_argument(f"--{param}", type=int, default=None,
+                               help="default 2" if param == "m" else None)
+    elif name == "table":
+        p.add_argument("which", type=int, choices=[1, 2, 3])
+    else:
+        p.add_argument("scope", choices=["cosets", "cyclic", "css", "conv", "all"])
+        p.add_argument("--qmax", type=int, default=None,
+                       help="coset grid of verify cosets/all: largest q (default 9)")
+        p.add_argument("--mmax", type=int, default=None,
+                       help="coset grid of verify cosets/all: largest m (default 3)")
+        p.add_argument("--q", type=int, default=None,
+                       help="restrict css/conv family checks to one alphabet")
+    p.set_defaults(parser=p, func=globals()[f"cmd_{name}"])
+    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    p.add_argument("--out", metavar="FILE", default=None)
+    p.add_argument("--budget", type=_nonnegative, default=None,
+                   help="max oracle enumeration size (0 disables the oracle)")
+    p.add_argument("--seed", type=_nonnegative, default=None)
+    p.add_argument("--config", metavar="FILE", default=None,
+                   help="key=value file: budget, seed")
 
 
 def make_parser() -> argparse.ArgumentParser:
+    """The parser of every command, for the usage a command does not name."""
     parser = _Parser(
         prog="cosetcodes",
         description="cyclotomic cosets, cyclic codes, CSS and convolutional "
@@ -378,64 +416,38 @@ def make_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("cosets", help="list the cosets modulo q^m - 1")
-    p.add_argument("q", type=int)
-    p.add_argument("m", type=int)
-    p.add_argument("--properties", action="store_true",
-                   help="include gap, complement and parity per coset")
-    _add_common(p)
-    p.set_defaults(func=cmd_cosets)
-
-    p = subs.add_parser("code", help="build a cyclic code from exponents")
-    p.add_argument("q", type=int)
-    p.add_argument("m", type=int)
-    p.add_argument("exponents", type=int, nargs="*")
-    _add_common(p)
-    p.set_defaults(func=cmd_code)
-
-    for kind, help_text, func in (
-            ("css", "build one CSS family instance", cmd_css),
-            ("conv", "build one convolutional family instance", cmd_conv)):
-        kin = [fam for fam in families.FAMILIES if fam.kind == kind]
-        p = subs.add_parser(kind, help=help_text)
-        p.add_argument("--family", required=True,
-                       choices=[fam.name.removeprefix(f"{kind}-") for fam in kin])
-        p.add_argument("--q", type=int, required=True)
-        for param in "mci":
-            if any(param in fam.params for fam in kin):
-                p.add_argument(f"--{param}", type=int, default=None,
-                               help="default 2" if param == "m" else None)
-        _add_common(p)
-        p.set_defaults(func=func)
-
-    p = subs.add_parser("table", help="regenerate a parameter table")
-    p.add_argument("which", type=int, choices=[1, 2, 3])
-    _add_common(p)
-    p.set_defaults(func=cmd_table)
-
-    p = subs.add_parser("verify", help="run verification sweeps")
-    p.add_argument("scope", choices=["cosets", "cyclic", "css", "conv", "all"])
-    p.add_argument("--qmax", type=int, default=None,
-                   help="coset grid of verify cosets/all: largest q (default 9)")
-    p.add_argument("--mmax", type=int, default=None,
-                   help="coset grid of verify cosets/all: largest m (default 3)")
-    p.add_argument("--q", type=int, default=None,
-                   help="restrict css/conv family checks to one alphabet")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
+    for name, help_text in _HELP.items():
+        _add_command(subs.add_parser(name, help=help_text), name)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """make_parser().parse_args(argv), building only the named command's
+    parser; argv with no command (-h, --version, none, an unknown one) goes
+    to the full tree."""
+    if not argv or argv[0] not in _HELP:
+        return make_parser().parse_args(argv)
+    p = _Parser(prog=f"cosetcodes {argv[0]}")
+    _add_command(p, argv[0])
+    args, extra = p.parse_known_args(argv[1:])
+    if extra:
+        _Parser(prog="cosetcodes").error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     cfg = _config_defaults(args)
     try:
         status = args.func(args, cfg)
-        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        sys.stdout.flush()  # a closed pipe or a full disk fails here, not at exit
         return status
-    except BrokenPipeError:  # as after `| head`: the flush at exit is silenced
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:  # writing the output, the commands' only I/O here
+        if not args.out:  # stdout keeps what it failed to write: silence the flush at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # as after `| head`: no message
+            print(f"{args.parser.prog}: error: cannot write output: {exc}", file=sys.stderr)
         return 1
 
 

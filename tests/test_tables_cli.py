@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -452,6 +453,94 @@ def test_cli_closed_pipe_fails_quietly_at_the_final_flush():
     assert done.returncode == 1 and done.stderr == ""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv,to_stdout", [
+    ("table 1 --out /dev/full", False),
+    ("table 1", True),
+    ("cosets 31 4", True),  # fails at a write of the listing, not at the flush
+])
+def test_cli_full_device_is_a_one_line_error(argv, to_stdout):
+    # a full disk ends the command with one line and exit status 1; the flush
+    # at exit is silenced, so no "Exception ignored" follows
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "cosetcodes.cli", *argv.split()],
+                              env=_fresh_env(), stdout=full if to_stdout else subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    command = argv.split()[0]
+    assert done.returncode == 1
+    assert done.stderr == (f"cosetcodes {command}: error: cannot write output: "
+                           "[Errno 28] No space left on device\n")
+
+
+def test_cli_failed_write_to_stdout_is_a_one_line_error(monkeypatch, capsys, tmp_path):
+    sink = os.open(tmp_path / "sink", os.O_WRONLY | os.O_CREAT)
+
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def fileno(self):
+            return sink
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    try:
+        assert cli.main(["table", "1"]) == 1
+    finally:
+        os.close(sink)
+    assert capsys.readouterr().err == (
+        "cosetcodes table: error: cannot write output: [Errno 28] No space left on device\n")
+
+
+# every command with valid arguments, then the argv that parse into an error,
+# help or the version; each command parses with its own parser
+_VALID = ("cosets 5 2", "code 3 2 1", "css --family block --q 4 --c 3",
+          "conv --family split --q 16", "table 1", "verify css --q 4")
+PARSE_ARGV = [
+    *(f"{argv} {tail}" for argv in _VALID
+      for tail in ("--seed 1", "--format=json", "--form json", "--bogus", "--ver")),
+    *(f"{argv.split()[0]} -h" for argv in _VALID),
+    "table 4", "verify bogus", "css --family nope --q 4", "cosets 5", "code 2", "table",
+    "-h", "--version", "", "bogus",
+]
+
+
+def _parsed(parse, argv, capsys):
+    """parse(argv) as its namespace less the parser, or as its exit status
+    and output."""
+    try:
+        args = vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr()
+    del args["parser"]
+    return args
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGV)
+def test_cli_command_parser_parses_like_the_full_tree(argv, capsys):
+    argv = argv.split()
+    assert _parsed(cli._parse, argv, capsys) == _parsed(cli.make_parser().parse_args, argv, capsys)
+
+
+@pytest.mark.parametrize("argv", ["table 1 --format json", "verify css --q 4"])
+def test_cli_command_builds_only_its_own_parser(argv, monkeypatch, capsys):
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["prog"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    assert cli.main(argv.split()) == 0
+    assert built == [f"cosetcodes {argv.split()[0]}"]
+
+
+def test_cli_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["cosetcodes", "code", "3", "2", "1"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out.startswith("[8, 6, d >= 2]_3\n")
+
+
 def test_cli_verify_cosets_up_to_27_4(tmp_path):
     out = tmp_path / "out.json"
     elapsed, _ = _run_fresh(["verify", "cosets", "--qmax", "27", "--mmax", "4",
@@ -718,6 +807,8 @@ USAGE_MESSAGES = {
     "code 6 2 1": "error: 6 is not a prime power",
     "code 2 21 1": "error: field size 2^21 exceeds cap 1048576",
     "code 4 -1": "error: need m >= 1, got m=-1",
+    # the exponents may be left out; m may not
+    "code 2": "cosetcodes code: error: the following arguments are required: m\n",
     # --q restricts the css and conv sweeps only
     "verify cosets --q 5": "error: --q restricts only css/conv, not verify cosets",
     "verify cyclic --q 5": "error: --q restricts only css/conv, not verify cyclic",
