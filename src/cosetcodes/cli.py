@@ -84,7 +84,8 @@ def _config_defaults(args) -> dict:
     return defaults
 
 
-def _budget_from(args, cfg) -> OracleBudget:
+def _budget_from(args) -> OracleBudget:
+    cfg = _config_defaults(args)
     budget = args.budget if args.budget is not None else cfg["budget"]
     seed = args.seed if args.seed is not None else cfg["seed"]
     return OracleBudget(max_enumeration=budget, seed=seed)
@@ -203,7 +204,7 @@ def _coset_layout(args, part) -> tuple[str, np.ndarray, np.ndarray, str, str]:
     return head, images, (ends[:-1] - 6) // 2, sep, tail
 
 
-def cmd_cosets(args, cfg) -> int:
+def cmd_cosets(args) -> int:
     """List the cosets, streamed a block of cosets._ROWS rows per write
     (231,135 rows at the modulus cap).  Each block takes every field from
     its orbit rows, read from the representatives, so no array the size of
@@ -237,7 +238,7 @@ def cmd_cosets(args, cfg) -> int:
     return 0
 
 
-def cmd_code(args, cfg) -> int:
+def cmd_code(args) -> int:
     with _usage_errors(args):
         code = cyclic.code_from_cosets(args.q, args.m, args.exponents)
     delta = cyclic.bch_bound(code)
@@ -257,7 +258,7 @@ def cmd_code(args, cfg) -> int:
     return 0
 
 
-def cmd_css(args, cfg) -> int:
+def cmd_css(args) -> int:
     params = _family_instance(args)
     row = {"text": params.bracket(), "n": params.n, "k": params.k,
            "q": params.q, "m": params.m, "c": params.designed_distance,
@@ -270,7 +271,7 @@ def cmd_css(args, cfg) -> int:
     return 0
 
 
-def cmd_conv(args, cfg) -> int:
+def cmd_conv(args) -> int:
     code = _family_instance(args)
     rep = conv.check_reduced_basic(code.generator)
     row = {"text": code.bracket(), "n": code.n, "k": code.k,
@@ -289,8 +290,8 @@ def cmd_conv(args, cfg) -> int:
     return 0
 
 
-def cmd_table(args, cfg) -> int:
-    bud = _budget_from(args, cfg)
+def cmd_table(args) -> int:
+    bud = _budget_from(args)
     rows = tables.build_table(args.which, bud)
     dicts = [r.to_dict() for r in rows]
     lines = [f"{r.text}  [{r.status}]" for r in rows]
@@ -298,13 +299,13 @@ def cmd_table(args, cfg) -> int:
     return 0
 
 
-def cmd_verify(args, cfg) -> int:
+def cmd_verify(args) -> int:
+    bud = _budget_from(args)
     if args.q is not None and args.scope in ("cosets", "cyclic"):
         args.parser.error(f"--q restricts only css/conv, not verify {args.scope}")
     for flag in ("qmax", "mmax"):
         if vars(args)[flag] is not None and args.scope not in ("cosets", "all"):
             args.parser.error(f"--{flag} sizes only the coset grid, not verify {args.scope}")
-    bud = _budget_from(args, cfg)
     report = SweepReport()
     if args.scope in ("cosets", "all"):
         qmax = 9 if args.qmax is None else args.qmax
@@ -400,11 +401,12 @@ def _add_command(p, name: str) -> None:
     p.set_defaults(parser=p, func=globals()[f"cmd_{name}"])
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.add_argument("--out", metavar="FILE", default=None)
-    p.add_argument("--budget", type=_nonnegative, default=None,
-                   help="max oracle enumeration size (0 disables the oracle)")
     p.add_argument("--seed", type=_nonnegative, default=None)
-    p.add_argument("--config", metavar="FILE", default=None,
-                   help="key=value file: budget, seed")
+    if name in ("table", "verify"):
+        p.add_argument("--budget", type=_nonnegative, default=None,
+                       help="max oracle enumeration size (0 disables the oracle)")
+        p.add_argument("--config", metavar="FILE", default=None,
+                       help="key=value file: budget, seed")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -438,9 +440,8 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
-    cfg = _config_defaults(args)
     try:
-        status = args.func(args, cfg)
+        status = args.func(args)
         sys.stdout.flush()  # a closed pipe or a full disk fails here, not at exit
         return status
     except OSError as exc:  # writing the output, the commands' only I/O here

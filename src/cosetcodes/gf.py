@@ -44,8 +44,8 @@ product of (x - alpha^j) over a whole defining set, taken in the extension
 with the same kernel and lowered to the base field by one lookup in the
 subfield embedding's inverse table, and returned as a read-only label
 array, constant term first.  One Horner's rule, _horner, evaluates the
-embedding's root search, conv's polynomial matrices and the identity
-sweep's generators at arrays of points.
+embedding's root search and the identity sweep's generators at arrays of
+points.
 
 Every function in this module is a pure function of its inputs.
 """

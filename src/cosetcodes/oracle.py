@@ -7,9 +7,12 @@ library's random), and the full sweep of structural coset checks.
 One enumerator, span_min_weight, walks the GF(p)-combinations of a basis
 in index order: digit t of index i is the coefficient of generator t.
 One table L holds the combinations of the low generators, as many as fit
-in _BLOCK = 256 KB; each block of the walk is L plus one word, so no index
-is decoded and nothing is multiplied or packed per block.  Whatever the
-span, the walk holds L and one block; both fit in a core's L2 cache.
+in _BLOCK = 256 KB; each block of the walk is L plus one word, within a
+range the last word plus a prefix sum of the generators above L, since
+adding 1 to an index wraps its low digits from p - 1 to 0 and raises the
+next.  So the blocks come in index order, no index is decoded and nothing
+is multiplied or packed per block.  Whatever the span, the walk holds L
+and one block; both fit in a core's L2 cache.
 Words are columns.  For p = 2 they are bit planes: digit t of 64
 consecutive symbols is one uint64, a block is one XOR per plane, and a
 weight is the popcount of the OR of a word's e planes, summed over its
@@ -41,7 +44,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice
+from functools import partial
+from itertools import accumulate, chain, combinations, islice, repeat
 from typing import Iterable
 
 import numpy as np
@@ -130,66 +134,51 @@ def _weights(ctx: FieldContext, words: np.ndarray) -> np.ndarray:
     return counts.sum(axis=0, dtype=np.min_scalar_type(most))
 
 
-def _combinations(p: int, G: np.ndarray) -> np.ndarray:
-    """The p^c GF(p)-combinations of the c word columns of G, in index
-    order (digit t of index i is the coefficient of column t), built by
-    digit doubling: each column multiplies the table by p with p - 1 adds."""
-    table = np.zeros((G.shape[0], 1), G.dtype)
-    for t in range(G.shape[1]):
-        parts = [table]
-        for _ in range(p - 1):
-            parts.append(_add_mod(p, parts[-1], G[:, t:t + 1]))
-        table = np.concatenate(parts, axis=1)
-    return table
-
-
-def _blocks(ctx, L, G, a, word, c, out=None, wrap=None):
-    """Weights of the blocks of word plus each combination of G's first c
-    columns, in index order; L holds those of the first a.  While c > a the
-    coefficient of column c - 1 takes its p values in turn, each recursing
-    on the columns below; then the block is a prefix of L plus word, formed
-    in out's leading columns (with wrap's as the scratch of the sum) when
-    they are given, so no block allocates."""
-    p = ctx.p
-    if c <= a:
-        A = L[:, :p**c]
-        if out is not None:
-            out, wrap = out[:, :A.shape[1]], wrap[:, :A.shape[1]]
-        yield _weights(ctx, _add_mod(p, A, word, out, wrap))
-    else:
-        for _ in range(p - 1):
-            yield from _blocks(ctx, L, G, a, word, c - 1, out, wrap)
-            word = _add_mod(p, word, G[:, c - 1:c])
-        yield from _blocks(ctx, L, G, a, word, c - 1, out, wrap)
+def _blocks(ctx: FieldContext, rows, first: int):
+    """Weights of the walk's blocks over the span of rows, in index order,
+    for the ranges j = first .. k - 1.  Range j, indices [q^j, 2 q^j), is
+    generator e*j plus each combination of the e*j below it: the words
+    whose top nonzero coefficient c_j is 1, one per GF(q)-line.  L holds
+    the combinations of the low a generators, p^a words of at most _BLOCK
+    bytes, built by digit doubling.  While e*j <= a a range is one block, a
+    prefix of L plus one word.  Above, block h is L plus one word, that of
+    block h - 1 plus P[t] = G_a + ... + G_(a+t), t being the lowest nonzero
+    base-p digit of h: from h - 1 to h, digits 0 .. t - 1 wrap from p - 1
+    to 0 (each +1 mod p) and digit t goes up by 1.  So the blocks stay in
+    index order, one add apart."""
+    p, e, G = ctx.p, ctx.e, _pack(ctx, _digit_matrix(ctx, rows))
+    add, width = partial(_add_mod, p), G.itemsize * len(G)
+    a = sum(p**t * width <= _BLOCK for t in range(1, G.shape[1] + 1))
+    L = np.zeros((len(G), 1), G.dtype)
+    for t in range(a):
+        L = np.concatenate([*accumulate(repeat(G[:, t:t + 1], p - 1), add, initial=L)], axis=1)
+    P = [*accumulate((G[:, t:t + 1] for t in range(a, G.shape[1])), add)]
+    # odd p: each block's sum and its wrap reuse two buffers, as freeing
+    # them per block faulted them back in from the system
+    bufs = () if p == 2 else (np.empty_like(L), np.empty_like(L))
+    for j in range(first, len(rows)):
+        A, word = L[:, :p ** min(e * j, a)], G[:, e * j:e * j + 1]
+        out = [b[:, :A.shape[1]] for b in bufs]
+        for h in range(p ** max(e * j - a, 0)):
+            if h:  # t: the lowest nonzero base-p digit of h
+                t = 0
+                while h % p ** (t + 1) == 0:
+                    t += 1
+                word = add(word, P[t])
+            yield _weights(ctx, _add_mod(p, A, word, *out))
 
 
 def span_min_weight(
     ctx: FieldContext, rows, limit: int, *, subcode_rows: int = 0
 ) -> int:
     """Exact minimum symbol weight over the words of the GF(q)-span of rows
-    that are not in the span of its first `subcode_rows` rows (with the
-    default 0, over the nonzero words).
-
-    The indices below p^(e * subcode_rows) are exactly the subcode's words,
-    so the walk starts above them; of each GF(q)-line it takes the word with
-    top nonzero coefficient c_j = 1, index in [q^j, 2 q^j): generator e*j
-    plus each combination of the e*j below it.  The low a generators span L,
-    p^a words of at most _BLOCK bytes.  While e*j <= a the range is a prefix
-    of L plus one word.  Above, _blocks fixes the coefficients of the
-    generators from a up, top first, and each block is L plus one word.
-    """
+    outside the span of its first `subcode_rows` rows (with the default 0,
+    the nonzero words): those of index p^(e * subcode_rows) and up, where
+    _blocks starts."""
     _price(limit, ctx.q, len(rows))
     if subcode_rows >= len(rows):
         raise ValueError("span has no words outside the subcode")
-    p, e, G = ctx.p, ctx.e, _pack(ctx, _digit_matrix(ctx, rows))
-    width = G.itemsize * len(G)
-    a = max((t for t in range(G.shape[1] + 1) if p**t * width <= _BLOCK), default=0)
-    L = _combinations(p, G[:, :a])
-    # odd p: each block's sum and its wrap reuse two buffers, as freeing
-    # them per block faulted them back in from the system
-    bufs = () if p == 2 else (np.empty_like(L), np.empty_like(L))
-    best = min(int(w.min()) for j in range(subcode_rows, len(rows))
-               for w in _blocks(ctx, L, G, a, G[:, e * j:e * j + 1], e * j, *bufs))
+    best = min(int(w.min()) for w in _blocks(ctx, rows, subcode_rows))
     if best == 0:
         raise AssertionError("generators are linearly dependent")
     return best

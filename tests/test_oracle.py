@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import json
 import random
@@ -248,8 +249,8 @@ def test_span_min_weight_matches_reference(case):
 def test_span_min_weight_does_not_depend_on_the_split():
     # 4^10 words of weight >= 4, 16 bytes each: L holds 2^12, 2^6 and 1 of
     # them at 2^16, 2^10 and 2^4 bytes, and 2^16, 2^10 and 2^4 at the three
-    # companions; each range of 4^j with 2j > a fixes its top coefficients
-    # one generator at a time down to L, 18 levels deep at 2^4 bytes
+    # companions; each range of 4^j with 2j > a steps its word by prefix
+    # sums of the 2j - a generators above L, 18 of them at 2^4 bytes
     code = css.family_block_full(4).outer
     rows = cyclic.codeword_basis(code)
     got = {0: set(), 3: set()}
@@ -376,8 +377,9 @@ def test_span_min_weight_memory_does_not_follow_the_span(monkeypatch, p, e, k, n
 def test_span_min_weight_does_not_depend_on_the_block_bytes(p, e, k):
     # _BLOCK at width * p^t bytes for every t from 0 to k * e, width being
     # one packed word's bytes: L holds p^t words, and the ranges are
-    # prefixes of L, tables of up to p^t words or recursions over several
-    # levels; every split weighs one word per line and finds the minimum
+    # prefixes of L, or blocks of p^t words whose word steps by prefix sums
+    # of the generators above L; every split weighs one word per line and
+    # finds the minimum
     ctx = make_field(p, e)
     q, rng = ctx.q, random.Random(p * k)
     rows = [[int(i == j) for j in range(k)] + [rng.randrange(q) for _ in range(3)]
@@ -388,6 +390,35 @@ def test_span_min_weight_does_not_depend_on_the_block_bytes(p, e, k):
         for t in range(k * e + 1):
             assert _words_weighed(ctx, rows, subcode_rows, width * p**t) == (
                 least, (q**k - q**subcode_rows) // (q - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(span_cases())
+# one word per block over GF(3) and GF(4): the word steps through prefix
+# sums of up to 5 and 6 generators, its low digits wrapping at each step
+@example(((3, 1), [[1, 0, 0, 0, 2, 1], [0, 1, 0, 0, 1, 1], [0, 0, 1, 0, 2, 2],
+                   [0, 0, 0, 1, 0, 1], [1, 1, 1, 1, 1, 1], [2, 0, 1, 0, 0, 1]], 0, 1))
+@example(((2, 2), [[1, 2, 3], [3, 1, 0], [0, 2, 1], [2, 2, 2]], 1, 4))
+def test_span_walk_weighs_its_lines_in_index_order(case):
+    # the weights of every block, in the order weighed, are those of the
+    # indices [q^j, 2 q^j) for j = subcode_rows .. k - 1, in increasing index
+    (p, e), rows, subcode_rows, block = case
+    ctx = make_field(p, e)
+    weighed, weights = [], oracle._weights
+
+    def recording(ctx, words):
+        weighed.append(weights(ctx, words))
+        return weighed[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_BLOCK", block)
+        mp.setattr(oracle, "_weights", recording)
+        with contextlib.suppress(AssertionError):  # dependent rows weigh a 0
+            span_min_weight(ctx, rows, ctx.q ** len(rows), subcode_rows=subcode_rows)
+    gens, q = _reference_generators(ctx, rows), ctx.q
+    expected = [_reference_weight(ctx, gens, [i // p**t % p for t in range(len(gens))])
+                for j in range(subcode_rows, len(rows)) for i in range(q**j, 2 * q**j)]
+    assert np.concatenate(weighed).tolist() == expected
 
 
 def test_span_min_weight_rejects_a_span_inside_its_subcode():

@@ -500,6 +500,7 @@ PARSE_ARGV = [
       for tail in ("--seed 1", "--format=json", "--form json", "--bogus", "--ver")),
     *(f"{argv.split()[0]} -h" for argv in _VALID),
     "table 4", "verify bogus", "css --family nope --q 4", "cosets 5", "code 2", "table",
+    "cosets 5 2 --budget 3", "css --family block --q 4 --c 3 --config f",
     "-h", "--version", "", "bogus",
 ]
 
@@ -809,6 +810,10 @@ USAGE_MESSAGES = {
     "code 4 -1": "error: need m >= 1, got m=-1",
     # the exponents may be left out; m may not
     "code 2": "cosetcodes code: error: the following arguments are required: m\n",
+    # only table and verify read a budget or a config file
+    "cosets 5 2 --budget 3": "cosetcodes: error: unrecognized arguments: --budget 3\n",
+    "css --family block --q 4 --c 3 --config f":
+        "cosetcodes: error: unrecognized arguments: --config f\n",
     # --q restricts the css and conv sweeps only
     "verify cosets --q 5": "error: --q restricts only css/conv, not verify cosets",
     "verify cyclic --q 5": "error: --q restricts only css/conv, not verify cyclic",
